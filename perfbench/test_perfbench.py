@@ -138,6 +138,16 @@ def test_benchmark_json_lists_the_metrics_the_run_reports():
     assert [w["name"] for w in BENCHMARK["workloads"]] == list(workloads.WORKLOADS)
 
 
+def test_wall_s_takes_each_distinct_call_at_its_fastest():
+    import run
+
+    a, b = ("predict", "--sequence", "a"), ("predict", "--sequence", "b")
+    rounds = [{"calls": [("predict", a, 3.0), ("predict", b, 1.0), ("predict", a, 2.0)]},
+              {"calls": [("predict", a, 4.0), ("predict", b, 0.5), ("predict", a, 5.0)]}]
+    assert run.fastest_calls(rounds) == {a: 2.0, b: 0.5}
+    assert run.call_walls(rounds, "predict") == [3.0, 1.0, 2.0, 4.0, 0.5, 5.0]
+
+
 def run_bench(workload, trace, cwd=ROOT, tiny=True):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
            "--seconds", "1", "--trace", str(trace)] + (["--tiny"] if tiny else [])

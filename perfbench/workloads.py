@@ -52,11 +52,11 @@ class Sizes:
 
 SIZES = {
     "fixture-train": Sizes(n_seq=8, width=64, n_frames=8, audio_s=(1.0, 1.0),
-                           train_steps=6),
+                           train_steps=3),
     "longclip-score": Sizes(n_seq=12, width=512, n_frames=32, audio_s=(10.0, 30.0),
                             predict_passes=3),
-    "erp-ingest": Sizes(n_seq=6, width=1024, n_frames=32, audio_s=(20.0, 20.0),
-                        n_rated=594, n_subjects=58, hm_s=60.0),
+    "erp-ingest": Sizes(n_seq=3, width=1024, n_frames=32, audio_s=(20.0, 20.0),
+                        n_rated=597, n_subjects=58, hm_s=60.0),
 }
 TINY = {
     "fixture-train": Sizes(n_seq=8, width=64, n_frames=8, audio_s=(1.0, 1.0),
