@@ -10,7 +10,6 @@ log-mel representation the downstream CNN consumes.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 from .manifest import AudioClip
+from .nn import read_tensor_record, write_tensor_record
 
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_FRAME_LEN_S = 0.025
@@ -209,29 +209,24 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 # ---------------------------------------------------------------------------
-# Feature dump format: "AVQF", u32 rank, u32 dims[], little-endian f32 payload
+# Feature dump format: "AVQF", then one tensor record (nn.write_tensor_record)
 # ---------------------------------------------------------------------------
 
 _AVQF_MAGIC = b"AVQF"
 
 
 def write_features(path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
     with open(path, "wb") as f:
         f.write(_AVQF_MAGIC)
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
+        # a rank-0 array is stored as shape (1,)
+        write_tensor_record(f, np.atleast_1d(array))
 
 
 def read_features(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != _AVQF_MAGIC:
         raise DataError(f"{path}: bad magic, not an AVQF feature dump")
-    (rank,) = struct.unpack_from("<I", data, 4)
-    dims = struct.unpack_from(f"<{rank}I", data, 8)
-    offset = 8 + 4 * rank
-    count = int(np.prod(dims)) if rank else 1
-    if len(data) - offset != 4 * count:
-        raise DataError(f"{path}: payload size does not match dims {dims}")
-    return np.frombuffer(data, dtype="<f4", offset=offset).reshape(dims).copy()
+    arr, end = read_tensor_record(data, 4, path)
+    if end != len(data):
+        raise DataError(f"{path}: payload size does not match dims {arr.shape}")
+    return arr

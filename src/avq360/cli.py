@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
-from .errors import DataError, NumericError, ValidationError
+from .errors import DataError, NumericError, ValidationError, read_text_utf8
 from .manifest import load_manifest, load_scores_csv, load_wav, load_y4m
 
 EXIT_OK = 0
@@ -66,22 +67,21 @@ def _media_paths(cfg: RunConfig, sequence_id: str) -> tuple[Path, Path]:
 def _load_split(path: Path) -> dict[str, str]:
     _require_file(path, "split file")
     assignment: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["sequence_id", "split"]:
-            raise DataError(f"{path}: bad header {header}")
-        for row in reader:
-            if not row:
-                continue
-            seq, split = row[0], row[1]
-            if split not in ("train", "test"):
-                raise DataError(f"{path}: bad split label {split!r}")
-            if seq in assignment and assignment[seq] != split:
-                raise DataError(
-                    f"{path}: split leakage, sequence {seq!r} assigned to both splits"
-                )
-            assignment[seq] = split
+    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
+    header = next(reader, None)
+    if header != ["sequence_id", "split"]:
+        raise DataError(f"{path}: bad header {header}")
+    for row in reader:
+        if not row:
+            continue
+        seq, split = row[0], row[1]
+        if split not in ("train", "test"):
+            raise DataError(f"{path}: bad split label {split!r}")
+        if seq in assignment and assignment[seq] != split:
+            raise DataError(
+                f"{path}: split leakage, sequence {seq!r} assigned to both splits"
+            )
+        assignment[seq] = split
     if not assignment:
         raise DataError(f"{path}: empty split file")
     return assignment

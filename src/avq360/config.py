@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text_utf8
 from .model import ModelConfig
 
 
@@ -153,7 +153,7 @@ def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, li
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = read_text_utf8(path)
     base_dir = path.parent
     applied = []
     if overrides:

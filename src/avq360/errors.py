@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the UTF-8 text read
+every text reader goes through."""
 
 
 class Avq360Error(Exception):
@@ -15,3 +16,14 @@ class DataError(Avq360Error):
 
 class NumericError(Avq360Error):
     """A computation produced NaN/Inf or an otherwise unusable result."""
+
+
+def read_text_utf8(path) -> str:
+    """The whole file as text, line endings as they are; bytes that are
+    not UTF-8 raise DataError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8 text at byte {e.start}") from e

@@ -9,11 +9,12 @@ intervals directly. "Rotation" from capture rigs is treated as roll.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_text_utf8
 
 NOMINAL_RATE_HZ = 120.0
 YAW_HIST_BINS = 36  # 10 degrees per bin
@@ -59,22 +60,21 @@ def load_hm(path) -> HeadMovementTrace:
     nominal ranges.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty head-movement file")
-        if header != _HM_HEADER:
-            raise DataError(f"{path}: bad header {header}, expected {_HM_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-numeric value") from None
+    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty head-movement file")
+    if header != _HM_HEADER:
+        raise DataError(f"{path}: bad header {header}, expected {_HM_HEADER}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DataError(f"{path}: line {lineno}: expected 4 fields")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: non-numeric value") from None
     if not rows:
         raise DataError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=np.float64)

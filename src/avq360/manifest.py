@@ -9,6 +9,7 @@ every byte of every input is deterministic.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
 import warnings
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_text_utf8
 
 # The ten scene categories covered by the dataset design.
 SCENES = (
@@ -124,7 +125,7 @@ def load_manifest(path) -> list[SequenceManifestEntry]:
     JSON or wrong field sets, ValidationError on invariant violations
     (including duplicate sequence ids).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text_utf8(path)
     if not text.strip():
         raise DataError(f"{path}: empty manifest")
     try:
@@ -443,34 +444,33 @@ _BOOL_TOKENS = {"true": True, "1": True, "false": False, "0": False}
 def load_scores_csv(path) -> list[RatingRecord]:
     """Read the rating table CSV (header must match exactly)."""
     records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty scores file") from None
+    if header != _SCORES_HEADER:
+        raise DataError(
+            f"{path}: bad header {header}, expected {_SCORES_HEADER}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise DataError(f"{path}: line {lineno}: expected 5 fields")
+        flag = _BOOL_TOKENS.get(row[4].strip().lower())
+        if flag is None:
+            raise DataError(f"{path}: line {lineno}: bad ssq_flag {row[4]!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty scores file") from None
-        if header != _SCORES_HEADER:
-            raise DataError(
-                f"{path}: bad header {header}, expected {_SCORES_HEADER}"
+            score = float(row[3])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad score {row[3]!r}") from None
+        try:
+            records.append(
+                RatingRecord(row[0], row[1], row[2], score, flag)
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}: line {lineno}: expected 5 fields")
-            flag = _BOOL_TOKENS.get(row[4].strip().lower())
-            if flag is None:
-                raise DataError(f"{path}: line {lineno}: bad ssq_flag {row[4]!r}")
-            try:
-                score = float(row[3])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad score {row[3]!r}") from None
-            try:
-                records.append(
-                    RatingRecord(row[0], row[1], row[2], score, flag)
-                )
-            except ValidationError as e:
-                raise DataError(f"{path}: line {lineno}: {e}") from e
+        except ValidationError as e:
+            raise DataError(f"{path}: line {lineno}: {e}") from e
     if not records:
         warnings.warn(f"{path}: scores file contains no records")
     return records

@@ -62,8 +62,9 @@ def logistic_fit(pred, mos) -> LogisticFit:
 
     Nelder-Mead from b1=max(mos), b2=min(mos), b3=median(pred),
     b4=std(pred)/4; at most 2000 iterations or simplex size below 1e-10.
-    A constant mos is degenerate: the identity mapping is returned with
-    a warning.
+    Two cases are degenerate and return the identity mapping with a
+    warning: a constant mos, and a fit that collapses to a constant curve
+    (scores only weakly related to the mos can drive b3 out of range).
     """
     pred = np.asarray(pred, dtype=np.float64)
     mos = np.asarray(mos, dtype=np.float64)
@@ -72,14 +73,9 @@ def logistic_fit(pred, mos) -> LogisticFit:
     if len(pred) < 5:
         raise ValidationError(f"logistic fit needs n >= 5, got {len(pred)}")
     if np.ptp(mos) == 0:
-        warnings.warn("constant ground truth: logistic fit degenerates to identity")
         c = float(mos[0])
-        return LogisticFit(
-            beta=(c, c, float(np.median(pred)), 1.0),
-            mapped=pred.copy(),
-            sse=float(((pred - mos) ** 2).sum()),
-            degenerate=True,
-        )
+        return _identity_fit(pred, mos, (c, c, float(np.median(pred)), 1.0),
+                             "constant ground truth")
 
     x0 = np.array([
         mos.max(),
@@ -96,9 +92,17 @@ def logistic_fit(pred, mos) -> LogisticFit:
         sse, x0, method="Nelder-Mead",
         options={"maxiter": 2000, "maxfev": 4000, "xatol": 1e-10, "fatol": 1e-12},
     )
+    beta = tuple(float(b) for b in res.x)
     mapped = logistic4(pred, *res.x)
-    return LogisticFit(beta=tuple(float(b) for b in res.x), mapped=mapped,
-                       sse=float(res.fun))
+    if np.ptp(mapped) == 0:
+        return _identity_fit(pred, mos, beta, "fitted curve is constant")
+    return LogisticFit(beta=beta, mapped=mapped, sse=float(res.fun))
+
+
+def _identity_fit(pred, mos, beta, reason: str) -> LogisticFit:
+    warnings.warn(f"{reason}: logistic fit degenerates to identity")
+    return LogisticFit(beta=beta, mapped=pred.copy(),
+                       sse=float(((pred - mos) ** 2).sum()), degenerate=True)
 
 
 def _validated_pair(x, y, min_n: int = 2):

@@ -188,8 +188,7 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     pos = np.arange(n)[:, None]
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (i // 2) / d)
-    pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return pe.astype(nn.default_dtype())
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +206,26 @@ class _ConvStack:
             self.convs.append(nn.Conv2d(store, f"{name}.conv{i}", cin, cout, rng))
             cin = cout
         self.proj = nn.Linear(store, f"{name}.proj", cin, d_model, rng)
-        self._caches = None
 
     def forward(self, x):
-        relu_caches, pool_caches = [], []
+        stage_caches = []
         for conv in self.convs:
-            x = conv.forward(x)
+            x, cc = conv.forward(x)
             x, rc = nn.relu_forward(x)
-            relu_caches.append(rc)
             x, pc = nn.maxpool2_forward(x)
-            pool_caches.append(pc)
+            stage_caches.append((cc, rc, pc))
         x, gap_cache = nn.global_mean_pool_forward(x)
-        self._caches = (relu_caches, pool_caches, gap_cache)
-        return self.proj.forward(x)
+        y, proj_cache = self.proj.forward(x)
+        return y, (stage_caches, gap_cache, proj_cache)
 
-    def backward(self, gy):
-        relu_caches, pool_caches, gap_cache = self._caches
-        g = self.proj.backward(gy)
+    def backward(self, gy, cache):
+        stage_caches, gap_cache, proj_cache = cache
+        g = self.proj.backward(gy, proj_cache)
         g = nn.global_mean_pool_backward(g, gap_cache)
-        for conv, rc, pc in zip(
-            reversed(self.convs), reversed(relu_caches), reversed(pool_caches)
-        ):
+        for conv, (cc, rc, pc) in zip(reversed(self.convs), reversed(stage_caches)):
             g = nn.maxpool2_backward(g, pc)
             g = nn.relu_backward(g, rc)
-            g = conv.backward(g)
+            g = conv.backward(g, cc)
         return g
 
 
@@ -238,22 +233,23 @@ class _FeedForward:
     def __init__(self, store, name, d_model, hidden, rng):
         self.lin1 = nn.Linear(store, f"{name}.lin1", d_model, hidden, rng)
         self.lin2 = nn.Linear(store, f"{name}.lin2", hidden, d_model, rng)
-        self._relu_cache = None
 
     def forward(self, x):
-        h = self.lin1.forward(x)
-        h, self._relu_cache = nn.relu_forward(h)
-        return self.lin2.forward(h)
+        h, c1 = self.lin1.forward(x)
+        h, rc = nn.relu_forward(h)
+        y, c2 = self.lin2.forward(h)
+        return y, (c1, rc, c2)
 
-    def backward(self, gy):
-        g = self.lin2.backward(gy)
-        g = nn.relu_backward(g, self._relu_cache)
-        return self.lin1.backward(g)
+    def backward(self, gy, cache):
+        c1, rc, c2 = cache
+        g = self.lin2.backward(gy, c2)
+        g = nn.relu_backward(g, rc)
+        return self.lin1.backward(g, c1)
 
 
 class _TransformerBlock:
     """Pre-norm block: self-attention, optional cross-attention, feed-forward,
-    each as residual sublayers."""
+    each as residual sublayers. Its cache maps sublayer names to their caches."""
 
     def __init__(self, store, name, d_model, heads, rng, cross: bool, ff_mult: int):
         self.cross = cross
@@ -266,25 +262,29 @@ class _TransformerBlock:
         self.ff = _FeedForward(store, f"{name}.ff", d_model, ff_mult * d_model, rng)
 
     def forward(self, v, a=None):
-        u = self.ln1.forward(v)
-        v = v + self.attn.forward(u, u)
+        c = {}
+        u, c["ln1"] = self.ln1.forward(v)
+        y, c["attn"] = self.attn.forward(u, u)
+        v = v + y
         if self.cross:
             if a is None:
                 raise ValidationError("cross-attention block needs audio tokens")
-            u = self.lnx.forward(v)
-            v = v + self.xattn.forward(u, a)
-        u = self.ln2.forward(v)
-        return v + self.ff.forward(u)
+            u, c["lnx"] = self.lnx.forward(v)
+            y, c["xattn"] = self.xattn.forward(u, a)
+            v = v + y
+        u, c["ln2"] = self.ln2.forward(v)
+        y, c["ff"] = self.ff.forward(u)
+        return v + y, c
 
-    def backward(self, gv):
+    def backward(self, gv, c):
         ga = None
-        gu = self.ff.backward(gv)
-        gv = gv + self.ln2.backward(gu)
+        gu = self.ff.backward(gv, c["ff"])
+        gv = gv + self.ln2.backward(gu, c["ln2"])
         if self.cross:
-            gq, ga = self.xattn.backward(gv)
-            gv = gv + self.lnx.backward(gq)
-        gq, gkv = self.attn.backward(gv)
-        gv = gv + self.ln1.backward(gq + gkv)
+            gq, ga = self.xattn.backward(gv, c["xattn"])
+            gv = gv + self.lnx.backward(gq, c["lnx"])
+        gq, gkv = self.attn.backward(gv, c["attn"])
+        gv = gv + self.ln1.backward(gq + gkv, c["ln1"])
         return gv, ga
 
 
@@ -329,83 +329,100 @@ class AVQAModel:
         else:  # add
             head_in = d
         self.head = nn.Linear(self.store, "head", head_in, 1, rng)
-        self._cache = None
+        self._tape = None  # cache of the last forward, consumed by backward
 
     # -- forward -----------------------------------------------------------
 
     def _video_tokens(self, feat: SequenceFeatures):
+        """(T, d) video tokens and their cache."""
         cfg = self.cfg
         if feat.video.shape[1] != cfg.bands:
             raise ValidationError(
                 f"features carry {feat.video.shape[1]} bands, model expects {cfg.bands}"
             )
-        x = feat.video.astype(nn.default_dtype())
-        band_feats = [
+        x = feat.video.astype(np.float64)
+        band_feats, band_caches = zip(*(
             enc.forward(x[:, m][:, None]) for m, enc in enumerate(self.band_encoders)
-        ]
+        ))
         stacked = np.stack(band_feats)                       # (M, T, d)
         z = self.lat_logits + np.log(feat.lat_prior)
         eff = nn.softmax(z[None, :])[0]
         tokens = np.einsum("m,mtd->td", eff, stacked)
-        self._agg_cache = (stacked, eff)
         if cfg.temporal_pos_enc:
             tokens = tokens + sinusoidal_positions(tokens.shape[0], cfg.d_model)
-        return self.temporal.forward(tokens)
+        tokens, temporal_cache = self.temporal.forward(tokens)
+        return tokens, (band_caches, stacked, eff, temporal_cache)
 
-    def _video_tokens_backward(self, gv):
-        gtok, _ = self.temporal.backward(gv)
-        stacked, eff = self._agg_cache
+    def _video_tokens_backward(self, gv, cache):
+        band_caches, stacked, eff, temporal_cache = cache
+        gtok, _ = self.temporal.backward(gv, temporal_cache)
         geff = np.einsum("td,mtd->m", gtok, stacked)
         gz = nn.softmax_backward(geff[None, :], eff[None, :])[0]
         self.store.add_grad("video.lat_logits", gz)
-        for m, enc in enumerate(self.band_encoders):
-            enc.backward(eff[m] * gtok)
+        for m, (enc, c) in enumerate(zip(self.band_encoders, band_caches)):
+            enc.backward(eff[m] * gtok, c)
 
     def _audio_tokens(self, feat: SequenceFeatures):
-        a = feat.audio.astype(nn.default_dtype())[:, None]   # (P, 1, F, B)
-        tokens = self.audio_enc.forward(a)
-        tokens = self.audio_ln.forward(tokens)
+        """(P, d) audio tokens and their cache."""
+        a = feat.audio.astype(np.float64)[:, None]           # (P, 1, F, B)
+        tokens, enc_cache = self.audio_enc.forward(a)
+        tokens, ln_cache = self.audio_ln.forward(tokens)
         if self.cfg.audio_pos_enc:
             tokens = tokens + sinusoidal_positions(tokens.shape[0], self.cfg.d_model)
-        return tokens
+        return tokens, (enc_cache, ln_cache)
 
-    def _audio_tokens_backward(self, ga):
-        g = self.audio_ln.backward(ga)
-        self.audio_enc.backward(g)
+    def _audio_tokens_backward(self, ga, cache):
+        enc_cache, ln_cache = cache
+        g = self.audio_ln.backward(ga, ln_cache)
+        self.audio_enc.backward(g, enc_cache)
 
-    def forward(self, feat: SequenceFeatures) -> float:
-        """Score in (0, 1) for one preprocessed sequence."""
+    def _score(self, feat: SequenceFeatures):
+        """Score in (0, 1) for one preprocessed sequence, and its cache."""
         cfg = self.cfg
-        v = self._video_tokens(feat)
-        a = self._audio_tokens(feat)
+        v, video_cache = self._video_tokens(feat)
+        a, audio_cache = self._audio_tokens(feat)
         t, p = v.shape[0], a.shape[0]
+        fusion_cache = None
         if cfg.fusion_mode == "transformer":
+            block_caches = []
             for blk in self.fusion_blocks:
-                v = blk.forward(v, a)
-            v = self.final_ln.forward(v)
+                v, c = blk.forward(v, a)
+                block_caches.append(c)
+            v, final_cache = self.final_ln.forward(v)
+            fusion_cache = (block_caches, final_cache)
             pooled = v.mean(axis=0)
         elif cfg.fusion_mode == "cat":
             pooled = np.concatenate([v.mean(axis=0), a.mean(axis=0)])
         else:
             pooled = v.mean(axis=0) + a.mean(axis=0)
-        y = self.head.forward(pooled)
+        y, head_cache = self.head.forward(pooled)
         s = float(nn.sigmoid(y)[0])
-        self._cache = (t, p, s)
+        return s, (video_cache, audio_cache, fusion_cache, head_cache, t, p, s)
+
+    def forward(self, feat: SequenceFeatures) -> float:
+        """Score in (0, 1) for one preprocessed sequence; keeps the cache
+        the next backward consumes."""
+        s, self._tape = self._score(feat)
         return s
 
     def backward(self, gscore: float) -> None:
-        """Accumulate parameter gradients of gscore * d(score01)/d(params)."""
+        """Accumulate parameter gradients of gscore * d(score01)/d(params)
+        at the input of the last forward."""
+        if self._tape is None:
+            raise ValidationError("backward needs a forward before it")
+        tape, self._tape = self._tape, None
+        video_cache, audio_cache, fusion_cache, head_cache, t, p, s = tape
         cfg = self.cfg
-        t, p, s = self._cache
         d = cfg.d_model
-        gy = np.array([gscore * s * (1.0 - s)], dtype=nn.default_dtype())
-        gpooled = self.head.backward(gy)
+        gy = np.array([gscore * s * (1.0 - s)], dtype=np.float64)
+        gpooled = self.head.backward(gy, head_cache)
         if cfg.fusion_mode == "transformer":
+            block_caches, final_cache = fusion_cache
             gv = np.broadcast_to(gpooled / t, (t, d)).copy()
-            gv = self.final_ln.backward(gv)
-            ga_total = np.zeros((p, d), dtype=nn.default_dtype())
-            for blk in reversed(self.fusion_blocks):
-                gv, ga = blk.backward(gv)
+            gv = self.final_ln.backward(gv, final_cache)
+            ga_total = np.zeros((p, d))
+            for blk, c in zip(reversed(self.fusion_blocks), reversed(block_caches)):
+                gv, ga = blk.backward(gv, c)
                 if ga is not None:
                     ga_total += ga
         elif cfg.fusion_mode == "cat":
@@ -414,12 +431,12 @@ class AVQAModel:
         else:
             gv = np.broadcast_to(gpooled / t, (t, d)).copy()
             ga_total = np.broadcast_to(gpooled / p, (p, d)).copy()
-        self._audio_tokens_backward(ga_total)
-        self._video_tokens_backward(gv)
+        self._audio_tokens_backward(ga_total, audio_cache)
+        self._video_tokens_backward(gv, video_cache)
 
     def predict(self, feat: SequenceFeatures) -> float:
-        """Quality score in (0, 100)."""
-        return 100.0 * self.forward(feat)
+        """Quality score in (0, 100); the training tape is left alone."""
+        return 100.0 * self._score(feat)[0]
 
     # -- persistence ---------------------------------------------------------
 
@@ -432,7 +449,7 @@ class AVQAModel:
     def load(cls, path) -> "AVQAModel":
         tensors = nn.read_checkpoint(path)
         meta = {k: v for k, v in tensors.items() if k.startswith("meta/")}
-        params = {k: v.astype(nn.default_dtype())
+        params = {k: v.astype(np.float64)
                   for k, v in tensors.items() if not k.startswith("meta/")}
         cfg = _config_from_meta(meta, path)
         model = cls(cfg)

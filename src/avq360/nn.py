@@ -7,13 +7,19 @@ format. There is no taped autodiff: every gradient is written out
 explicitly so it can be verified op-by-op against central finite
 differences, which the test suite does at float64.
 
-Conventions: tensors are plain numpy arrays; conv inputs are (N, C, H, W);
-token matrices are (T, d). A module-level finite-check mode (on by
-default) raises NumericError whenever an op produces NaN/Inf.
+Conventions: tensors are plain float64 numpy arrays; conv inputs are
+(N, C, H, W); token matrices are (T, d). A module-level finite-check mode
+(on by default) raises NumericError whenever an op produces NaN/Inf.
+
+The layer classes at the end own their parameters but no activations:
+like the functional ops, their ``forward`` returns ``(y, cache)`` and
+their ``backward`` takes that cache back, so any number of forward
+passes can be in flight at once.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, NumericError, ValidationError
 
 _FINITE_CHECKS = True
-_DEFAULT_DTYPE = np.float64
 
 
 def set_finite_checks(enabled: bool) -> bool:
@@ -33,18 +38,6 @@ def set_finite_checks(enabled: bool) -> bool:
     prev = _FINITE_CHECKS
     _FINITE_CHECKS = bool(enabled)
     return prev
-
-
-def set_default_dtype(dtype) -> None:
-    """float64 (default, used by all tests) or float32 for runtime."""
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValidationError("default dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -58,7 +51,7 @@ def _check_finite(name: str, *arrays) -> None:
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """U(-b, b) with b = sqrt(6/fan_in) (relu gain)."""
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(_DEFAULT_DTYPE)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +210,6 @@ def sigmoid(x):
     return out
 
 
-def sigmoid_backward(gy, y):
-    return gy * y * (1.0 - y)
-
-
 def global_mean_pool_forward(x):
     """(N, C, H, W) -> (N, C) spatial mean."""
     n, c, h, w = x.shape
@@ -230,9 +219,6 @@ def global_mean_pool_forward(x):
 def global_mean_pool_backward(gy, cache):
     n, c, h, w = cache
     return np.broadcast_to(gy[:, :, None, None], (n, c, h, w)) / (h * w)
-
-
-_MHA_PARAM_KEYS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def mha_forward(q_in, kv_in, params: dict, heads: int):
@@ -299,32 +285,6 @@ def mha_backward(gy, cache):
     return gq_in, gkv_in, grads
 
 
-# Forward-only conveniences (tests and demos).
-
-def conv2d(x, w, b=None, stride: int = 1, pad: int = 0):
-    return conv2d_forward(x, w, b, stride, pad)[0]
-
-
-def maxpool2(x):
-    return maxpool2_forward(x)[0]
-
-
-def linear(x, w, b=None):
-    return linear_forward(x, w, b)[0]
-
-
-def relu(x):
-    return relu_forward(x)[0]
-
-
-def layer_norm(x, gamma, beta, eps: float = 1e-5):
-    return layer_norm_forward(x, gamma, beta, eps)[0]
-
-
-def multi_head_attention(q_in, kv_in, params: dict, heads: int):
-    return mha_forward(q_in, kv_in, params, heads)[0]
-
-
 # ---------------------------------------------------------------------------
 # Parameter store, Adam, checkpoints
 # ---------------------------------------------------------------------------
@@ -344,7 +304,7 @@ class ParamStore:
     def register(self, name: str, value: np.ndarray) -> np.ndarray:
         if name in self.params:
             raise ValidationError(f"duplicate parameter name {name!r}")
-        arr = np.array(value, dtype=_DEFAULT_DTYPE)
+        arr = np.array(value, dtype=np.float64)
         self.params[name] = arr
         self.grads[name] = np.zeros_like(arr)
         return arr
@@ -358,9 +318,6 @@ class ParamStore:
 
     def add_grad(self, name: str, g) -> None:
         self.grads[name] += g
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
@@ -418,56 +375,71 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
         store.params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
+def write_tensor_record(f, array) -> None:
+    """One tensor as u32 rank, u32 dims[], then its little-endian f32
+    payload, row-major. Checkpoints and feature dumps share this record."""
+    arr = np.asarray(array, dtype="<f4")
+    f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+    f.write(arr.tobytes())
+
+
+def read_tensor_record(data: bytes, pos: int, path) -> tuple[np.ndarray, int]:
+    """The record write_tensor_record left at data[pos:], and the offset
+    just past it."""
+    raw, pos = _take(data, pos, 4, path)
+    (rank,) = struct.unpack("<I", raw)
+    raw, pos = _take(data, pos, 4 * rank, path)
+    dims = struct.unpack(f"<{rank}I", raw)
+    raw, pos = _take(data, pos, 4 * math.prod(dims), path)
+    return np.frombuffer(raw, dtype="<f4").reshape(dims).copy(), pos
+
+
+def _take(data: bytes, pos: int, nbytes: int, path) -> tuple[memoryview, int]:
+    """data[pos:pos + nbytes] and the offset after it. The declared size is
+    checked against the bytes left before anything is unpacked or allocated."""
+    if nbytes > len(data) - pos:
+        raise DataError(
+            f"{path}: truncated or corrupt: declared size of {nbytes} bytes at "
+            f"offset {pos} exceeds the {len(data) - pos} bytes left"
+        )
+    return memoryview(data)[pos : pos + nbytes], pos + nbytes
+
+
 CHECKPOINT_MAGIC = b"AVQC"
 CHECKPOINT_VERSION = 1
 
 
 def write_checkpoint(path, tensors: dict) -> None:
     """Binary checkpoint: magic "AVQC", u32 version, u32 tensor count,
-    then per tensor (u32 name length, name bytes, u32 rank, u32 dims[],
-    little-endian f32 payload, row-major). Names are written sorted."""
+    then per tensor u32 name length, name bytes and a tensor record.
+    Names are written sorted."""
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
         for name in sorted(tensors):
-            # ascontiguousarray would promote rank-0 tensors to rank 1
-            arr = np.asarray(tensors[name], dtype="<f4")
-            if arr.ndim:
-                arr = np.ascontiguousarray(arr)
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            if arr.ndim:
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+            write_tensor_record(f, tensors[name])
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic, not an AVQC checkpoint")
-    version, count = struct.unpack_from("<II", data, 4)
+    raw, pos = _take(data, 4, 8, path)
+    version, count = struct.unpack("<II", raw)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
     out: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            name = data[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}I", data, pos)
-            pos += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(data, dtype="<f4", count=n, offset=pos)
-            pos += 4 * n
-            out[name] = arr.reshape(dims).copy()
-    except (struct.error, ValueError) as e:
-        raise DataError(f"{path}: truncated or corrupt checkpoint") from e
+    for _ in range(count):
+        raw, pos = _take(data, pos, 4, path)
+        raw, pos = _take(data, pos, struct.unpack("<I", raw)[0], path)
+        try:
+            name = str(raw, "utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: tensor name is not UTF-8") from e
+        out[name], pos = read_tensor_record(data, pos, path)
     if pos != len(data):
         raise DataError(f"{path}: trailing bytes after last tensor")
     return out
@@ -544,7 +516,9 @@ def gradient_rel_err(analytic, numeric, zero_tol: float = 1e-7) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stateful layers (thin wrappers that own parameters via a ParamStore)
+# Layers: own their parameters via a ParamStore, never their activations.
+# forward returns (y, cache); backward(gy, cache) accumulates the parameter
+# gradients into the store and returns the input gradient.
 # ---------------------------------------------------------------------------
 
 class Conv2d:
@@ -555,14 +529,12 @@ class Conv2d:
         fan_in = in_channels * ksize * ksize
         self.w = store.register(f"{name}.w", kaiming_uniform(rng, (out_channels, in_channels, ksize, ksize), fan_in))
         self.b = store.register(f"{name}.b", np.zeros(out_channels))
-        self._cache = None
 
     def forward(self, x):
-        y, self._cache = conv2d_forward(x, self.w, self.b, self.stride, self.pad)
-        return y
+        return conv2d_forward(x, self.w, self.b, self.stride, self.pad)
 
-    def backward(self, gy):
-        gx, gw, gb = conv2d_backward(gy, self._cache)
+    def backward(self, gy, cache):
+        gx, gw, gb = conv2d_backward(gy, cache)
         self._store.add_grad(f"{self._name}.w", gw)
         self._store.add_grad(f"{self._name}.b", gb)
         return gx
@@ -573,14 +545,12 @@ class Linear:
         self._store, self._name = store, name
         self.w = store.register(f"{name}.w", kaiming_uniform(rng, (d_in, d_out), d_in))
         self.b = store.register(f"{name}.b", np.zeros(d_out))
-        self._cache = None
 
     def forward(self, x):
-        y, self._cache = linear_forward(x, self.w, self.b)
-        return y
+        return linear_forward(x, self.w, self.b)
 
-    def backward(self, gy):
-        gx, gw, gb = linear_backward(gy, self._cache)
+    def backward(self, gy, cache):
+        gx, gw, gb = linear_backward(gy, cache)
         self._store.add_grad(f"{self._name}.w", gw)
         self._store.add_grad(f"{self._name}.b", gb)
         return gx
@@ -592,14 +562,12 @@ class LayerNorm:
         self.eps = eps
         self.gamma = store.register(f"{name}.gamma", np.ones(dim))
         self.beta = store.register(f"{name}.beta", np.zeros(dim))
-        self._cache = None
 
     def forward(self, x):
-        y, self._cache = layer_norm_forward(x, self.gamma, self.beta, self.eps)
-        return y
+        return layer_norm_forward(x, self.gamma, self.beta, self.eps)
 
-    def backward(self, gy):
-        gx, ggamma, gbeta = layer_norm_backward(gy, self._cache)
+    def backward(self, gy, cache):
+        gx, ggamma, gbeta = layer_norm_backward(gy, cache)
         self._store.add_grad(f"{self._name}.gamma", ggamma)
         self._store.add_grad(f"{self._name}.beta", gbeta)
         return gx
@@ -616,14 +584,13 @@ class MultiHeadAttention:
             self.params[key] = store.register(f"{name}.{key}", kaiming_uniform(rng, (d_model, d_model), d_model))
         for key in ("bq", "bk", "bv", "bo"):
             self.params[key] = store.register(f"{name}.{key}", np.zeros(d_model))
-        self._cache = None
 
     def forward(self, q_in, kv_in):
-        y, self._cache = mha_forward(q_in, kv_in, self.params, self.heads)
-        return y
+        return mha_forward(q_in, kv_in, self.params, self.heads)
 
-    def backward(self, gy):
-        gq_in, gkv_in, grads = mha_backward(gy, self._cache)
+    def backward(self, gy, cache):
+        """Returns (gq_in, gkv_in)."""
+        gq_in, gkv_in, grads = mha_backward(gy, cache)
         for key, g in grads.items():
             self._store.add_grad(f"{self._name}.{key}", g)
         return gq_in, gkv_in

@@ -11,6 +11,7 @@ the caller.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_text_utf8
 from .manifest import RatingRecord
 
 # Minimum number of valid ratings a sequence should retain after
@@ -229,27 +230,26 @@ def write_mos_csv(records: list[MOSRecord], path) -> None:
 def read_mos_csv(path) -> dict[str, MOSRecord]:
     """Read a MOS table back as a sequence_id -> MOSRecord mapping."""
     out: dict[str, MOSRecord] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _MOS_HEADER:
-            raise DataError(f"{path}: bad header {header}, expected {_MOS_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rec = MOSRecord(
-                    sequence_id=row[0],
-                    mos=float(row[1]),
-                    std=float(row[2]),
-                    n_valid=int(row[3]),
-                    ci95_half_width=float(row[4]),
-                )
-            except (IndexError, ValueError) as e:
-                raise DataError(f"{path}: line {lineno}: {e}") from e
-            if rec.sequence_id in out:
-                raise DataError(f"{path}: duplicate sequence_id {rec.sequence_id!r}")
-            out[rec.sequence_id] = rec
+    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
+    header = next(reader, None)
+    if header != _MOS_HEADER:
+        raise DataError(f"{path}: bad header {header}, expected {_MOS_HEADER}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            rec = MOSRecord(
+                sequence_id=row[0],
+                mos=float(row[1]),
+                std=float(row[2]),
+                n_valid=int(row[3]),
+                ci95_half_width=float(row[4]),
+            )
+        except (IndexError, ValueError) as e:
+            raise DataError(f"{path}: line {lineno}: {e}") from e
+        if rec.sequence_id in out:
+            raise DataError(f"{path}: duplicate sequence_id {rec.sequence_id!r}")
+        out[rec.sequence_id] = rec
     if not out:
         raise DataError(f"{path}: no MOS rows")
     return out

@@ -54,7 +54,7 @@ def _op_gradient_errors():
     def conv_f(label, v):
         args = {"x": x, "w": w, "b": b}
         args[label] = v
-        return float((r * nn.conv2d(args["x"], args["w"], args["b"], 1, 1)).sum())
+        return float((r * nn.conv2d_forward(args["x"], args["w"], args["b"], 1, 1)[0]).sum())
 
     fd_vs_analytic("conv2d", conv_f, None, [("x", x, gx), ("w", w, gw), ("b", b, gb)])
 
@@ -64,7 +64,7 @@ def _op_gradient_errors():
     r = rng.normal(size=y.shape)
     gx = nn.maxpool2_backward(r, cache)
     fd_vs_analytic(
-        "maxpool2", lambda _l, v: float((r * nn.maxpool2(v)).sum()), None,
+        "maxpool2", lambda _l, v: float((r * nn.maxpool2_forward(v)[0]).sum()), None,
         [("x", x, gx)],
     )
 
@@ -79,7 +79,7 @@ def _op_gradient_errors():
     def lin_f(label, v):
         args = {"x": x, "w": w, "b": b}
         args[label] = v
-        return float((r * nn.linear(args["x"], args["w"], args["b"])).sum())
+        return float((r * nn.linear_forward(args["x"], args["w"], args["b"])[0]).sum())
 
     fd_vs_analytic("linear", lin_f, None, [("x", x, gx), ("w", w, gw), ("b", b, gb)])
 
@@ -89,7 +89,7 @@ def _op_gradient_errors():
     y, cache = nn.relu_forward(x)
     r = rng.normal(size=y.shape)
     gx = nn.relu_backward(r, cache)
-    fd_vs_analytic("relu", lambda _l, v: float((r * nn.relu(v)).sum()), None,
+    fd_vs_analytic("relu", lambda _l, v: float((r * nn.relu_forward(v)[0]).sum()), None,
                    [("x", x, gx)])
 
     # layer_norm
@@ -103,7 +103,7 @@ def _op_gradient_errors():
     def ln_f(label, v):
         args = {"x": x, "gamma": gamma, "beta": beta}
         args[label] = v
-        return float((r * nn.layer_norm(args["x"], args["gamma"], args["beta"])).sum())
+        return float((r * nn.layer_norm_forward(args["x"], args["gamma"], args["beta"])[0]).sum())
 
     fd_vs_analytic("layer_norm", ln_f, None,
                    [("x", x, gx), ("gamma", gamma, ggamma), ("beta", beta, gbeta)])
@@ -127,17 +127,17 @@ def _op_gradient_errors():
     gq, gkv, grads = nn.mha_backward(r, cache)
     errs["mha.q_in"] = nn.gradient_rel_err(
         gq, nn.numerical_gradient(
-            lambda v: float((r * nn.multi_head_attention(v, kv_in, p, heads)).sum()),
+            lambda v: float((r * nn.mha_forward(v, kv_in, p, heads)[0]).sum()),
             q_in))
     errs["mha.kv_in"] = nn.gradient_rel_err(
         gkv, nn.numerical_gradient(
-            lambda v: float((r * nn.multi_head_attention(q_in, v, p, heads)).sum()),
+            lambda v: float((r * nn.mha_forward(q_in, v, p, heads)[0]).sum()),
             kv_in))
     for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
         def f(v, key=key):
             trial = dict(p)
             trial[key] = v
-            return float((r * nn.multi_head_attention(q_in, kv_in, trial, heads)).sum())
+            return float((r * nn.mha_forward(q_in, kv_in, trial, heads)[0]).sum())
         errs[f"mha.{key}"] = nn.gradient_rel_err(grads[key], nn.numerical_gradient(f, p[key]))
     return errs
 

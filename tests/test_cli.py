@@ -75,6 +75,14 @@ class TestProcessScores:
         )
         assert run(["process-scores", "--config", fixture / "config.txt"]) == 3
 
+    def test_non_utf8_scores_is_data_error(self, tmp_path, corpus_dir, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes((corpus_dir / "scores.csv").read_bytes() + b"\xff")
+        assert run(["process-scores", "--config", corpus_dir / "config.txt",
+                    "--set", f"scores={scores}",
+                    "--set", f"output_dir={tmp_path / 'out'}"]) == 3
+        assert "not valid UTF-8" in capsys.readouterr().err
+
 
 class TestSiti:
     def test_constant_corpus_all_zero(self, tmp_path):

@@ -115,6 +115,21 @@ class TestLogisticFit:
         assert fit.degenerate
         np.testing.assert_array_equal(fit.mapped, pred)
 
+    def test_collapsed_fit_degenerates_with_warning(self):
+        # an untrained model's scores against MOS it barely follows: the
+        # fit drives b3 out of range and the curve goes flat
+        pred = np.array([84.6088, 85.2264, 87.6288, 87.1802, 88.1632, 85.5861,
+                         89.9623, 88.8313, 85.9259, 87.4318, 90.0338, 88.4862])
+        mos = np.array([84.4166, 80.94, 73.6788, 67.4811, 63.2739, 56.4764,
+                        53.5722, 45.7547, 42.2042, 36.0894, 31.5796, 29.3677])
+        with pytest.warns(UserWarning, match="identity"):
+            fit = logistic_fit(pred, mos)
+        assert fit.degenerate
+        np.testing.assert_array_equal(fit.mapped, pred)
+        with pytest.warns(UserWarning, match="identity"):
+            report = evaluate_predictions(pred, mos)
+        assert -1.0 <= report.plcc <= 1.0
+
     def test_too_few_points(self):
         with pytest.raises(ValidationError, match="n >= 5"):
             logistic_fit([1, 2, 3], [4, 5, 6])

@@ -121,7 +121,7 @@ class TestVideoBranch:
             audio=np.zeros((1, 96, 64)),
             lat_prior=np.array([0.5, 0.5]),
         )
-        tokens = m._video_tokens(feat)
+        tokens, _ = m._video_tokens(feat)
         assert tokens.shape == (3, cfg.d_model)
         assert np.abs(tokens - tokens[0]).max() < 1e-10
 
@@ -129,22 +129,21 @@ class TestVideoBranch:
         cfg = tiny_model_config(bands=1, temporal_pos_enc=False)
         m = AVQAModel(cfg)
         feat = tiny_features(seed=5, m=1)
-        enc_out = m.band_encoders[0].forward(
+        enc_out, _ = m.band_encoders[0].forward(
             feat.video.astype(np.float64)[:, 0][:, None]
         )
-        tokens = m._video_tokens(feat)
+        tokens, (_, stacked, eff, _) = m._video_tokens(feat)
         # aggregation over one band cannot change the encoder output;
         # the temporal block then mixes it
-        np.testing.assert_allclose(m._agg_cache[0][0], enc_out, atol=1e-12)
-        np.testing.assert_allclose(m._agg_cache[1], [1.0])
+        np.testing.assert_allclose(stacked[0], enc_out, atol=1e-12)
+        np.testing.assert_allclose(eff, [1.0])
         assert tokens.shape == (2, cfg.d_model)
 
     def test_aggregation_matches_reference_operation(self):
         cfg = tiny_model_config()
         m = AVQAModel(cfg)
         feat = tiny_features(seed=6)
-        m._video_tokens(feat)
-        stacked, eff = m._agg_cache
+        _, (_, stacked, eff, _) = m._video_tokens(feat)
         weights = LatitudeWeights.from_logits(
             feat.lat_prior, m.store.params["video.lat_logits"]
         )
@@ -178,7 +177,7 @@ class TestAudioBranch:
             audio=np.repeat(patch, 3, axis=0),
             lat_prior=np.array([0.5, 0.5]),
         )
-        tokens = m._audio_tokens(feat)
+        tokens, _ = m._audio_tokens(feat)
         assert tokens.shape == (3, cfg.d_model)
         assert np.abs(tokens - tokens[0]).max() < 1e-12
 
@@ -196,16 +195,16 @@ class TestFusion:
     def fusion_score(m, v_tokens, a_tokens):
         v = v_tokens
         for blk in m.fusion_blocks:
-            v = blk.forward(v, a_tokens)
-        v = m.final_ln.forward(v)
-        return float(nn.sigmoid(m.head.forward(v.mean(axis=0)))[0])
+            v, _ = blk.forward(v, a_tokens)
+        v, _ = m.final_ln.forward(v)
+        return float(nn.sigmoid(m.head.forward(v.mean(axis=0))[0])[0])
 
     def test_cross_attention_is_live(self):
         # replacing the audio token matrix by zeros vs ones must move the
         # score: the cross-attention sublayers are actually wired in
         cfg = tiny_model_config()
         m = AVQAModel(cfg)
-        v = m._video_tokens(tiny_features(seed=10))
+        v, _ = m._video_tokens(tiny_features(seed=10))
         s_zeros = self.fusion_score(m, v, np.zeros((2, cfg.d_model)))
         s_ones = self.fusion_score(m, v, np.ones((2, cfg.d_model)))
         assert s_zeros != s_ones
@@ -273,6 +272,59 @@ class TestGradient:
             analytic = m.store.grads[name].reshape(-1)[idx]
             worst = max(worst, nn.gradient_rel_err(analytic, vals))
         assert worst < 1e-4
+
+    def test_predict_between_forward_and_backward_keeps_gradients(self):
+        m = AVQAModel(tiny_model_config())
+        feat_a, feat_b = tiny_features(seed=15), tiny_features(seed=16)
+
+        def grads(between):
+            m.store.zero_grads()
+            m.forward(feat_a)
+            between()
+            m.backward(0.5)
+            return {name: g.copy() for name, g in m.store.grads.items()}
+
+        plain = grads(lambda: None)
+        interleaved = grads(lambda: m.predict(feat_b))
+        for name, g in plain.items():
+            np.testing.assert_array_equal(interleaved[name], g, err_msg=name)
+
+    def test_backward_consumes_the_forward(self):
+        m = AVQAModel(tiny_model_config())
+        with pytest.raises(ValidationError, match="forward"):
+            m.backward(1.0)
+        m.forward(tiny_features(seed=17))
+        m.backward(1.0)
+        with pytest.raises(ValidationError, match="forward"):
+            m.backward(1.0)
+
+    def test_modules_hold_no_activations(self):
+        # every array reachable from the modules is a parameter; only the
+        # model's own tape holds the cache of the last forward
+        m = AVQAModel(tiny_model_config())
+        m.forward(tiny_features(seed=18))
+        m.predict(tiny_features(seed=19))
+        params = {id(p) for p in m.store.params.values()}
+        seen = set()
+
+        def walk(obj, where):
+            if id(obj) in seen or isinstance(obj, (nn.ParamStore, ModelConfig)):
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                assert id(obj) in params, where
+            elif isinstance(obj, (list, tuple)):
+                for i, x in enumerate(obj):
+                    walk(x, f"{where}[{i}]")
+            elif isinstance(obj, dict):
+                for k, x in obj.items():
+                    walk(x, f"{where}[{k!r}]")
+            elif hasattr(obj, "__dict__"):
+                for k, x in vars(obj).items():
+                    if not (obj is m and k == "_tape"):
+                        walk(x, f"{where}.{k}")
+
+        walk(m, "model")
 
     @pytest.mark.parametrize("mode", ["cat", "add"])
     def test_ablation_gradients(self, mode):

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from avq360 import nn
+from avq360.audiofe import read_features, write_features
 from avq360.errors import DataError, NumericError, ValidationError
 
 
@@ -18,25 +21,25 @@ class TestConv2d:
         w = np.zeros((3, 3, 1, 1))
         for i in range(3):
             w[i, i, 0, 0] = 1.0
-        y = nn.conv2d(x, w)
+        y = nn.conv2d_forward(x, w)[0]
         np.testing.assert_allclose(y, x, atol=1e-15)
 
     def test_all_ones_kernel_on_constant(self):
         x = np.full((1, 1, 6, 6), 2.5)
         w = np.ones((1, 1, 3, 3))
-        y = nn.conv2d(x, w, stride=1, pad=0)
+        y = nn.conv2d_forward(x, w, stride=1, pad=0)[0]
         np.testing.assert_allclose(y, 9 * 2.5, atol=1e-12)
         assert y.shape == (1, 1, 4, 4)
 
     def test_output_size_with_stride_and_pad(self):
         x = np.zeros((1, 2, 9, 7))
         w = np.zeros((4, 2, 3, 3))
-        y = nn.conv2d(x, w, stride=2, pad=1)
+        y = nn.conv2d_forward(x, w, stride=2, pad=1)[0]
         assert y.shape == (1, 4, 5, 4)
 
     def test_no_output_positions(self):
         with pytest.raises(ValidationError, match="no output positions"):
-            nn.conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
+            nn.conv2d_forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))[0]
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_gradients_match_finite_differences(self, stride, pad):
@@ -48,9 +51,9 @@ class TestConv2d:
         r, loss = weighted_sum_loss(1, y.shape)
         gx, gw, gb = nn.conv2d_backward(r, cache)
         for arr, grad, f in [
-            (x, gx, lambda v: loss(nn.conv2d(v, w, b, stride, pad))),
-            (w, gw, lambda v: loss(nn.conv2d(x, v, b, stride, pad))),
-            (b, gb, lambda v: loss(nn.conv2d(x, w, v, stride, pad))),
+            (x, gx, lambda v: loss(nn.conv2d_forward(v, w, b, stride, pad)[0])),
+            (w, gw, lambda v: loss(nn.conv2d_forward(x, v, b, stride, pad)[0])),
+            (b, gb, lambda v: loss(nn.conv2d_forward(x, w, v, stride, pad)[0])),
         ]:
             num = nn.numerical_gradient(f, arr)
             assert nn.gradient_rel_err(grad, num) < 1e-6
@@ -58,18 +61,18 @@ class TestConv2d:
 
 class TestMaxPool2:
     def test_constant_input(self):
-        y = nn.maxpool2(np.full((1, 2, 4, 4), 3.0))
+        y = nn.maxpool2_forward(np.full((1, 2, 4, 4), 3.0))[0]
         np.testing.assert_allclose(y, 3.0)
         assert y.shape == (1, 2, 2, 2)
 
     def test_increasing_raster_picks_bottom_right(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        y = nn.maxpool2(x)
+        y = nn.maxpool2_forward(x)[0]
         np.testing.assert_allclose(y[0, 0], [[5, 7], [13, 15]])
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValidationError, match="even"):
-            nn.maxpool2(np.zeros((1, 1, 3, 4)))
+            nn.maxpool2_forward(np.zeros((1, 1, 3, 4)))[0]
 
     def test_tie_routes_to_first_index(self):
         x = np.zeros((1, 1, 2, 2))
@@ -83,13 +86,13 @@ class TestMaxPool2:
         y, cache = nn.maxpool2_forward(x)
         r, loss = weighted_sum_loss(2, y.shape)
         gx = nn.maxpool2_backward(r, cache)
-        num = nn.numerical_gradient(lambda v: loss(nn.maxpool2(v)), x)
+        num = nn.numerical_gradient(lambda v: loss(nn.maxpool2_forward(v)[0]), x)
         assert nn.gradient_rel_err(gx, num) < 1e-6
 
 
 class TestElementwiseOps:
     def test_relu_values(self):
-        np.testing.assert_allclose(nn.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        np.testing.assert_allclose(nn.relu_forward(np.array([-1.0, 0.0, 2.0]))[0], [0.0, 0.0, 2.0])
 
     def test_relu_gradient(self):
         rng = np.random.default_rng(8)
@@ -97,7 +100,7 @@ class TestElementwiseOps:
         y, cache = nn.relu_forward(x)
         r, loss = weighted_sum_loss(3, y.shape)
         g = nn.relu_backward(r, cache)
-        num = nn.numerical_gradient(lambda v: loss(nn.relu(v)), x)
+        num = nn.numerical_gradient(lambda v: loss(nn.relu_forward(v)[0]), x)
         assert nn.gradient_rel_err(g, num) < 1e-6
 
     def test_softmax_uniform_for_equal_logits(self):
@@ -136,22 +139,22 @@ class TestLinear:
         r, loss = weighted_sum_loss(5, y.shape)
         gx, gw, gb = nn.linear_backward(r, cache)
         assert nn.gradient_rel_err(
-            gx, nn.numerical_gradient(lambda v: loss(nn.linear(v, w, b)), x)) < 1e-6
+            gx, nn.numerical_gradient(lambda v: loss(nn.linear_forward(v, w, b)[0]), x)) < 1e-6
         assert nn.gradient_rel_err(
-            gw, nn.numerical_gradient(lambda v: loss(nn.linear(x, v, b)), w)) < 1e-6
+            gw, nn.numerical_gradient(lambda v: loss(nn.linear_forward(x, v, b)[0]), w)) < 1e-6
         assert nn.gradient_rel_err(
-            gb, nn.numerical_gradient(lambda v: loss(nn.linear(x, w, v)), b)) < 1e-6
+            gb, nn.numerical_gradient(lambda v: loss(nn.linear_forward(x, w, v)[0]), b)) < 1e-6
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            nn.linear(np.zeros((2, 3)), np.zeros((4, 5)))
+            nn.linear_forward(np.zeros((2, 3)), np.zeros((4, 5)))[0]
 
 
 class TestLayerNorm:
     def test_normalizes_last_dim(self):
         rng = np.random.default_rng(12)
         x = rng.normal(loc=5.0, scale=3.0, size=(4, 16))
-        y = nn.layer_norm(x, np.ones(16), np.zeros(16))
+        y = nn.layer_norm_forward(x, np.ones(16), np.zeros(16))[0]
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)  # eps-shifted
 
@@ -164,15 +167,15 @@ class TestLayerNorm:
         r, loss = weighted_sum_loss(6, y.shape)
         gx, ggamma, gbeta = nn.layer_norm_backward(r, cache)
         assert nn.gradient_rel_err(
-            gx, nn.numerical_gradient(lambda v: loss(nn.layer_norm(v, gamma, beta)), x)
+            gx, nn.numerical_gradient(lambda v: loss(nn.layer_norm_forward(v, gamma, beta)[0]), x)
         ) < 1e-6
         assert nn.gradient_rel_err(
             ggamma,
-            nn.numerical_gradient(lambda v: loss(nn.layer_norm(x, v, beta)), gamma),
+            nn.numerical_gradient(lambda v: loss(nn.layer_norm_forward(x, v, beta)[0]), gamma),
         ) < 1e-6
         assert nn.gradient_rel_err(
             gbeta,
-            nn.numerical_gradient(lambda v: loss(nn.layer_norm(x, gamma, v)), beta),
+            nn.numerical_gradient(lambda v: loss(nn.layer_norm_forward(x, gamma, v)[0]), beta),
         ) < 1e-6
 
 
@@ -193,8 +196,8 @@ class TestMultiHeadAttention:
         kv = np.random.default_rng(1).normal(size=(1, d))
         q_a = np.random.default_rng(2).normal(size=(4, d))
         q_b = np.random.default_rng(3).normal(size=(4, d))
-        y_a = nn.multi_head_attention(q_a, kv, p, heads=2)
-        y_b = nn.multi_head_attention(q_b, kv, p, heads=2)
+        y_a = nn.mha_forward(q_a, kv, p, heads=2)[0]
+        y_b = nn.mha_forward(q_b, kv, p, heads=2)[0]
         np.testing.assert_allclose(y_a, y_b, atol=1e-12)
         expected = (kv @ p["wv"] + p["bv"]) @ p["wo"] + p["bo"]
         np.testing.assert_allclose(y_a, np.repeat(expected, 4, axis=0), atol=1e-12)
@@ -206,8 +209,8 @@ class TestMultiHeadAttention:
         q = rng.normal(size=(3, d))
         kv = rng.normal(size=(6, d))
         perm = rng.permutation(6)
-        y1 = nn.multi_head_attention(q, kv, p, heads=4)
-        y2 = nn.multi_head_attention(q, kv[perm], p, heads=4)
+        y1 = nn.mha_forward(q, kv, p, heads=4)[0]
+        y2 = nn.mha_forward(q, kv[perm], p, heads=4)[0]
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
     def test_outputs_are_convex_combinations_per_head(self):
@@ -230,9 +233,9 @@ class TestMultiHeadAttention:
     def test_dim_mismatch(self):
         p = make_mha_params(8, 8)
         with pytest.raises(ValidationError):
-            nn.multi_head_attention(np.zeros((2, 8)), np.zeros((2, 6)), p, heads=2)
+            nn.mha_forward(np.zeros((2, 8)), np.zeros((2, 6)), p, heads=2)[0]
         with pytest.raises(ValidationError, match="divisible"):
-            nn.multi_head_attention(np.zeros((2, 6)), np.zeros((2, 6)), p, heads=4)
+            nn.mha_forward(np.zeros((2, 6)), np.zeros((2, 6)), p, heads=4)[0]
 
     def test_gradients_two_heads_four_tokens(self):
         d = 8
@@ -248,18 +251,18 @@ class TestMultiHeadAttention:
         assert nn.gradient_rel_err(
             gq,
             nn.numerical_gradient(
-                lambda v: loss(nn.multi_head_attention(v, kv_in, p, heads)), q_in),
+                lambda v: loss(nn.mha_forward(v, kv_in, p, heads)[0]), q_in),
         ) < 1e-5
         assert nn.gradient_rel_err(
             gkv,
             nn.numerical_gradient(
-                lambda v: loss(nn.multi_head_attention(q_in, v, p, heads)), kv_in),
+                lambda v: loss(nn.mha_forward(q_in, v, p, heads)[0]), kv_in),
         ) < 1e-5
         for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
             def f(v, key=key):
                 trial = dict(p)
                 trial[key] = v
-                return loss(nn.multi_head_attention(q_in, kv_in, trial, heads))
+                return loss(nn.mha_forward(q_in, kv_in, trial, heads)[0])
 
             num = nn.numerical_gradient(f, p[key])
             assert nn.gradient_rel_err(grads[key], num) < 1e-5, key
@@ -273,7 +276,7 @@ class TestMultiHeadAttention:
         r, loss = weighted_sum_loss(14, y.shape)
         gq, gkv, _ = nn.mha_backward(r, cache)
         num = nn.numerical_gradient(
-            lambda v: loss(nn.multi_head_attention(v, v, p, 2)), x)
+            lambda v: loss(nn.mha_forward(v, v, p, 2)[0]), x)
         assert nn.gradient_rel_err(gq + gkv, num) < 1e-5
 
 
@@ -345,13 +348,13 @@ class TestFiniteChecks:
     def test_nan_trips_error(self):
         x = np.array([[1.0, np.nan]])
         with pytest.raises(NumericError, match="non-finite"):
-            nn.linear(x, np.eye(2))
+            nn.linear_forward(x, np.eye(2))[0]
 
     def test_can_be_disabled(self):
         x = np.array([[1.0, np.nan]])
         prev = nn.set_finite_checks(False)
         try:
-            y = nn.linear(x, np.eye(2))
+            y = nn.linear_forward(x, np.eye(2))[0]
             assert np.isnan(y).any()
         finally:
             nn.set_finite_checks(prev)
@@ -386,6 +389,32 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError):
             nn.read_checkpoint(path)
+
+
+class TestTensorRecords:
+    @pytest.mark.parametrize("fmt", ["avqf", "avqc"])
+    def test_every_truncation_is_a_data_error(self, tmp_path, fmt):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        path = tmp_path / f"full.{fmt}"
+        if fmt == "avqf":
+            write_features(path, arr)
+            read = read_features
+        else:
+            nn.write_checkpoint(path, {"a": arr, "b": np.float32(1.0)})
+            read = nn.read_checkpoint
+        data = path.read_bytes()
+        read(path)
+        cut = tmp_path / f"cut.{fmt}"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(DataError):
+                read(cut)
+
+    def test_huge_declared_shape_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.avqf"
+        path.write_bytes(b"AVQF" + struct.pack("<5I", 4, *[2 ** 32 - 1] * 4) + bytes(16))
+        with pytest.raises(DataError, match="declared size"):
+            read_features(path)
 
 
 class TestInit:
