@@ -74,7 +74,9 @@ def _load_split(path: Path) -> dict[str, str]:
     for row in reader:
         if not row:
             continue
-        seq, split = row[0], row[1]
+        if len(row) != 2:
+            raise DataError(f"{path}: expected 2 fields per row, got {row}")
+        seq, split = row
         if split not in ("train", "test"):
             raise DataError(f"{path}: bad split label {split!r}")
         if seq in assignment and assignment[seq] != split:

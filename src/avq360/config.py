@@ -57,7 +57,7 @@ def _parse_bool(v: str) -> bool:
 
 def _parse_int_tuple(v: str) -> tuple:
     try:
-        return tuple(int(x.strip()) for x in v.split(",") if x.strip())
+        return tuple(int(x) for x in v.split(","))
     except ValueError:
         raise ValidationError(f"expected comma-separated integers, got {v!r}") from None
 

@@ -58,6 +58,18 @@ class ModelConfig:
     def validate(self) -> None:
         if self.bands < 1:
             raise ValidationError("bands must be >= 1")
+        for key in ("d_model", "heads", "ff_mult"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("band_channels", "audio_channels"):
+            if any(ch < 1 for ch in getattr(self, key)):
+                raise ValidationError(
+                    f"{key} must list channel counts >= 1, got {getattr(self, key)}"
+                )
+        if len(self.band_input_hw) != 2 or min(self.band_input_hw) < 1:
+            raise ValidationError(
+                f"band_input_hw must be two sizes >= 1, got {self.band_input_hw}"
+            )
         if self.d_model % self.heads:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
@@ -80,14 +92,14 @@ class ModelConfig:
             )
         if len(self.audio_channels) != 4:
             raise ValidationError("audio_channels must list exactly 4 conv stages")
-        if self.patch_frames % 16 or self.num_mel % 16:
+        if any(v < 16 or v % 16 for v in (self.patch_frames, self.num_mel)):
             raise ValidationError(
-                "audio patch geometry must be divisible by 16 (4 pooling stages)"
+                "audio patch geometry must be a positive multiple of 16 (4 pooling stages)"
             )
         if self.frames_per_clip < 1:
             raise ValidationError("frames_per_clip must be >= 1")
-        if not 0 < self.lr:
-            raise ValidationError("lr must be > 0")
+        if not 0 < self.lr < float("inf"):
+            raise ValidationError("lr must be finite and > 0")
         if self.train_steps < 0 or self.batch_size < 1:
             raise ValidationError("train_steps must be >= 0 and batch_size >= 1")
 
@@ -197,7 +209,8 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 
 class _ConvStack:
     """conv(3x3, pad 1) + relu + 2x2 maxpool stages, then global mean pool
-    and a linear projection to d_model."""
+    and a linear projection to d_model. backward accumulates parameter
+    gradients only: the stack's input is data."""
 
     def __init__(self, store, name, channels, d_model, rng):
         self.convs = []
@@ -225,8 +238,8 @@ class _ConvStack:
         for conv, (cc, rc, pc) in zip(reversed(self.convs), reversed(stage_caches)):
             g = nn.maxpool2_backward(g, pc)
             g = nn.relu_backward(g, rc)
-            g = conv.backward(g, cc)
-        return g
+            # the first conv's input is data: its gradient is never read
+            g = conv.backward(g, cc, need_gx=conv is not self.convs[0])
 
 
 class _FeedForward:

@@ -11,6 +11,15 @@ Conventions: tensors are plain float64 numpy arrays; conv inputs are
 (N, C, H, W); token matrices are (T, d). A module-level finite-check mode
 (on by default) raises NumericError whenever an op produces NaN/Inf.
 
+Conv is im2col in NCHW order (Chellapilla, Puri & Simard, 2006): the
+column tensor is (N, C*kh*kw, Ho*Wo), so one batched matmul with the
+(O, C*kh*kw) kernel matrix yields (N, O, Ho*Wo) with no transpose, and
+its cache holds those columns. ``conv2d_backward(..., need_gx=False)``
+skips the input gradient and returns gx=None, for a conv whose input is
+data. Max pooling caches its input and output, not an index; backward
+routes each output gradient to the first maximum of its 2x2 window in
+raster order (0,0), (0,1), (1,0), (1,1).
+
 The layer classes at the end own their parameters but no activations:
 like the functional ops, their ``forward`` returns ``(y, cache)`` and
 their ``backward`` takes that cache back, so any number of forward
@@ -61,7 +70,11 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 def conv2d_forward(x, w, b=None, stride: int = 1, pad: int = 0):
     """Cross-correlation of x (N,C,H,W) with kernels w (O,C,kh,kw).
 
-    Zero padding; output spatial size floor((H+2p-kh)/s)+1.
+    Zero padding; output spatial size floor((H+2p-kh)/s)+1. The im2col
+    matrix is kept in NCHW order, one (C*kh*kw, Ho*Wo) column block per
+    sample, so y = w.reshape(O, -1) @ cols is already (N, O, Ho, Wo).
+    The cache holds those columns, w, whether there was a bias, the
+    padded input shape, stride and pad.
     """
     x = np.asarray(x)
     n, c, h, wd = x.shape
@@ -78,33 +91,39 @@ def conv2d_forward(x, w, b=None, stride: int = 1, pad: int = 0):
         )
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (N, C, Ho, Wo, kh, kw) -> rows of the im2col matrix
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * ho * wo, c * kh * kw
+    # (N, C, Ho, Wo, kh, kw) -> (N, C, kh, kw, Ho, Wo) -> (N, C*kh*kw, Ho*Wo)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        n, c * kh * kw, ho * wo
     )
-    wm = w.reshape(o, -1)
-    y = cols @ wm.T
+    y = w.reshape(o, -1) @ cols
     if b is not None:
-        y = y + b
-    y = y.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+        y += b[:, None]
+    y = y.reshape(n, o, ho, wo)
     _check_finite("conv2d", y)
-    cache = (cols, w, b is not None, xp.shape, stride, pad, (n, ho, wo))
-    return np.ascontiguousarray(y), cache
+    return y, (cols, w, b is not None, xp.shape, stride, pad)
 
 
-def conv2d_backward(gy, cache):
-    """Returns (gx, gw, gb); gb is None when forward had no bias."""
-    cols, w, has_bias, xp_shape, stride, pad, (n, ho, wo) = cache
-    o, c, kh, kw = w.shape
-    gym = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
-    gw = (gym.T @ cols).reshape(w.shape)
-    gb = gym.sum(axis=0) if has_bias else None
-    gcols = gym @ w.reshape(o, -1)
-    g6 = gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    gxp = np.zeros(xp_shape, dtype=gy.dtype)
+def conv2d_backward(gy, cache, need_gx: bool = True):
+    """Returns (gx, gw, gb); gb is None when forward had no bias.
+
+    With need_gx=False the input gradient is not computed and gx is None:
+    for a layer whose input is data, only gw and gb are wanted.
+    """
+    cols, w, has_bias, xp_shape, stride, pad = cache
+    n, o, ho, wo = gy.shape
+    _, c, kh, kw = w.shape
+    gym = gy.reshape(n, o, ho * wo)
+    gw = (gym @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gb = gym.sum(axis=(0, 2)) if has_bias else None
+    if not need_gx:
+        _check_finite("conv2d.backward", gw)
+        return None, gw, gb
+    # col2im: scatter-add each kernel tap's (N, C, Ho, Wo) slice back
+    gcols = (w.reshape(o, -1).T @ gym).reshape(n, c, kh, kw, ho, wo)
+    gxp = np.zeros(xp_shape, dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g6[
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
                 :, :, i, j
             ]
     gx = gxp[:, :, pad : xp_shape[2] - pad, pad : xp_shape[3] - pad] if pad else gxp
@@ -113,24 +132,37 @@ def conv2d_backward(gy, cache):
 
 
 def maxpool2_forward(x):
-    """2x2 stride-2 max pooling; H and W must be even."""
+    """2x2 stride-2 max pooling; H and W must be even.
+
+    y is the elementwise max of the four stride-2 views. The cache is
+    (x, y), a reference to x, not a copy, so x must not be written to
+    before the backward; no argmax index is built.
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValidationError(f"maxpool2: spatial dims must be even, got {h}x{w}")
-    windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = np.ascontiguousarray(windows).reshape(n, c, h // 2, w // 2, 4)
-    idx = windows.argmax(axis=-1)  # first max on ties (raster order in window)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    y = np.maximum(
+        np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+        np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
+    )
     _check_finite("maxpool2", y)
-    return y, (idx, x.shape)
+    return y, (x, y)
 
 
 def maxpool2_backward(gy, cache):
-    idx, (n, c, h, w) = cache
-    g4 = np.zeros((n, c, h // 2, w // 2, 4), dtype=gy.dtype)
-    np.put_along_axis(g4, idx[..., None], gy[..., None], axis=-1)
-    gx = g4.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(gx).reshape(n, c, h, w)
+    """Routes each gy entry to one maximum of its window: on ties, the
+    first in raster order (0,0), (0,1), (1,0), (1,1). Each position is
+    tested against the forward's y while its window is still free."""
+    x, y = cache
+    gx = np.empty(x.shape, dtype=gy.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for i in (0, 1):
+        for j in (0, 1):
+            hit = x[:, :, i::2, j::2] == y
+            hit &= free
+            free ^= hit
+            np.multiply(gy, hit, out=gx[:, :, i::2, j::2])
+    return gx
 
 
 def linear_forward(x, w, b=None):
@@ -533,8 +565,9 @@ class Conv2d:
     def forward(self, x):
         return conv2d_forward(x, self.w, self.b, self.stride, self.pad)
 
-    def backward(self, gy, cache):
-        gx, gw, gb = conv2d_backward(gy, cache)
+    def backward(self, gy, cache, need_gx: bool = True):
+        """Returns gx, or None when need_gx is False."""
+        gx, gw, gb = conv2d_backward(gy, cache, need_gx)
         self._store.add_grad(f"{self._name}.w", gw)
         self._store.add_grad(f"{self._name}.b", gb)
         return gx

@@ -129,3 +129,71 @@ def brute_krocc(xs, ys):
         (concordant + discordant + tied_x) * (concordant + discordant + tied_y)
     )
     return (concordant - discordant) / denom
+
+
+def _zeros(*dims):
+    if len(dims) == 1:
+        return [0.0] * dims[0]
+    return [_zeros(*dims[1:]) for _ in range(dims[0])]
+
+
+def naive_conv2d(x, w, b, gy, stride=1, pad=0):
+    """Direct zero-padded cross-correlation and its gradients, tap by tap.
+
+    x is (N, C, H, W), w is (O, C, kh, kw), b is (O,) and gy, the output
+    gradient, is (N, O, Ho, Wo), all as nested lists. Returns the nested
+    lists (y, gx, gw, gb).
+    """
+    n_, c_, h, wd = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
+    o_, kh, kw = len(w), len(w[0][0]), len(w[0][0][0])
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    y = _zeros(n_, o_, ho, wo)
+    gx = _zeros(n_, c_, h, wd)
+    gw = _zeros(o_, c_, kh, kw)
+    gb = [0.0] * o_
+    for n in range(n_):
+        for o in range(o_):
+            for r in range(ho):
+                for q in range(wo):
+                    acc = b[o]
+                    g = gy[n][o][r][q]
+                    gb[o] += g
+                    for c in range(c_):
+                        for i in range(kh):
+                            ih = r * stride + i - pad
+                            if not 0 <= ih < h:
+                                continue
+                            xrow, gxrow = x[n][c][ih], gx[n][c][ih]
+                            wrow, gwrow = w[o][c][i], gw[o][c][i]
+                            for j in range(kw):
+                                iw = q * stride + j - pad
+                                if 0 <= iw < wd:
+                                    acc += xrow[iw] * wrow[j]
+                                    gxrow[iw] += g * wrow[j]
+                                    gwrow[j] += g * xrow[iw]
+                    y[n][o][r][q] = acc
+    return y, gx, gw, gb
+
+
+def naive_maxpool2(x, gy):
+    """2x2 stride-2 max pooling of nested-list x (N, C, H, W), and the
+    gradient of the output gradient gy: each window's gradient goes to
+    its first maximum in raster order (0,0), (0,1), (1,0), (1,1).
+    Returns the nested lists (y, gx)."""
+    n_, c_, h, wd = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
+    y = _zeros(n_, c_, h // 2, wd // 2)
+    gx = _zeros(n_, c_, h, wd)
+    for n in range(n_):
+        for c in range(c_):
+            for r in range(h // 2):
+                for q in range(wd // 2):
+                    best = None
+                    for i in (0, 1):
+                        for j in (0, 1):
+                            v = x[n][c][2 * r + i][2 * q + j]
+                            if best is None or v > best[0]:
+                                best = (v, 2 * r + i, 2 * q + j)
+                    y[n][c][r][q] = best[0]
+                    gx[n][c][best[1]][best[2]] = gy[n][c][r][q]
+    return y, gx

@@ -248,6 +248,17 @@ class TestEvaluate:
         assert run(args) == 3
         leaky.unlink()
 
+    def test_split_row_without_label_is_data_error(self, corpus_dir, trained_dir, capsys):
+        out, overrides = trained_dir
+        short = out / "short_split.csv"
+        short.write_text("sequence_id,split\nseq00\n")
+        args = ["evaluate", "--config", corpus_dir / "config.txt", "--on", "test",
+                "--set", f"split_file={short}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert "expected 2 fields" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_deterministic_scores(self, corpus_dir, trained_dir, capsys):
@@ -288,6 +299,18 @@ class TestConfigHandling:
     def test_bad_override_format(self, corpus_dir):
         assert run(["siti", "--config", corpus_dir / "config.txt",
                     "--set", "lr:0.1"]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "heads=0", "d_model=0", "ff_mult=0", "band_channels=8,0,16",
+        "audio_channels=8,16,32,0", "band_input_hw=0,0", "band_input_hw=-8,16",
+        "band_input_hw=16", "band_channels=8,,16", "num_mel=-16", "lr=inf",
+    ])
+    def test_invalid_model_config_exits_2(self, tmp_path, corpus_dir, trained_dir, override):
+        # a valid MOS table, so only the model config can stop the run
+        out, _ = trained_dir
+        assert run(["train", "--config", corpus_dir / "config.txt",
+                    "--set", f"output_dir={tmp_path}", "--set", f"mos_table={out / 'mos.csv'}",
+                    "--set", "train_steps=1", "--set", override]) == 2
 
     def test_bad_ratio_rejected(self, corpus_dir):
         assert run(["split", "--config", corpus_dir / "config.txt",

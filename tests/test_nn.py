@@ -8,6 +8,8 @@ from avq360 import nn
 from avq360.audiofe import read_features, write_features
 from avq360.errors import DataError, NumericError, ValidationError
 
+from oracles import naive_conv2d, naive_maxpool2
+
 
 def weighted_sum_loss(seed, shape):
     """Fixed random linear functional: turns any op output into a scalar."""
@@ -88,6 +90,86 @@ class TestMaxPool2:
         gx = nn.maxpool2_backward(r, cache)
         num = nn.numerical_gradient(lambda v: loss(nn.maxpool2_forward(v)[0]), x)
         assert nn.gradient_rel_err(gx, num) < 1e-6
+
+
+# (C, H, W, O) of the 3 band convs and the 4 audio convs of the default model
+MODEL_CONV_SHAPES = [
+    (1, 16, 32, 8), (8, 8, 16, 16), (16, 4, 8, 32),
+    (1, 96, 64, 8), (8, 48, 32, 16), (16, 24, 16, 32), (32, 12, 8, 64),
+]
+
+
+def assert_close_to_oracle(got, want, rel=1e-12):
+    """Largest difference within rel of the oracle's largest magnitude."""
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestKernelOracles:
+    """The vectorised conv and pool kernels against plain-loop oracles."""
+
+    @pytest.mark.parametrize(
+        "shape,stride,pad",
+        [(s, 1, 1) for s in MODEL_CONV_SHAPES] + [((3, 9, 7, 4), 2, 0), ((3, 9, 7, 4), 2, 1)],
+    )
+    def test_conv_matches_oracle(self, shape, stride, pad):
+        c, h, wd, o = shape
+        rng = np.random.default_rng(c * 1000 + h + stride + pad)
+        x = rng.normal(size=(2, c, h, wd))
+        w = rng.normal(size=(o, c, 3, 3))
+        b = rng.normal(size=o)
+        y, cache = nn.conv2d_forward(x, w, b, stride, pad)
+        gy = rng.normal(size=y.shape)
+        gx, gw, gb = nn.conv2d_backward(gy, cache)
+        want = naive_conv2d(x.tolist(), w.tolist(), b.tolist(), gy.tolist(), stride, pad)
+        for got, ref in zip((y, gx, gw, gb), want):
+            assert_close_to_oracle(got, ref)
+
+    def test_pool_ties_route_like_oracle(self):
+        # integers in 0..2 (half of them clipped to 0): most windows hold ties
+        rng = np.random.default_rng(5)
+        x = np.maximum(rng.integers(-2, 3, size=(2, 3, 8, 6)), 0).astype(np.float64)
+        y, cache = nn.maxpool2_forward(x)
+        gy = rng.normal(size=y.shape)
+        gx = nn.maxpool2_backward(gy, cache)
+        want_y, want_gx = naive_maxpool2(x.tolist(), gy.tolist())
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(gx, want_gx)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_conv_without_input_gradient(self, stride, pad):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 3, 8, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        y, cache = nn.conv2d_forward(x, w, b, stride, pad)
+        gy = rng.normal(size=y.shape)
+        _, gw, gb = nn.conv2d_backward(gy, cache)
+        gx0, gw0, gb0 = nn.conv2d_backward(gy, cache, need_gx=False)
+        assert gx0 is None
+        assert gw0.tobytes() == gw.tobytes()
+        assert gb0.tobytes() == gb.tobytes()
+
+    def test_conv_without_input_gradient_still_checks_gw(self):
+        y, cache = nn.conv2d_forward(np.ones((1, 1, 4, 4)), np.ones((2, 1, 3, 3)), None, 1, 1)
+        gy = np.full(y.shape, np.nan)
+        with pytest.raises(NumericError):
+            nn.conv2d_backward(gy, cache, need_gx=False)
+
+    def test_conv_layer_without_input_gradient(self):
+        rng = np.random.default_rng(12)
+        store = nn.ParamStore()
+        conv = nn.Conv2d(store, "c", 2, 3, rng)
+        x = rng.normal(size=(2, 2, 6, 4))
+        y, cache = conv.forward(x)
+        gy = rng.normal(size=y.shape)
+        conv.backward(gy, cache)
+        full = {k: g.copy() for k, g in store.grads.items()}
+        store.zero_grads()
+        assert conv.backward(gy, cache, need_gx=False) is None
+        for k, g in store.grads.items():
+            assert g.tobytes() == full[k].tobytes()
 
 
 class TestElementwiseOps:
