@@ -49,19 +49,22 @@ def _manifest_entries(cfg: RunConfig):
     return load_manifest(cfg.manifest)
 
 
-def _video_path(cfg: RunConfig, sequence_id: str) -> Path:
-    video = cfg.media_root / f"{sequence_id}.y4m"
-    if not video.is_file():
-        raise DataError(f"missing video for sequence {sequence_id!r} under {cfg.media_root}")
-    return video
+def _media_path(cfg: RunConfig, sequence_id: str, suffix: str) -> Path:
+    path = cfg.media_root / f"{sequence_id}{suffix}"
+    if not path.is_file():
+        raise DataError(f"missing media {path.name} for sequence {sequence_id!r} "
+                        f"under {cfg.media_root}")
+    return path
 
 
-def _media_paths(cfg: RunConfig, sequence_id: str) -> tuple[Path, Path]:
-    video = cfg.media_root / f"{sequence_id}.y4m"
-    audio = cfg.media_root / f"{sequence_id}.wav"
-    if not video.is_file() or not audio.is_file():
-        raise DataError(f"missing media for sequence {sequence_id!r} under {cfg.media_root}")
-    return video, audio
+def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
+              sequence_id: str) -> model.SequenceFeatures:
+    """Model input tensors of one sequence, preprocessed from its media."""
+    return model.preprocess_sequence(
+        load_y4m(_media_path(cfg, sequence_id, ".y4m")),
+        load_wav(_media_path(cfg, sequence_id, ".wav")),
+        model_cfg, sequence_id,
+    )
 
 
 def _load_split(path: Path) -> dict[str, str]:
@@ -112,7 +115,7 @@ def cmd_process_scores(args) -> int:
     results, filtered = subjective.screen_subjects(kept)
     rejected = [r for r in results if r.rejected]
     mos_records = subjective.compute_mos(filtered)
-    out = cfg.resolved_mos_table()
+    out = cfg.mos_table
     subjective.write_mos_csv(mos_records, out)
     print(f"records: {len(records)} total, {n_flagged} SSQ-excluded")
     print(f"subjects: {len(results)} screened, {len(rejected)} rejected"
@@ -132,7 +135,7 @@ def cmd_siti(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["sequence_id", "si_mean", "si_max", "ti_mean", "ti_max"])
         for entry in entries:
-            seq = load_y4m(_video_path(cfg, entry.sequence_id))
+            seq = load_y4m(_media_path(cfg, entry.sequence_id, ".y4m"))
             r = siti.summarize_siti(seq)
             writer.writerow(
                 [entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
@@ -169,7 +172,7 @@ def cmd_split(args) -> int:
     rng = np.random.default_rng(cfg.split_seed)
     shuffled = rng.permutation(n)
     test_idx = set(int(i) for i in shuffled[:n_test])
-    out = cfg.resolved_split_file()
+    out = cfg.split_file
     with open(out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["sequence_id", "split"])
@@ -185,26 +188,11 @@ def cmd_extract_features(args) -> int:
     feat_dir = cfg.output_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     for entry in entries:
-        video_path, audio_path = _media_paths(cfg, entry.sequence_id)
-        feat = model.preprocess_sequence(
-            load_y4m(video_path), load_wav(audio_path), cfg.model, entry.sequence_id
-        )
+        feat = _features(cfg, cfg.model, entry.sequence_id)
         audiofe.write_features(feat_dir / f"{entry.sequence_id}_video.avqf", feat.video)
         audiofe.write_features(feat_dir / f"{entry.sequence_id}_audio.avqf", feat.audio)
     print(f"features: {feat_dir} ({len(entries)} sequences)")
     return EXIT_OK
-
-
-def _gather_features(cfg: RunConfig, entries):
-    feats = []
-    for entry in entries:
-        video_path, audio_path = _media_paths(cfg, entry.sequence_id)
-        feats.append(
-            model.preprocess_sequence(
-                load_y4m(video_path), load_wav(audio_path), cfg.model, entry.sequence_id
-            )
-        )
-    return feats
 
 
 def _select_entries(cfg: RunConfig, entries, subset: str):
@@ -212,9 +200,8 @@ def _select_entries(cfg: RunConfig, entries, subset: str):
     split column when no split file exists yet)."""
     if subset == "all":
         return entries
-    split_path = cfg.resolved_split_file()
-    if split_path.is_file():
-        assignment = _load_split(split_path)
+    if cfg.split_file.is_file():
+        assignment = _load_split(cfg.split_file)
         unknown = [e.sequence_id for e in entries if e.sequence_id not in assignment]
         if unknown:
             raise DataError(f"split file lacks assignments for {unknown}")
@@ -231,41 +218,37 @@ def _select_entries(cfg: RunConfig, entries, subset: str):
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
-    mos_path = cfg.resolved_mos_table()
-    _require_file(mos_path, "MOS table (run process-scores first)")
-    mos_map = subjective.read_mos_csv(mos_path)
+    _require_file(cfg.mos_table, "MOS table (run process-scores first)")
+    mos_map = subjective.read_mos_csv(cfg.mos_table)
 
-    subset = args.on
-    selected = _select_entries(cfg, entries, subset) if subset != "all" else entries
+    selected = _select_entries(cfg, entries, args.on)
     if not selected:
         raise ValidationError("training subset is empty")
     missing_mos = [e.sequence_id for e in selected if e.sequence_id not in mos_map]
     if missing_mos:
         raise DataError(f"MOS table lacks sequences {missing_mos}")
 
-    feats = _gather_features(cfg, selected)
+    feats = [_features(cfg, cfg.model, e.sequence_id) for e in selected]
     targets = np.array([mos_map[e.sequence_id].mos / 100.0 for e in selected])
 
     net = model.AVQAModel(cfg.model)
     result = model.train_model(net, feats, targets)
-    ckpt = cfg.resolved_checkpoint()
-    net.save(ckpt)
+    net.save(cfg.checkpoint)
     model.write_train_log(result.history, cfg.output_dir / "train_log.csv")
     print(f"trained on {len(feats)} sequences for {len(result.history)} steps")
     if result.history:
         print(f"final batch loss: {result.final_loss:.6f}")
-    print(f"checkpoint: {ckpt}")
+    print(f"checkpoint: {cfg.checkpoint}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
-    ckpt = args.checkpoint or cfg.resolved_checkpoint()
+    ckpt = args.checkpoint or cfg.checkpoint
     _require_file(ckpt, "checkpoint")
-    mos_path = cfg.resolved_mos_table()
-    _require_file(mos_path, "MOS table")
-    mos_map = subjective.read_mos_csv(mos_path)
+    _require_file(cfg.mos_table, "MOS table")
+    mos_map = subjective.read_mos_csv(cfg.mos_table)
 
     selected = _select_entries(cfg, entries, args.on)
     if not selected:
@@ -275,8 +258,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"MOS table lacks sequences {missing}")
 
     net = model.AVQAModel.load(ckpt)
-    feats = _gather_features(cfg, selected)
-    preds = np.array([net.predict(f) for f in feats])
+    preds = np.array([net.predict(_features(cfg, cfg.model, e.sequence_id)) for e in selected])
     mos = np.array([mos_map[e.sequence_id].mos for e in selected])
     report = metrics.evaluate_predictions(preds, mos)
     out = cfg.output_dir / "metrics.csv"
@@ -295,14 +277,10 @@ def cmd_predict(args) -> int:
     by_id = {e.sequence_id: e for e in entries}
     if args.sequence not in by_id:
         raise ValidationError(f"sequence {args.sequence!r} not in manifest")
-    ckpt = args.checkpoint or cfg.resolved_checkpoint()
+    ckpt = args.checkpoint or cfg.checkpoint
     _require_file(ckpt, "checkpoint")
     net = model.AVQAModel.load(ckpt)
-    video_path, audio_path = _media_paths(cfg, args.sequence)
-    feat = model.preprocess_sequence(
-        load_y4m(video_path), load_wav(audio_path), net.cfg, args.sequence
-    )
-    score = net.predict(feat)
+    score = net.predict(_features(cfg, net.cfg, args.sequence))
     print(f"{args.sequence}: {score:.4f}")
     return EXIT_OK
 

@@ -1,14 +1,15 @@
 """Run configuration: one key/value text file drives every command.
 
 Format: UTF-8 lines of ``key = value``; blank lines and ``#`` comments
-ignored. Integer lists are comma-separated. Relative paths resolve
-against the directory containing the config file, so a fixture
-directory is self-contained and relocatable.
+ignored, each key given once. Integer lists are comma-separated.
+Relative paths resolve against the directory containing the config file,
+so a fixture directory is self-contained and relocatable. Every
+``ModelConfig`` field is a key, parsed by the type of its default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError, read_text_utf8
@@ -22,11 +23,11 @@ class RunConfig:
     scores: Path
     hm_root: Path
     output_dir: Path
+    split_file: Path    # defaults to output_dir/split.csv
+    mos_table: Path     # defaults to output_dir/mos.csv
+    checkpoint: Path    # defaults to output_dir/model.avqc
     split_seed: int = 7
     split_ratio: float = 0.8
-    split_file: Path | None = None   # defaults to output_dir/split.csv
-    mos_table: Path | None = None    # defaults to output_dir/mos.csv
-    checkpoint: Path | None = None   # defaults to output_dir/model.avqc
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:
@@ -35,15 +36,6 @@ class RunConfig:
                 f"split_ratio must be in (0, 1), got {self.split_ratio}"
             )
         self.model.validate()
-
-    def resolved_split_file(self) -> Path:
-        return self.split_file or self.output_dir / "split.csv"
-
-    def resolved_mos_table(self) -> Path:
-        return self.mos_table or self.output_dir / "mos.csv"
-
-    def resolved_checkpoint(self) -> Path:
-        return self.checkpoint or self.output_dir / "model.avqc"
 
 
 def _parse_bool(v: str) -> bool:
@@ -62,84 +54,73 @@ def _parse_int_tuple(v: str) -> tuple:
         raise ValidationError(f"expected comma-separated integers, got {v!r}") from None
 
 
-_PATH_KEYS = ("manifest", "media_root", "scores", "hm_root", "output_dir",
-              "split_file", "mos_table", "checkpoint")
-_RUN_KEYS = {
-    "split_seed": int,
-    "split_ratio": float,
-}
-_MODEL_KEYS = {
-    "bands": int,
-    "band_channels": _parse_int_tuple,
-    "band_input_hw": _parse_int_tuple,
-    "d_model": int,
-    "fusion_blocks": int,
-    "heads": int,
-    "audio_channels": _parse_int_tuple,
-    "frames_per_clip": int,
-    "patch_frames": int,
-    "num_mel": int,
-    "ff_mult": int,
-    "fusion_mode": str,
-    "temporal_pos_enc": _parse_bool,
-    "audio_pos_enc": _parse_bool,
-    "seed": int,
-    "lr": float,
-    "train_steps": int,
-    "batch_size": int,
-}
+def _parsers(cls) -> dict:
+    """Value parser of each field of ``cls`` that has a plain default,
+    chosen by the type of that default."""
+    out = {}
+    for f in fields(cls):
+        if f.default is MISSING:
+            continue
+        if isinstance(f.default, bool):
+            out[f.name] = _parse_bool
+        elif isinstance(f.default, tuple):
+            out[f.name] = _parse_int_tuple
+        else:
+            out[f.name] = type(f.default)
+    return out
 
 
-def parse_config_text(text: str, base_dir: Path) -> RunConfig:
+_REQUIRED_PATHS = ("manifest", "media_root", "scores", "hm_root", "output_dir")
+_DEFAULT_PATHS = {"split_file": "split.csv", "mos_table": "mos.csv",
+                  "checkpoint": "model.avqc"}
+
+
+def _parse_lines(lines) -> dict[str, str]:
+    """key -> value of ``(where, line)`` pairs of ``key = value`` text; a
+    ``#`` starts a comment and a key may be given once."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for where, line in lines:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValidationError(f"config line {lineno}: expected 'key = value'")
+            raise ValidationError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key in raw:
-            raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"{where}: duplicate key {key!r}")
         raw[key] = value
+    return raw
 
-    paths: dict[str, Path] = {}
+
+def _parse_value(key: str, value: str, parser):
+    try:
+        return parser(value)
+    except ValueError:
+        raise ValidationError(f"bad value for {key}: {value!r}") from None
+
+
+def _run_config(raw: dict[str, str], base_dir: Path) -> RunConfig:
+    run_parsers, model_parsers = _parsers(RunConfig), _parsers(ModelConfig)
+    paths: dict = {}
     run_kwargs: dict = {}
     model_kwargs: dict = {}
     for key, value in raw.items():
-        if key in _PATH_KEYS:
+        if key in _REQUIRED_PATHS or key in _DEFAULT_PATHS:
             paths[key] = (base_dir / value).resolve() if value else None
-        elif key in _RUN_KEYS:
-            try:
-                run_kwargs[key] = _RUN_KEYS[key](value)
-            except ValueError:
-                raise ValidationError(f"bad value for {key}: {value!r}") from None
-        elif key in _MODEL_KEYS:
-            conv = _MODEL_KEYS[key]
-            try:
-                model_kwargs[key] = conv(value)
-            except ValueError:
-                raise ValidationError(f"bad value for {key}: {value!r}") from None
+        elif key in run_parsers:
+            run_kwargs[key] = _parse_value(key, value, run_parsers[key])
+        elif key in model_parsers:
+            model_kwargs[key] = _parse_value(key, value, model_parsers[key])
         else:
             raise ValidationError(f"unknown config key {key!r}")
 
-    missing = [k for k in ("manifest", "media_root", "scores", "hm_root", "output_dir")
-               if k not in paths]
+    missing = [k for k in _REQUIRED_PATHS if paths.get(k) is None]
     if missing:
         raise ValidationError(f"config missing required keys: {missing}")
+    for key, name in _DEFAULT_PATHS.items():
+        paths[key] = paths.get(key) or paths["output_dir"] / name
 
-    cfg = RunConfig(
-        manifest=paths["manifest"],
-        media_root=paths["media_root"],
-        scores=paths["scores"],
-        hm_root=paths["hm_root"],
-        output_dir=paths["output_dir"],
-        split_file=paths.get("split_file"),
-        mos_table=paths.get("mos_table"),
-        checkpoint=paths.get("checkpoint"),
-        model=ModelConfig(**model_kwargs),
-        **run_kwargs,
-    )
+    cfg = RunConfig(**paths, model=ModelConfig(**model_kwargs), **run_kwargs)
     cfg.validate()
     return cfg
 
@@ -147,32 +128,17 @@ def parse_config_text(text: str, base_dir: Path) -> RunConfig:
 def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, list[str]]:
     """Read a config file and apply ``key=value`` override strings.
 
-    Returns the config plus human-readable lines describing each applied
-    override (echoed to the run log by the CLI).
+    An override replaces the file's value of its key; each key may be
+    given once in the file and once among the overrides. Returns the
+    config plus human-readable lines describing each applied override
+    (echoed to the run log by the CLI).
     """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
-    text = read_text_utf8(path)
-    base_dir = path.parent
-    applied = []
-    if overrides:
-        extra_lines = []
-        for item in overrides:
-            if "=" not in item:
-                raise ValidationError(f"override must be key=value, got {item!r}")
-            extra_lines.append(item)
-            key, value = (part.strip() for part in item.split("=", 1))
-            applied.append(f"override: {key} = {value}")
-        # overrides win by replacing earlier occurrences
-        kept = []
-        override_keys = {item.split("=", 1)[0].strip() for item in overrides}
-        for line in text.splitlines():
-            stripped = line.split("#", 1)[0].strip()
-            if stripped and "=" in stripped:
-                key = stripped.split("=", 1)[0].strip()
-                if key in override_keys:
-                    continue
-            kept.append(line)
-        text = "\n".join(kept + extra_lines)
-    return parse_config_text(text, base_dir), applied
+    lines = read_text_utf8(path).splitlines()
+    raw = _parse_lines((f"config line {n}", line) for n, line in enumerate(lines, start=1))
+    sets = _parse_lines((f"--set {item!r}", item) for item in overrides or [])
+    raw.update(sets)
+    applied = [f"override: {key} = {value}" for key, value in sets.items()]
+    return _run_config(raw, path.parent), applied

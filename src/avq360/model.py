@@ -20,7 +20,7 @@ for a given seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import DataError, ValidationError
 from .manifest import AudioClip, FrameSequence, downmix_mono
 
 FUSION_MODES = ("transformer", "cat", "add")
-_FUSION_MODE_CODES = {m: i for i, m in enumerate(FUSION_MODES)}
 
 
 @dataclass
@@ -473,65 +472,71 @@ class AVQAModel:
         return model
 
 
-def _config_to_meta(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    return {
-        "meta/bands": np.float32(cfg.bands),
-        "meta/band_channels": np.asarray(cfg.band_channels, dtype=np.float32),
-        "meta/band_input_hw": np.asarray(cfg.band_input_hw, dtype=np.float32),
-        "meta/d_model": np.float32(cfg.d_model),
-        "meta/fusion_blocks": np.float32(cfg.fusion_blocks),
-        "meta/heads": np.float32(cfg.heads),
-        "meta/audio_channels": np.asarray(cfg.audio_channels, dtype=np.float32),
-        "meta/frames_per_clip": np.float32(cfg.frames_per_clip),
-        "meta/patch_frames": np.float32(cfg.patch_frames),
-        "meta/num_mel": np.float32(cfg.num_mel),
-        "meta/ff_mult": np.float32(cfg.ff_mult),
-        "meta/fusion_mode": np.float32(_FUSION_MODE_CODES[cfg.fusion_mode]),
-        "meta/temporal_pos_enc": np.float32(int(cfg.temporal_pos_enc)),
-        "meta/audio_pos_enc": np.float32(int(cfg.audio_pos_enc)),
-        "meta/cross_attention_blocks": np.asarray(
-            cross_attention_block_indices(cfg.fusion_blocks)
-            if cfg.fusion_mode == "transformer" else [],
-            dtype=np.float32,
-        ),
-    }
+# Training settings a checkpoint does not record; every other ModelConfig
+# field is stored as a ``meta/<name>`` tensor.
+_UNSTORED_FIELDS = ("seed", "lr", "train_steps", "batch_size")
 
 
-def _config_from_meta(meta: dict, path) -> ModelConfig:
-    def scalar(key):
-        if key not in meta:
-            raise DataError(f"{path}: checkpoint missing {key}")
-        return meta[key].reshape(-1)[0] if meta[key].ndim else float(meta[key])
+def _stored_fields(cls) -> list:
+    return [f for f in fields(cls) if f.name not in _UNSTORED_FIELDS]
 
-    def vector(key):
-        if key not in meta:
-            raise DataError(f"{path}: checkpoint missing {key}")
-        return tuple(int(x) for x in np.atleast_1d(meta[key]))
 
-    mode_code = int(scalar("meta/fusion_mode"))
-    if mode_code not in range(len(FUSION_MODES)):
-        raise DataError(f"{path}: unknown fusion mode code {mode_code}")
-    cfg = ModelConfig(
-        bands=int(scalar("meta/bands")),
-        band_channels=vector("meta/band_channels"),
-        band_input_hw=vector("meta/band_input_hw"),
-        d_model=int(scalar("meta/d_model")),
-        fusion_blocks=int(scalar("meta/fusion_blocks")),
-        heads=int(scalar("meta/heads")),
-        audio_channels=vector("meta/audio_channels"),
-        frames_per_clip=int(scalar("meta/frames_per_clip")),
-        patch_frames=int(scalar("meta/patch_frames")),
-        num_mel=int(scalar("meta/num_mel")),
-        ff_mult=int(scalar("meta/ff_mult")),
-        fusion_mode=FUSION_MODES[mode_code],
-        temporal_pos_enc=bool(int(scalar("meta/temporal_pos_enc"))),
-        audio_pos_enc=bool(int(scalar("meta/audio_pos_enc"))),
-    )
-    recorded = vector("meta/cross_attention_blocks")
-    expected = tuple(
+def _cross_attention_schedule(cfg: ModelConfig) -> tuple:
+    return tuple(
         cross_attention_block_indices(cfg.fusion_blocks)
         if cfg.fusion_mode == "transformer" else []
     )
+
+
+def _config_to_meta(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """The architecture as float32 tensors: a tuple field as a vector, an
+    int or bool field as a scalar, ``fusion_mode`` as its code."""
+    meta = {}
+    for f in _stored_fields(type(cfg)):
+        value = getattr(cfg, f.name)
+        if f.name == "fusion_mode":
+            value = FUSION_MODES.index(value)
+        meta[f"meta/{f.name}"] = np.asarray(value, dtype=np.float32)
+    meta["meta/cross_attention_blocks"] = np.asarray(
+        _cross_attention_schedule(cfg), dtype=np.float32
+    )
+    return meta
+
+
+def _read_meta(meta: dict, name: str, default, path):
+    """The value of ``meta/<name>`` for a field whose default is ``default``;
+    a missing, misshapen or out-of-range tensor raises DataError."""
+    key = f"meta/{name}"
+    if key not in meta:
+        raise DataError(f"{path}: checkpoint missing {key}")
+    t = meta[key]
+    rank = 1 if isinstance(default, tuple) else 0
+    if t.ndim != rank:
+        raise DataError(f"{path}: {key} has rank {t.ndim}, expected {rank}")
+    if not np.all(np.isfinite(t) & (t == np.round(t))):
+        raise DataError(f"{path}: {key} must hold finite integers, got {t.tolist()}")
+    if rank:
+        return tuple(int(x) for x in t)
+    value = int(t)
+    if name == "fusion_mode" or isinstance(default, bool):
+        choices = FUSION_MODES if name == "fusion_mode" else (False, True)
+        if value not in range(len(choices)):
+            raise DataError(f"{path}: {key} code {value} is out of range")
+        return choices[value]
+    return value
+
+
+def _config_from_meta(meta: dict, path) -> ModelConfig:
+    cfg = ModelConfig(**{
+        f.name: _read_meta(meta, f.name, f.default, path)
+        for f in _stored_fields(ModelConfig)
+    })
+    try:
+        cfg.validate()
+    except ValidationError as e:
+        raise DataError(f"{path}: invalid architecture metadata: {e}") from e
+    recorded = _read_meta(meta, "cross_attention_blocks", (), path)
+    expected = _cross_attention_schedule(cfg)
     if recorded != expected:
         raise DataError(
             f"{path}: recorded cross-attention schedule {recorded} does not "
@@ -557,22 +562,15 @@ def train_model(
     model: AVQAModel,
     samples: list[SequenceFeatures],
     targets01: np.ndarray,
-    steps: int | None = None,
-    batch_size: int | None = None,
-    seed: int | None = None,
-    lr: float | None = None,
 ) -> TrainResult:
     """MSE training of sigmoid output against MOS normalized to [0, 1].
 
     One step is one Adam update over a shuffled mini-batch; the shuffle
     order comes from a dedicated seeded generator, so identical calls
-    produce bit-identical parameters.
+    produce bit-identical parameters. Steps, batch size, seed and learning
+    rate come from ``model.cfg``.
     """
     cfg = model.cfg
-    steps = cfg.train_steps if steps is None else steps
-    batch_size = cfg.batch_size if batch_size is None else batch_size
-    seed = cfg.seed if seed is None else seed
-    lr = cfg.lr if lr is None else lr
     targets01 = np.asarray(targets01, dtype=np.float64)
     if len(samples) == 0:
         raise ValidationError("empty training set")
@@ -583,14 +581,14 @@ def train_model(
     if np.any((targets01 < 0) | (targets01 > 1)):
         raise ValidationError("targets must be normalized to [0, 1]")
 
-    rng = np.random.default_rng(seed)
-    state = nn.adam_init(model.store, lr=lr)
+    rng = np.random.default_rng(cfg.seed)
+    state = nn.adam_init(model.store, lr=cfg.lr)
     order: list[int] = []
     result = TrainResult()
-    for step in range(1, steps + 1):
-        while len(order) < batch_size:
+    for step in range(1, cfg.train_steps + 1):
+        while len(order) < cfg.batch_size:
             order = order + list(rng.permutation(len(samples)))
-        batch, order = order[:batch_size], order[batch_size:]
+        batch, order = order[:cfg.batch_size], order[cfg.batch_size:]
         model.store.zero_grads()
         loss = 0.0
         for i in batch:

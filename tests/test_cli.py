@@ -6,6 +6,7 @@ import pytest
 
 from avq360.audiofe import read_features
 from avq360.cli import main
+from avq360.nn import read_checkpoint, write_checkpoint
 from avq360.manifest import (
     FrameSequence,
     load_manifest,
@@ -274,6 +275,19 @@ class TestPredict:
         assert first == second
         score = float(first.split(":")[1])
         assert 0.0 < score < 100.0
+
+    def test_nan_checkpoint_meta_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
+        out, overrides = trained_dir
+        tensors = read_checkpoint(out / "model.avqc")
+        tensors["meta/bands"] = np.float32("nan")
+        bad = tmp_path / "nan_bands.avqc"
+        write_checkpoint(bad, tensors)
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--checkpoint", bad]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert "meta/bands" in capsys.readouterr().err
 
     def test_unknown_sequence_is_validation_error(self, corpus_dir, trained_dir):
         _, overrides = trained_dir

@@ -401,11 +401,11 @@ class TestTraining:
 
 class TestPersistence:
     def test_save_load_roundtrip_preserves_predictions(self, tmp_path):
-        cfg = tiny_model_config()
+        cfg = tiny_model_config(train_steps=3, batch_size=1)
         m = AVQAModel(cfg)
         feat = tiny_features(seed=15)
         feats, targets = [feat], np.array([0.4])
-        train_model(m, feats, targets, steps=3, batch_size=1)
+        train_model(m, feats, targets)
         path = tmp_path / "model.avqc"
         m.save(path)
         loaded = AVQAModel.load(path)
@@ -432,6 +432,25 @@ class TestPersistence:
         del tensors["head.w"]
         nn.write_checkpoint(path, tensors)
         with pytest.raises(DataError, match="mismatch"):
+            AVQAModel.load(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("bands", np.float32("nan")),
+        ("band_channels", np.ones((2, 2), dtype=np.float32)),
+        ("d_model", np.float32(8.7)),
+        ("temporal_pos_enc", np.float32(2)),
+        ("heads", np.float32(0)),
+    ])
+    def test_malformed_meta_is_data_error(self, tmp_path, key, value):
+        from avq360.model import _config_to_meta
+
+        m = AVQAModel(tiny_model_config())
+        tensors = dict(m.store.params)
+        tensors.update(_config_to_meta(m.cfg))
+        tensors[f"meta/{key}"] = value
+        path = tmp_path / "model.avqc"
+        nn.write_checkpoint(path, tensors)
+        with pytest.raises(DataError, match=str(path)):
             AVQAModel.load(path)
 
     def test_distinct_fusion_modes_distinct_checkpoints(self, tmp_path):
