@@ -258,7 +258,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"MOS table lacks sequences {missing}")
 
     net = model.AVQAModel.load(ckpt)
-    preds = np.array([net.predict(_features(cfg, cfg.model, e.sequence_id)) for e in selected])
+    preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id)) for e in selected])
     mos = np.array([mos_map[e.sequence_id].mos for e in selected])
     report = metrics.evaluate_predictions(preds, mos)
     out = cfg.output_dir / "metrics.csv"

@@ -221,10 +221,6 @@ class FrameSequence:
     def width(self) -> int:
         return self.frames.shape[2]
 
-    def luma_255(self) -> np.ndarray:
-        """Frames as float64 on the [0, 255] scale."""
-        return self.frames.astype(np.float64)
-
 
 _Y4M_MAGIC = b"YUV4MPEG2"
 _Y4M_420_TAGS = {b"420", b"420jpeg", b"420mpeg2", b"420paldv"}
@@ -287,7 +283,7 @@ def load_y4m(path) -> FrameSequence:
         end = pos + luma_bytes + chroma_bytes
         if end > len(data):
             raise DataError(f"{path}: frame {len(frames)}: truncated payload")
-        luma = np.frombuffer(data[pos : pos + luma_bytes], dtype=np.uint8)
+        luma = np.frombuffer(data, np.uint8, count=luma_bytes, offset=pos)
         frames.append(luma.reshape(height, width))
         pos = end
     if not frames:
@@ -387,7 +383,9 @@ def load_wav(path) -> AudioClip:
     if len(payload) % (2 * channels):
         raise DataError(f"{path}: data chunk size not a multiple of frame size")
     pcm = np.frombuffer(payload, dtype="<i2").reshape(-1, channels)
-    return AudioClip(samples=pcm.T.astype(np.float64) / 32768.0, sample_rate=sample_rate)
+    samples = pcm.T.astype(np.float64)
+    samples /= 32768.0
+    return AudioClip(samples=samples, sample_rate=sample_rate)
 
 
 def write_wav(clip: AudioClip, path) -> None:

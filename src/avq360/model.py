@@ -142,12 +142,6 @@ def _overlap_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat
 
 
-def area_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Deterministic area-average resize (exact box filter, any ratio)."""
-    img = np.asarray(img, dtype=np.float64)
-    return _overlap_matrix(img.shape[0], out_h) @ img @ _overlap_matrix(img.shape[1], out_w).T
-
-
 def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Banded, resized video tensor (T, M, bh, bw) plus the cos-latitude prior."""
     if seq.width != 2 * seq.height:
@@ -156,7 +150,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
         )
     part = partition_erp(seq.height, cfg.bands)
     prior = cos_latitude_prior(part)
-    frames = seq.luma_255()[sample_frame_indices(seq.n_frames, cfg.frames_per_clip)] / 255.0
+    picked = seq.frames[sample_frame_indices(seq.n_frames, cfg.frames_per_clip)]
+    frames = np.divide(picked, 255.0, dtype=np.float64)
     bh, bw = cfg.band_input_hw
     col_mat = _overlap_matrix(seq.width, bw)
     out = np.empty((cfg.frames_per_clip, cfg.bands, bh, bw))

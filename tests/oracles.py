@@ -1,11 +1,17 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and test-only helpers.
 
-Everything here is written with plain loops and stdlib math, on purpose:
-these implementations must not share code paths with the package so
-that agreement between the two is meaningful evidence.
+Every oracle here is written with plain loops and stdlib math, on
+purpose: these implementations must not share code paths with the
+package so that agreement between the two is meaningful evidence.
+The helpers at the end are the exception: they apply package building
+blocks so that tests can pin those blocks' behaviour.
 """
 
 import math
+
+import numpy as np
+
+from avq360.model import _overlap_matrix
 
 
 def naive_sobel_si(frame):
@@ -197,3 +203,14 @@ def naive_maxpool2(x, gy):
                     y[n][c][r][q] = best[0]
                     gx[n][c][best[1]][best[2]] = gy[n][c][r][q]
     return y, gx
+
+
+# -- test-only helpers on package building blocks ----------------------------
+
+
+def area_resize(img, out_h, out_w):
+    """Area-average resize of a 2-D image through the resampling matrices
+    that ``model.video_input`` applies to every band (exact box filter,
+    any ratio)."""
+    img = np.asarray(img, dtype=np.float64)
+    return _overlap_matrix(img.shape[0], out_h) @ img @ _overlap_matrix(img.shape[1], out_w).T

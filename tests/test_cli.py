@@ -260,6 +260,24 @@ class TestEvaluate:
         assert run(args) == 3
         assert "expected 2 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["frames_per_clip=8", "bands=2"])
+    def test_preprocesses_with_checkpoint_config(self, corpus_dir, trained_dir, override):
+        out, overrides = trained_dir
+        key = override.split("=")[0]
+        args = ["evaluate", "--config", corpus_dir / "config.txt", "--on", "all"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 0
+        expected = (out / "metrics.csv").read_bytes()
+        (out / "metrics.csv").unlink()
+        args = ["evaluate", "--config", corpus_dir / "config.txt", "--on", "all",
+                "--set", override]
+        for o in overrides:
+            if not o.startswith(key + "="):
+                args += ["--set", o]
+        assert run(args) == 0
+        assert (out / "metrics.csv").read_bytes() == expected
+
 
 class TestPredict:
     def test_deterministic_scores(self, corpus_dir, trained_dir, capsys):

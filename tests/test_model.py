@@ -9,7 +9,6 @@ from avq360.model import (
     AVQAModel,
     ModelConfig,
     SequenceFeatures,
-    area_resize,
     audio_input,
     cross_attention_block_indices,
     preprocess_sequence,
@@ -20,6 +19,7 @@ from avq360.model import (
 )
 
 from conftest import tiny_features, tiny_model_config
+from oracles import area_resize
 
 
 class TestPreprocessing:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ from hypothesis import given, strategies as st
 
 from avq360.errors import ValidationError
 from avq360.manifest import FrameSequence
-from avq360.siti import spatial_information, summarize_siti, temporal_information
+from avq360.siti import (
+    sobel_magnitude,
+    spatial_information,
+    summarize_siti,
+    temporal_information,
+)
 
 from oracles import naive_sobel_si, naive_ti
 
@@ -125,3 +132,85 @@ class TestSummarize:
         assert r.ti_max == pytest.approx(r.ti_per_frame.max())
         assert r.si_max >= r.si_mean
         assert len(r.ti_per_frame) == 5
+
+
+def float64_reference(frames):
+    """SI and TI of a whole sequence computed at once in float64."""
+    f = np.asarray(frames, dtype=np.float64)
+    gx = (
+        (f[:, :-2, 2:] + 2.0 * f[:, 1:-1, 2:] + f[:, 2:, 2:])
+        - (f[:, :-2, :-2] + 2.0 * f[:, 1:-1, :-2] + f[:, 2:, :-2])
+    )
+    gy = (
+        (f[:, 2:, :-2] + 2.0 * f[:, 2:, 1:-1] + f[:, 2:, 2:])
+        - (f[:, :-2, :-2] + 2.0 * f[:, :-2, 1:-1] + f[:, :-2, 2:])
+    )
+    si = np.sqrt(gx * gx + gy * gy).std(axis=(1, 2))
+    ti = np.diff(f, axis=0).std(axis=(1, 2))
+    return si, ti
+
+
+def checkerboard(h, w, block):
+    r, c = np.indices((h, w))
+    return (255 * ((r // block + c // block) % 2)).astype(np.uint8)
+
+
+class TestStreamingPath:
+    """The per-frame integer path for uint8 luma against float64."""
+
+    def assert_bit_identical(self, frames):
+        si_ref, ti_ref = float64_reference(frames)
+        seq = FrameSequence(frames=frames, fps=1.0)
+        assert np.array_equal(spatial_information(seq), si_ref)
+        assert np.array_equal(temporal_information(seq), ti_ref)
+
+    def test_random_uint8_bit_identical_to_float64(self):
+        rng = np.random.default_rng(11)
+        self.assert_bit_identical(rng.integers(0, 256, size=(6, 48, 96), dtype=np.uint8))
+        self.assert_bit_identical(rng.integers(0, 256, size=(3, 17, 41), dtype=np.uint8))
+
+    def test_checkerboards_bit_identical_to_float64(self):
+        # 0/255 blocks give the largest gradients; consecutive inverted
+        # boards give frame differences of +/-255 everywhere
+        boards = [checkerboard(40, 80, k) for k in (1, 2, 3, 5)]
+        frames = np.stack([f for b in boards for f in (b, 255 - b)])
+        self.assert_bit_identical(frames)
+
+    def test_every_binary_3x3_patch_matches_float64(self):
+        for bits in itertools.product((0, 255), repeat=9):
+            patch = np.array(bits, dtype=np.uint8).reshape(3, 3)
+            assert np.array_equal(sobel_magnitude(patch),
+                                  sobel_magnitude(patch.astype(np.float64)))
+
+    def test_uint16_and_float_sequences_agree(self):
+        # every dtype but uint8 takes the float64 path, here with values
+        # whose integer Gx² + Gy² would overflow int32
+        rng = np.random.default_rng(12)
+        frames = rng.integers(0, 65536, size=(4, 24, 48), dtype=np.uint16)
+        wide = FrameSequence(frames=frames, fps=1.0)
+        flt = FrameSequence(frames=frames.astype(np.float64), fps=1.0)
+        assert np.array_equal(spatial_information(wide), spatial_information(flt))
+        assert np.array_equal(temporal_information(wide), temporal_information(flt))
+        si_ref, ti_ref = float64_reference(frames)
+        assert np.array_equal(spatial_information(wide), si_ref)
+        assert np.array_equal(temporal_information(wide), ti_ref)
+
+    def test_peak_memory_bounded_by_frames_not_sequence(self):
+        h, w = 256, 512
+        rng = np.random.default_rng(13)
+
+        def peak_bytes(n_frames):
+            seq = FrameSequence(
+                frames=rng.integers(0, 256, size=(n_frames, h, w), dtype=np.uint8), fps=1.0
+            )
+            tracemalloc.start()
+            try:
+                summarize_siti(seq)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        float64_frame = h * w * 8
+        short, long = peak_bytes(4), peak_bytes(16)
+        assert long < 4 * float64_frame
+        assert abs(long - short) < h * w
