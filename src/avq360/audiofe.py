@@ -6,6 +6,15 @@ log with a 0.01 offset, and 96-frame patches. Energies are quadratic in
 magnitude (power), so doubling the input amplitude quadruples mel
 energies before the log. No DCT is applied; the front-end stops at the
 log-mel representation the downstream CNN consumes.
+
+Clips arrive as float64 C-order ``(channels, n)`` rows (see
+``manifest.AudioClip``). ``resample_linear`` places output sample k at
+input position k*sr_in/sr_out, taken as an exact integer quotient and
+remainder, and interpolates linearly between the two input samples
+around it. When sr_in is a multiple of sr_out (48 -> 16 kHz) every
+position is an input sample, so the result is exact decimation. Linear
+interpolation has no anti-alias filter: its quality is adequate for
+features, not for listening.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ValidationError
 from .manifest import AudioClip
@@ -77,8 +87,8 @@ def stft_magnitude(
 ) -> np.ndarray:
     """Magnitude STFT of a mono clip.
 
-    Frames are windowed with a periodic Hann of length
-    round(frame_len_s*sr); the FFT size is the next power of two at or
+    Frames are strided views of the signal, windowed with a periodic Hann
+    of length round(frame_len_s*sr); the FFT size is the next power of two at or
     above the window. Output shape is (n_frames, nfft//2 + 1) with
     n_frames = 1 + floor((len-win)/hop); a clip shorter than one window
     yields zero frames (with a warning), not an error.
@@ -102,8 +112,7 @@ def stft_magnitude(
         return np.zeros((0, bins))
     n_frames = 1 + (len(x) - win) // hop
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic Hann
-    offsets = np.arange(n_frames) * hop
-    frames = x[offsets[:, None] + np.arange(win)] * window
+    frames = sliding_window_view(x, win)[::hop] * window
     return np.abs(np.fft.rfft(frames, n=nfft, axis=1))
 
 
@@ -135,16 +144,6 @@ def mel_filterbank(
         falling = (hi - bin_hz) / (hi - center)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
     return fb
-
-
-def filter_center_frequencies(
-    num_mel: int = DEFAULT_NUM_MEL,
-    fmin_hz: float = DEFAULT_FMIN_HZ,
-    fmax_hz: float = DEFAULT_FMAX_HZ,
-) -> np.ndarray:
-    """Center frequency (Hz) of each mel filter."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), num_mel + 2))
-    return edges_hz[1:-1]
 
 
 def log_mel(
@@ -195,16 +194,29 @@ def frame_patches(
 
 
 def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Linear-interpolation resampler (quality is adequate for features,
-    not for listening)."""
+    """Linear-interpolation resampler to round(n*target_rate/sample_rate)
+    samples.
+
+    Output k sits at input position q + r/target_rate, where
+    (q, r) = divmod(k*sample_rate, target_rate) in exact integers, and
+    takes x[q] + (x[q+1] - x[q])*r/target_rate; past the last input
+    sample it holds that sample. At an integer ratio every r is 0 and the
+    result is x[:, ::ratio], copied.
+    """
     if target_rate <= 0:
         raise ValidationError("target_rate must be > 0")
-    if target_rate == clip.sample_rate:
+    sr = clip.sample_rate
+    if target_rate == sr:
         return clip
-    n_out = int(round(clip.n_samples * target_rate / clip.sample_rate))
-    t_out = np.arange(n_out) / target_rate
-    t_in = np.arange(clip.n_samples) / clip.sample_rate
-    out = np.stack([np.interp(t_out, t_in, ch) for ch in clip.samples])
+    n_in = clip.n_samples
+    n_out = int(round(n_in * target_rate / sr))
+    x = clip.samples
+    if sr % target_rate == 0:
+        out = x[:, :: sr // target_rate][:, :n_out].copy()
+    else:
+        q, r = np.divmod(np.arange(n_out, dtype=np.int64) * sr, target_rate)
+        lo = x[:, q]
+        out = (x[:, np.minimum(q + 1, n_in - 1)] - lo) * (r / target_rate) + lo
     return AudioClip(samples=out, sample_rate=target_rate)
 
 

@@ -321,13 +321,15 @@ def write_y4m(seq: FrameSequence, path) -> None:
 
 @dataclass
 class AudioClip:
-    """Per-channel PCM samples scaled to [-1, 1]; shape (channels, n)."""
+    """Per-channel PCM samples scaled to [-1, 1]: float64 C-order rows of
+    shape (channels, n), so each channel is contiguous and a mean over
+    channels adds whole rows."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+        self.samples = np.ascontiguousarray(np.atleast_2d(self.samples), dtype=np.float64)
         if self.sample_rate <= 0:
             raise ValidationError("sample_rate must be > 0")
 
@@ -347,27 +349,28 @@ class AudioClip:
 def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels).
 
-    Samples are scaled to [-1, 1] by division with 32768, so the most
-    negative 16-bit code maps to -1.0 exactly.
+    Samples are scaled to [-1, 1] by the exact factor 2**-15, so the most
+    negative 16-bit code maps to -1.0 exactly. They are de-interleaved
+    into C-order ``(channels, n)`` rows straight from the file buffer,
+    without a copy of the data chunk.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
     fmt = None
-    payload = None
+    payload = None  # (offset, size) of the data chunk body
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+        if pos + 8 + size > len(data):
             raise DataError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             if size < 16:
                 raise DataError(f"{path}: malformed fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack_from("<HHIIHH", data, pos + 8)
         elif chunk_id == b"data":
-            payload = body
+            payload = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     if fmt is None or payload is None:
         raise DataError(f"{path}: missing fmt or data chunk")
@@ -380,11 +383,14 @@ def load_wav(path) -> AudioClip:
         raise DataError(
             f"{path}: channel count {channels} not in {VALID_CHANNEL_COUNTS}"
         )
-    if len(payload) % (2 * channels):
+    if sample_rate == 0:
+        raise DataError(f"{path}: sample rate 0 in fmt chunk")
+    offset, size = payload
+    if size % (2 * channels):
         raise DataError(f"{path}: data chunk size not a multiple of frame size")
-    pcm = np.frombuffer(payload, dtype="<i2").reshape(-1, channels)
-    samples = pcm.T.astype(np.float64)
-    samples /= 32768.0
+    pcm = np.frombuffer(data, dtype="<i2", count=size // 2, offset=offset)
+    samples = pcm.reshape(-1, channels).T.astype(np.float64, order="C")
+    samples *= 2.0 ** -15
     return AudioClip(samples=samples, sample_rate=sample_rate)
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from avq360 import audiofe
 from avq360.model import _overlap_matrix
 
 
@@ -214,3 +215,61 @@ def area_resize(img, out_h, out_w):
     any ratio)."""
     img = np.asarray(img, dtype=np.float64)
     return _overlap_matrix(img.shape[0], out_h) @ img @ _overlap_matrix(img.shape[1], out_w).T
+
+
+def filter_center_frequencies(
+    num_mel=audiofe.DEFAULT_NUM_MEL,
+    fmin_hz=audiofe.DEFAULT_FMIN_HZ,
+    fmax_hz=audiofe.DEFAULT_FMAX_HZ,
+):
+    """Center frequency (Hz) of each filter of ``audiofe.mel_filterbank``:
+    the interior points of num_mel + 2 edges spaced evenly in HTK mel."""
+    edges = np.linspace(audiofe.hz_to_mel(fmin_hz), audiofe.hz_to_mel(fmax_hz), num_mel + 2)
+    return audiofe.mel_to_hz(edges)[1:-1]
+
+
+# -- reference formulations of the audio ingest path -------------------------
+# Each computes what the package's streamlined kernel computes, the
+# straightforward way: float time axes and np.interp, a fancy-index frame
+# gather, F-order samples from a transposed PCM view.
+
+
+def interp_resample(samples, sample_rate, target_rate):
+    """Linear resampling of (channels, n) rows by np.interp on float time
+    axes, to round(n*target_rate/sample_rate) samples."""
+    n_in = samples.shape[1]
+    n_out = int(round(n_in * target_rate / sample_rate))
+    t_out = np.arange(n_out) / target_rate
+    t_in = np.arange(n_in) / sample_rate
+    return np.stack([np.interp(t_out, t_in, ch) for ch in samples])
+
+
+def gathered_stft_magnitude(x, sample_rate=audiofe.DEFAULT_SAMPLE_RATE,
+                            frame_len_s=audiofe.DEFAULT_FRAME_LEN_S,
+                            hop_s=audiofe.DEFAULT_HOP_S):
+    """|rfft| of periodic-Hann frames of the 1-D signal x, gathered by an
+    (n_frames, win) index array and zero-padded to the next power of two."""
+    win = int(round(frame_len_s * sample_rate))
+    hop = int(round(hop_s * sample_rate))
+    n_frames = 1 + (len(x) - win) // hop
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    offsets = np.arange(n_frames) * hop
+    frames = x[offsets[:, None] + np.arange(win)] * window
+    return np.abs(np.fft.rfft(frames, n=audiofe.next_pow2(win), axis=1))
+
+
+def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):
+    """``model.audio_input`` of interleaved int16 PCM (n, channels), built
+    from the reference formulations: F-order samples scaled by /32768, a
+    mean over the channel axis, np.interp resampling to 16 kHz, a gathered
+    STFT, then the package's mel filterbank, log and patch cutting."""
+    samples = pcm.T.astype(np.float64)
+    samples /= 32768.0
+    mono = samples.mean(axis=0, keepdims=True)
+    if sample_rate != audiofe.DEFAULT_SAMPLE_RATE:
+        mono = interp_resample(mono, sample_rate, audiofe.DEFAULT_SAMPLE_RATE)
+    mag = gathered_stft_magnitude(mono[0])
+    fb = audiofe.mel_filterbank(num_mel=num_mel, fft_bins=mag.shape[1])
+    mel = audiofe.log_mel(mag, fb)
+    patches = audiofe.frame_patches(mel, patch_frames=patch_frames)
+    return np.stack([p.values for p in patches])

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from avq360.audiofe import (
     AudioPatch,
-    filter_center_frequencies,
     frame_patches,
     hz_to_mel,
     log_mel,
@@ -20,6 +19,8 @@ from avq360.audiofe import (
 )
 from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip
+
+from oracles import filter_center_frequencies, gathered_stft_magnitude, interp_resample
 
 
 def mono(x, sr=16000):
@@ -65,6 +66,13 @@ class TestSTFT:
         full = stft_magnitude(mono(x))
         shifted = stft_magnitude(mono(x[160:]))  # drop exactly one hop
         np.testing.assert_allclose(shifted[:60], full[1:61], atol=1e-9)
+
+    @pytest.mark.parametrize("n, sr", [(400, 16000), (559, 16000), (560, 16000),
+                                       (16000, 16000), (8821, 8000), (44100, 44100)])
+    def test_equals_gathered_framing(self, n, sr):
+        # frame counts at, just below and just above a hop boundary
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        assert np.array_equal(stft_magnitude(mono(x, sr)), gathered_stft_magnitude(x, sr))
 
     def test_deterministic(self):
         x = tone(440.0)
@@ -199,6 +207,34 @@ class TestResample:
         down = resample_linear(clip, 8000)
         assert down.n_samples == 8000
         assert down.sample_rate == 8000
+
+    # lengths that are and are not multiples of the rate ratio
+    LENGTHS = (1, 2, 7, 10, 11, 4801, 48000)
+
+    @staticmethod
+    def _clip(n, sr, channels=2):
+        rng = np.random.default_rng(n + sr)
+        return AudioClip(samples=rng.uniform(-1.0, 1.0, (channels, n)), sample_rate=sr)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("sr", [48000, 32000])
+    def test_integer_ratio_is_exact_decimation(self, sr, n):
+        clip = self._clip(n, sr)
+        out = resample_linear(clip, 16000)
+        ref = interp_resample(clip.samples, sr, 16000)
+        assert np.array_equal(out.samples, ref)
+        assert np.array_equal(out.samples, clip.samples[:, :: sr // 16000][:, : ref.shape[1]])
+        assert out.samples.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("sr, target", [(44100, 16000), (16000, 48000), (22050, 16000)])
+    def test_other_ratios_match_interp(self, sr, target, n):
+        clip = self._clip(n, sr)
+        out = resample_linear(clip, target)
+        ref = interp_resample(clip.samples, sr, target)
+        assert out.samples.shape == ref.shape
+        assert out.sample_rate == target
+        np.testing.assert_allclose(out.samples, ref, rtol=0.0, atol=1e-9)
 
 
 class TestFeatureDump:

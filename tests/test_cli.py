@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -306,6 +307,20 @@ class TestPredict:
             args += ["--set", o]
         assert run(args) == 3
         assert "meta/bands" in capsys.readouterr().err
+
+    def test_zero_sample_rate_wav_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
+        _, overrides = trained_dir
+        media = tmp_path / "media"
+        shutil.copytree(corpus_dir / "media", media)
+        raw = bytearray((media / "seq03.wav").read_bytes())
+        raw[24:28] = bytes(4)  # fmt chunk sample rate
+        (media / "seq03.wav").write_bytes(bytes(raw))
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--set", f"media_root={media}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert "seq03.wav: sample rate 0" in capsys.readouterr().err
 
     def test_unknown_sequence_is_validation_error(self, corpus_dir, trained_dir):
         _, overrides = trained_dir

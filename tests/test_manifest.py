@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -147,6 +148,14 @@ class TestY4M:
             load_y4m(path)
 
 
+def wav_bytes(channels, sample_rate, frames, extra=b""):
+    """A PCM16 RIFF/WAVE file: fmt chunk, then ``extra`` chunks, then data."""
+    fmt = struct.pack("<IHHIIHH", 16, 1, channels, sample_rate,
+                      sample_rate * 2 * channels, 2 * channels, 16)
+    body = b"WAVE" + b"fmt " + fmt + extra + b"data" + struct.pack("<I", len(frames)) + frames
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 class TestWAV:
     def test_mono_silence(self, tmp_path):
         clip = AudioClip(samples=np.zeros((1, 16000)), sample_rate=16000)
@@ -184,15 +193,35 @@ class TestWAV:
         with pytest.raises(DataError, match="non-PCM"):
             load_wav(path)
 
-    def test_bad_channel_count_rejected(self, tmp_path):
-        # hand-build a 3-channel file
-        import struct
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_c_order_rows_exact(self, tmp_path, channels):
+        # odd chunk before the data chunk: the pad byte must be skipped
+        pcm = np.random.default_rng(channels).integers(
+            -32768, 32768, size=(1001, channels)).astype("<i2")
+        pcm[0] = -32768
+        path = tmp_path / "c.wav"
+        path.write_bytes(wav_bytes(channels, 48000, pcm.tobytes(), extra=b"LIST\x03\0\0\0abc\0"))
+        loaded = load_wav(path)
+        assert loaded.samples.flags.c_contiguous
+        assert loaded.samples.dtype == np.float64
+        assert np.array_equal(loaded.samples, pcm.T / 32768.0)
+        assert loaded.samples[0, 0] == -1.0
 
-        frames = struct.pack("<6h", 0, 0, 0, 0, 0, 0)
-        fmt = struct.pack("<IHHIIHH", 16, 1, 3, 8000, 8000 * 6, 6, 16)
-        body = b"WAVE" + b"fmt " + fmt + b"data" + struct.pack("<I", len(frames)) + frames
+    def test_zero_sample_rate_is_data_error(self, tmp_path):
+        path = tmp_path / "zero.wav"
+        path.write_bytes(wav_bytes(1, 0, bytes(8)))
+        with pytest.raises(DataError, match="zero.wav: sample rate 0"):
+            load_wav(path)
+
+    def test_truncated_data_chunk(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(wav_bytes(2, 8000, bytes(16))[:-2])
+        with pytest.raises(DataError, match="truncated b'data' chunk"):
+            load_wav(path)
+
+    def test_bad_channel_count_rejected(self, tmp_path):
         path = tmp_path / "tri.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        path.write_bytes(wav_bytes(3, 8000, bytes(12)))
         with pytest.raises(DataError, match="channel count 3"):
             load_wav(path)
 

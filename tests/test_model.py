@@ -4,7 +4,7 @@ import pytest
 from avq360 import nn
 from avq360.erp import LatitudeWeights, aggregate_band_features
 from avq360.errors import DataError, ValidationError
-from avq360.manifest import AudioClip, FrameSequence
+from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
     AVQAModel,
     ModelConfig,
@@ -19,7 +19,7 @@ from avq360.model import (
 )
 
 from conftest import tiny_features, tiny_model_config
-from oracles import area_resize
+from oracles import area_resize, reference_audio_input
 
 
 class TestPreprocessing:
@@ -80,6 +80,18 @@ class TestPreprocessing:
         clip = AudioClip(samples=rng.uniform(-0.5, 0.5, (1, 48000)), sample_rate=48000)
         patches = audio_input(clip, tiny_model_config())
         assert patches.shape[0] >= 1
+
+    @pytest.mark.parametrize("channels, sr", [(4, 48000), (2, 16000), (1, 16000)])
+    def test_audio_input_equals_reference_pipeline(self, tmp_path, channels, sr):
+        cfg = tiny_model_config()
+        pcm = np.random.default_rng(channels).integers(
+            -32768, 32768, size=(int(2.3 * sr), channels)).astype("<i2")
+        path = tmp_path / "a.wav"
+        write_wav(AudioClip(samples=pcm.T / 32768.0, sample_rate=sr), path)
+        out = audio_input(load_wav(path), cfg)
+        ref = reference_audio_input(pcm, sr, cfg.num_mel, cfg.patch_frames)
+        assert out.shape == (3, cfg.patch_frames, cfg.num_mel)
+        assert np.array_equal(out, ref)
 
     def test_sinusoidal_positions(self):
         pe = sinusoidal_positions(4, 8)
