@@ -20,7 +20,6 @@ features, not for listening.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,30 +37,6 @@ DEFAULT_FMIN_HZ = 125.0
 DEFAULT_FMAX_HZ = 7500.0
 DEFAULT_LOG_OFFSET = 0.01
 PATCH_FRAMES = 96
-
-
-@dataclass
-class MelSpectrogram:
-    """Log-mel energies, shape (num_frames, num_mel)."""
-
-    values: np.ndarray
-    frame_len_s: float
-    frame_hop_s: float
-    num_mel: int
-    log_offset: float
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
-class AudioPatch:
-    """Fixed-size window of log-mel frames; pad_frames > 0 marks a
-    zero-padded trailing patch."""
-
-    values: np.ndarray   # (PATCH_FRAMES, num_mel)
-    pad_frames: int = 0
 
 
 def hz_to_mel(f):
@@ -150,47 +125,31 @@ def log_mel(
     stft_mag: np.ndarray,
     filterbank: np.ndarray,
     log_offset: float = DEFAULT_LOG_OFFSET,
-    frame_len_s: float = DEFAULT_FRAME_LEN_S,
-    frame_hop_s: float = DEFAULT_HOP_S,
-) -> MelSpectrogram:
-    """log(power mel energy + log_offset), natural log."""
+) -> np.ndarray:
+    """log(power mel energy + log_offset), natural log; shape (frames, num_mel)."""
     mag = np.asarray(stft_mag, dtype=np.float64)
     fb = np.asarray(filterbank, dtype=np.float64)
     if mag.ndim != 2 or fb.ndim != 2 or mag.shape[1] != fb.shape[1]:
         raise ValidationError(
             f"shape mismatch: stft {mag.shape} vs filterbank {fb.shape}"
         )
-    energies = (mag * mag) @ fb.T
-    return MelSpectrogram(
-        values=np.log(energies + log_offset),
-        frame_len_s=frame_len_s,
-        frame_hop_s=frame_hop_s,
-        num_mel=fb.shape[0],
-        log_offset=log_offset,
-    )
+    return np.log((mag * mag) @ fb.T + log_offset)
 
 
-def frame_patches(
-    mel: MelSpectrogram,
-    patch_frames: int = PATCH_FRAMES,
-    patch_hop: int = PATCH_FRAMES,
-) -> list[AudioPatch]:
-    """Cut the log-mel sequence into fixed-size windows.
+def frame_patches(mel: np.ndarray, patch_frames: int = PATCH_FRAMES) -> np.ndarray:
+    """Cut (frames, num_mel) log-mel values into consecutive windows.
 
-    The trailing partial window is zero-padded and its pad_frames count
-    recorded. Zero input frames produce an empty list.
+    Returns the (P, patch_frames, num_mel) stack, P = ceil(frames /
+    patch_frames); the trailing partial window is zero-padded. Zero input
+    frames give P = 0.
     """
-    if patch_frames < 1 or patch_hop < 1:
-        raise ValidationError("patch_frames and patch_hop must be >= 1")
-    v = mel.values
-    patches = []
-    for start in range(0, v.shape[0], patch_hop):
-        chunk = v[start : start + patch_frames]
-        pad = patch_frames - chunk.shape[0]
-        if pad:
-            chunk = np.vstack([chunk, np.zeros((pad, v.shape[1]))])
-        patches.append(AudioPatch(values=chunk, pad_frames=pad))
-    return patches
+    if patch_frames < 1:
+        raise ValidationError("patch_frames must be >= 1")
+    n, num_mel = mel.shape
+    p = -(-n // patch_frames)
+    out = np.zeros((p * patch_frames, num_mel), dtype=mel.dtype)
+    out[:n] = mel
+    return out.reshape(p, patch_frames, num_mel)
 
 
 def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -12,8 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -21,8 +19,9 @@ import numpy as np
 
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
-from .errors import DataError, NumericError, ValidationError, read_text_utf8
-from .manifest import load_manifest, load_scores_csv, load_wav, load_y4m
+from .errors import DataError, NumericError, ValidationError
+from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
+                       read_csv_table, write_csv_table)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -67,24 +66,19 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
     )
 
 
+_SPLIT_HEADER = ["sequence_id", "split"]
+
+
 def _load_split(path: Path) -> dict[str, str]:
     _require_file(path, "split file")
     assignment: dict[str, str] = {}
-    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
-    header = next(reader, None)
-    if header != ["sequence_id", "split"]:
-        raise DataError(f"{path}: bad header {header}")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}: expected 2 fields per row, got {row}")
-        seq, split = row
+    for lineno, (seq, split) in read_csv_table(path, _SPLIT_HEADER):
         if split not in ("train", "test"):
-            raise DataError(f"{path}: bad split label {split!r}")
+            raise DataError(f"{path}: line {lineno}: bad split label {split!r}")
         if seq in assignment and assignment[seq] != split:
             raise DataError(
-                f"{path}: split leakage, sequence {seq!r} assigned to both splits"
+                f"{path}: line {lineno}: split leakage, sequence {seq!r} "
+                "assigned to both splits"
             )
         assignment[seq] = split
     if not assignment:
@@ -131,16 +125,14 @@ def cmd_siti(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
     out = cfg.output_dir / "siti.csv"
-    with open(out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sequence_id", "si_mean", "si_max", "ti_mean", "ti_max"])
+
+    def rows():
         for entry in entries:
-            seq = load_y4m(_media_path(cfg, entry.sequence_id, ".y4m"))
-            r = siti.summarize_siti(seq)
-            writer.writerow(
-                [entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
-                 f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"]
-            )
+            r = siti.summarize_siti(load_y4m(_media_path(cfg, entry.sequence_id, ".y4m")))
+            yield [entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
+                   f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"]
+
+    write_csv_table(out, ["sequence_id", "si_mean", "si_max", "ti_mean", "ti_max"], rows())
     print(f"siti table: {out} ({len(entries)} sequences)")
     return EXIT_OK
 
@@ -173,11 +165,10 @@ def cmd_split(args) -> int:
     shuffled = rng.permutation(n)
     test_idx = set(int(i) for i in shuffled[:n_test])
     out = cfg.split_file
-    with open(out, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sequence_id", "split"])
-        for i, entry in enumerate(entries):
-            writer.writerow([entry.sequence_id, "test" if i in test_idx else "train"])
+    write_csv_table(out, _SPLIT_HEADER, (
+        [entry.sequence_id, "test" if i in test_idx else "train"]
+        for i, entry in enumerate(entries)
+    ))
     print(f"split: {out} ({n - n_test} train / {n_test} test)")
     return EXIT_OK
 

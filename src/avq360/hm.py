@@ -8,13 +8,13 @@ intervals directly. "Rotation" from capture rigs is treated as roll.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError, read_text_utf8
+from .errors import DataError, ValidationError
+from .manifest import read_csv_table, write_csv_table
 
 NOMINAL_RATE_HZ = 120.0
 YAW_HIST_BINS = 36  # 10 degrees per bin
@@ -55,26 +55,19 @@ _ANGLE_RANGES = {"yaw": 180.0, "pitch": 90.0, "roll": 180.0}
 def load_hm(path) -> HeadMovementTrace:
     """Read a `t,yaw,pitch,roll` CSV trace.
 
-    Duplicate timestamps are collapsed keeping the first row; time must
-    be strictly increasing afterwards and angles must be within their
-    nominal ranges.
+    Every value must be a finite number. Duplicate timestamps are
+    collapsed keeping the first row; time must be strictly increasing
+    afterwards and angles must be within their nominal ranges.
     """
     rows = []
-    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty head-movement file")
-    if header != _HM_HEADER:
-        raise DataError(f"{path}: bad header {header}, expected {_HM_HEADER}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"{path}: line {lineno}: expected 4 fields")
+    for lineno, row in read_csv_table(path, _HM_HEADER):
         try:
-            rows.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError:
             raise DataError(f"{path}: line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: line {lineno}: non-finite value")
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=np.float64)
@@ -133,14 +126,11 @@ _STATS_HEADER = [
 
 def write_hm_stats_csv(rows: list[tuple[str, HeadMovementStats]], path) -> None:
     """One summary row per trace."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(_STATS_HEADER)
-        for seq_id, s in rows:
-            writer.writerow([
-                seq_id,
-                f"{s.mean_speed['yaw']:.6f}", f"{s.max_speed['yaw']:.6f}",
-                f"{s.mean_speed['pitch']:.6f}", f"{s.max_speed['pitch']:.6f}",
-                f"{s.mean_speed['roll']:.6f}", f"{s.max_speed['roll']:.6f}",
-                f"{s.pitch_within_30_frac:.6f}", f"{s.duration_s:.6f}", s.n_samples,
-            ])
+    write_csv_table(path, _STATS_HEADER, (
+        [seq_id,
+         f"{s.mean_speed['yaw']:.6f}", f"{s.max_speed['yaw']:.6f}",
+         f"{s.mean_speed['pitch']:.6f}", f"{s.max_speed['pitch']:.6f}",
+         f"{s.mean_speed['roll']:.6f}", f"{s.max_speed['roll']:.6f}",
+         f"{s.pitch_within_30_frac:.6f}", f"{s.duration_s:.6f}", s.n_samples]
+        for seq_id, s in rows
+    ))

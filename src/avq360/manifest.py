@@ -2,8 +2,9 @@
 
 Everything enters the toolkit through this module: sequence manifests
 (JSON), uncompressed video (YUV4MPEG2), PCM audio (RIFF/WAVE) and tabular
-subjective scores (CSV). Ingestion is deliberately codec-free so that
-every byte of every input is deterministic.
+subjective scores (CSV). Every CSV table of the toolkit is read by
+``read_csv_table`` and written by ``write_csv_table``. Ingestion is
+deliberately codec-free so that every byte of every input is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import io
 import json
 import struct
-import warnings
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -40,18 +40,9 @@ MOTIONS = ("static", "dynamic")
 SPLITS = ("train", "test", "unassigned")
 VALID_CHANNEL_COUNTS = (1, 2, 4)
 
-# Continuous rating scale with the five adjective anchors used on the
-# rating bar. The numeric range is a toolkit convention; anchors sit at
-# the center of each fifth of the scale.
+# Continuous rating scale. The numeric range is a toolkit convention.
 SCORE_MIN = 0.0
 SCORE_MAX = 100.0
-LIKERT_ANCHORS = {
-    "bad": 10.0,
-    "poor": 30.0,
-    "fair": 50.0,
-    "good": 70.0,
-    "excellent": 90.0,
-}
 
 
 @dataclass
@@ -420,6 +411,47 @@ def downmix_mono(clip: AudioClip) -> AudioClip:
 
 
 # ---------------------------------------------------------------------------
+# CSV tables: one codec for every table the toolkit reads or writes
+# ---------------------------------------------------------------------------
+
+def read_csv_table(path, header):
+    """Yield ``(line number, fields)`` for each data row of a CSV table.
+
+    The file is decoded as UTF-8, its first row must equal the list
+    ``header`` and blank rows are skipped. Rows are produced lazily, as
+    the caller consumes them. An empty file, another header, a row whose
+    field count is not ``len(header)`` or a row the CSV parser rejects is
+    a DataError naming the path (and the line, for a row).
+    """
+    rows = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
+    try:
+        found = next(rows, None)
+        if found is None:
+            raise DataError(f"{path}: empty file")
+        if found != header:
+            raise DataError(f"{path}: bad header {found}, expected {header}")
+        n = len(header)
+        for row in rows:
+            if len(row) != n:
+                if not row:
+                    continue
+                raise DataError(f"{path}: line {rows.line_num}: expected "
+                                f"{n} fields, got {len(row)}")
+            yield rows.line_num, row
+    except csv.Error as e:
+        raise DataError(f"{path}: line {rows.line_num}: {e}") from e
+
+
+def write_csv_table(path, header, rows) -> None:
+    """Write ``header``, then each row of the iterable ``rows`` as it is
+    produced, as UTF-8 CSV with CRLF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
 # Subjective scores: CSV
 # ---------------------------------------------------------------------------
 
@@ -446,22 +478,10 @@ _BOOL_TOKENS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def load_scores_csv(path) -> list[RatingRecord]:
-    """Read the rating table CSV (header must match exactly)."""
+    """Read the rating table CSV (see ``read_csv_table``); a table with no
+    records is a DataError."""
     records = []
-    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty scores file") from None
-    if header != _SCORES_HEADER:
-        raise DataError(
-            f"{path}: bad header {header}, expected {_SCORES_HEADER}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise DataError(f"{path}: line {lineno}: expected 5 fields")
+    for lineno, row in read_csv_table(path, _SCORES_HEADER):
         flag = _BOOL_TOKENS.get(row[4].strip().lower())
         if flag is None:
             raise DataError(f"{path}: line {lineno}: bad ssq_flag {row[4]!r}")
@@ -476,16 +496,13 @@ def load_scores_csv(path) -> list[RatingRecord]:
         except ValidationError as e:
             raise DataError(f"{path}: line {lineno}: {e}") from e
     if not records:
-        warnings.warn(f"{path}: scores file contains no records")
+        raise DataError(f"{path}: no rating records")
     return records
 
 
 def write_scores_csv(records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(_SCORES_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.subject_id, r.sequence_id, r.session_id,
-                 f"{r.score:.4f}", "true" if r.ssq_flag else "false"]
-            )
+    write_csv_table(path, _SCORES_HEADER, (
+        [r.subject_id, r.sequence_id, r.session_id,
+         f"{r.score:.4f}", "true" if r.ssq_flag else "false"]
+        for r in records
+    ))

@@ -10,7 +10,6 @@ cannot reorder.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from scipy import optimize, stats
 from scipy.special import expit
 
 from .errors import ValidationError
+from .manifest import write_csv_table
 
 #: Results reported for the original model of this architecture on its
 #: source dataset (300 sequences, proprietary, with large pretrained
@@ -163,11 +163,8 @@ _REPORT_HEADER = ["plcc", "srocc", "krocc", "rmse", "n", "b1", "b2", "b3", "b4"]
 
 
 def write_report_csv(report: MetricReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(_REPORT_HEADER)
-        writer.writerow(
-            [f"{report.plcc:.6f}", f"{report.srocc:.6f}", f"{report.krocc:.6f}",
-             f"{report.rmse:.6f}", report.n]
-            + [f"{b:.6f}" for b in report.beta]
-        )
+    write_csv_table(path, _REPORT_HEADER, [
+        [f"{report.plcc:.6f}", f"{report.srocc:.6f}", f"{report.krocc:.6f}",
+         f"{report.rmse:.6f}", report.n]
+        + [f"{b:.6f}" for b in report.beta]
+    ])

@@ -19,7 +19,6 @@ for a given seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import audiofe, nn
 from .erp import cos_latitude_prior, partition_erp
 from .errors import DataError, ValidationError
-from .manifest import AudioClip, FrameSequence, downmix_mono
+from .manifest import AudioClip, FrameSequence, downmix_mono, write_csv_table
 
 FUSION_MODES = ("transformer", "cat", "add")
 
@@ -175,9 +174,7 @@ def audio_input(clip: AudioClip, cfg: ModelConfig) -> np.ndarray:
         sample_rate=audiofe.DEFAULT_SAMPLE_RATE,
         fft_bins=mag.shape[1],
     )
-    mel = audiofe.log_mel(mag, fb)
-    patches = audiofe.frame_patches(mel, patch_frames=cfg.patch_frames)
-    return np.stack([p.values for p in patches])
+    return audiofe.frame_patches(audiofe.log_mel(mag, fb), patch_frames=cfg.patch_frames)
 
 
 def preprocess_sequence(
@@ -598,8 +595,5 @@ def train_model(
 
 
 def write_train_log(history, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "loss"])
-        for step, loss in history:
-            writer.writerow([step, f"{loss:.10f}"])
+    write_csv_table(path, ["step", "loss"],
+                    ([step, f"{loss:.10f}"] for step, loss in history))

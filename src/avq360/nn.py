@@ -351,9 +351,6 @@ class ParamStore:
     def add_grad(self, name: str, g) -> None:
         self.grads[name] += g
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
     def load_state(self, state: dict) -> None:
         missing = set(self.params) - set(state)
         extra = set(state) - set(self.params)

@@ -10,17 +10,15 @@ the caller.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError, read_text_utf8
-from .manifest import RatingRecord
+from .errors import DataError, ValidationError
+from .manifest import (SCORE_MAX, SCORE_MIN, RatingRecord, read_csv_table,
+                       write_csv_table)
 
 # Minimum number of valid ratings a sequence should retain after
 # screening for its MOS to be considered trustworthy.
@@ -217,26 +215,21 @@ _MOS_HEADER = ["sequence_id", "mos", "std", "n_valid", "ci95_half_width"]
 
 
 def write_mos_csv(records: list[MOSRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(_MOS_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.sequence_id, f"{r.mos:.6f}", f"{r.std:.6f}",
-                 r.n_valid, f"{r.ci95_half_width:.6f}"]
-            )
+    write_csv_table(path, _MOS_HEADER, (
+        [r.sequence_id, f"{r.mos:.6f}", f"{r.std:.6f}",
+         r.n_valid, f"{r.ci95_half_width:.6f}"]
+        for r in records
+    ))
 
 
 def read_mos_csv(path) -> dict[str, MOSRecord]:
-    """Read a MOS table back as a sequence_id -> MOSRecord mapping."""
+    """Read a MOS table back as a sequence_id -> MOSRecord mapping.
+
+    Each MOS must lie in [SCORE_MIN, SCORE_MAX], each std and CI
+    half-width must be finite and >= 0, and each n_valid >= 1.
+    """
     out: dict[str, MOSRecord] = {}
-    reader = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
-    header = next(reader, None)
-    if header != _MOS_HEADER:
-        raise DataError(f"{path}: bad header {header}, expected {_MOS_HEADER}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in read_csv_table(path, _MOS_HEADER):
         try:
             rec = MOSRecord(
                 sequence_id=row[0],
@@ -245,10 +238,21 @@ def read_mos_csv(path) -> dict[str, MOSRecord]:
                 n_valid=int(row[3]),
                 ci95_half_width=float(row[4]),
             )
-        except (IndexError, ValueError) as e:
+        except ValueError as e:
             raise DataError(f"{path}: line {lineno}: {e}") from e
+        if not SCORE_MIN <= rec.mos <= SCORE_MAX:
+            raise DataError(f"{path}: line {lineno}: mos {rec.mos} outside "
+                            f"[{SCORE_MIN}, {SCORE_MAX}]")
+        for name, value in (("std", rec.std), ("ci95_half_width", rec.ci95_half_width)):
+            if not 0.0 <= value < math.inf:
+                raise DataError(f"{path}: line {lineno}: {name} {value} is not "
+                                "finite and >= 0")
+        if rec.n_valid < 1:
+            raise DataError(f"{path}: line {lineno}: n_valid {rec.n_valid} < 1")
         if rec.sequence_id in out:
-            raise DataError(f"{path}: duplicate sequence_id {rec.sequence_id!r}")
+            raise DataError(
+                f"{path}: line {lineno}: duplicate sequence_id {rec.sequence_id!r}"
+            )
         out[rec.sequence_id] = rec
     if not out:
         raise DataError(f"{path}: no MOS rows")

@@ -262,7 +262,8 @@ def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):
     """``model.audio_input`` of interleaved int16 PCM (n, channels), built
     from the reference formulations: F-order samples scaled by /32768, a
     mean over the channel axis, np.interp resampling to 16 kHz, a gathered
-    STFT, then the package's mel filterbank, log and patch cutting."""
+    STFT, the package's mel filterbank and log, then one zero-padded window
+    per patch, cut in a loop."""
     samples = pcm.T.astype(np.float64)
     samples /= 32768.0
     mono = samples.mean(axis=0, keepdims=True)
@@ -271,5 +272,9 @@ def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):
     mag = gathered_stft_magnitude(mono[0])
     fb = audiofe.mel_filterbank(num_mel=num_mel, fft_bins=mag.shape[1])
     mel = audiofe.log_mel(mag, fb)
-    patches = audiofe.frame_patches(mel, patch_frames=patch_frames)
-    return np.stack([p.values for p in patches])
+    patches = []
+    for start in range(0, mel.shape[0], patch_frames):
+        chunk = mel[start : start + patch_frames]
+        pad = np.zeros((patch_frames - chunk.shape[0], mel.shape[1]))
+        patches.append(np.vstack([chunk, pad]))
+    return np.stack(patches)

@@ -275,7 +275,7 @@ def test_criterion_6_audio_front_end():
     assert mag.shape[0] == 98
     fb = mel_filterbank(fft_bins=mag.shape[1])
     mel = log_mel(mag, fb)
-    energies = np.exp(mel.values[10]) - 0.01
+    energies = np.exp(mel[10]) - 0.01
     tone_bin = int(round(1000.0 * 512 / 16000))
     expected_filter = int(fb[:, tone_bin].argmax())
     assert int(energies.argmax()) == expected_filter

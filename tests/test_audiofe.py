@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avq360.audiofe import (
-    AudioPatch,
     frame_patches,
     hz_to_mel,
     log_mel,
@@ -137,13 +136,13 @@ class TestLogMel:
         mag = np.zeros((10, 257))
         fb = mel_filterbank(fft_bins=257)
         mel = log_mel(mag, fb)
-        np.testing.assert_allclose(mel.values, math.log(0.01), atol=1e-12)
+        np.testing.assert_allclose(mel, math.log(0.01), atol=1e-12)
 
     def test_amplitude_doubling_quadruples_energy(self):
         x = tone(440.0, amp=0.4)
         fb = mel_filterbank(fft_bins=257)
-        e1 = np.exp(log_mel(stft_magnitude(mono(x)), fb).values) - 0.01
-        e2 = np.exp(log_mel(stft_magnitude(mono(2.0 * x)), fb).values) - 0.01
+        e1 = np.exp(log_mel(stft_magnitude(mono(x)), fb)) - 0.01
+        e2 = np.exp(log_mel(stft_magnitude(mono(2.0 * x)), fb)) - 0.01
         mask = e1 > 1e-6
         np.testing.assert_allclose(e2[mask] / e1[mask], 4.0, rtol=1e-6)
 
@@ -151,10 +150,10 @@ class TestLogMel:
         rng = np.random.default_rng(1)
         mag = rng.uniform(0.0, 2.0, size=(4, 257))
         fb = mel_filterbank(fft_bins=257)
-        base = log_mel(mag, fb).values
+        base = log_mel(mag, fb)
         bumped_mag = mag.copy()
         bumped_mag[2, 100] += 0.5
-        bumped = log_mel(bumped_mag, fb).values
+        bumped = log_mel(bumped_mag, fb)
         assert np.all(bumped >= base - 1e-15)
 
     def test_shape_mismatch(self):
@@ -169,22 +168,23 @@ class TestPatches:
         return log_mel(rng.uniform(0, 1, size=(n_frames, 257)), fb)
 
     def test_98_frames_two_patches(self):
-        patches = frame_patches(self.make_mel(98))
-        assert len(patches) == 2
-        assert patches[0].pad_frames == 0
-        assert patches[1].pad_frames == 94
-        assert patches[1].values.shape == (96, 64)
-        assert np.all(patches[1].values[2:] == 0.0)
+        mel = self.make_mel(98)
+        patches = frame_patches(mel)
+        assert patches.shape == (2, 96, 64)
+        assert np.array_equal(patches[0], mel[:96])
+        assert np.array_equal(patches[1, :2], mel[96:])
+        assert np.all(patches[1, 2:] == 0.0)  # 94 zero-padded tail rows
 
     def test_exact_fit_single_patch(self):
-        patches = frame_patches(self.make_mel(96))
-        assert len(patches) == 1
-        assert patches[0].pad_frames == 0
+        mel = self.make_mel(96)
+        patches = frame_patches(mel)
+        assert patches.shape == (1, 96, 64)
+        assert np.array_equal(patches[0], mel)  # no zero-padded tail rows
 
     def test_empty_input(self):
         fb = mel_filterbank(fft_bins=257)
         mel = log_mel(np.zeros((0, 257)), fb)
-        assert frame_patches(mel) == []
+        assert frame_patches(mel).shape == (0, 96, 64)
 
     def test_full_pipeline_deterministic(self):
         x = tone(523.25, amp=0.6)
@@ -192,7 +192,7 @@ class TestPatches:
 
         def run():
             mel = log_mel(stft_magnitude(mono(x)), fb)
-            return np.stack([p.values for p in frame_patches(mel)])
+            return frame_patches(mel)
 
         assert np.array_equal(run(), run())
 

@@ -31,6 +31,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def copy_with_field(src, dst, line, column, value):
+    """Copy the CSV file src to dst with one field of a 1-based line replaced."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    body = lines[line - 1].rstrip("\r\n")
+    fields = body.split(",")
+    fields[column] = value
+    lines[line - 1] = ",".join(fields) + lines[line - 1][len(body):]
+    dst.write_text("".join(lines), encoding="utf-8", newline="")
+
+
 class TestSynthFixture:
     def test_generates_complete_corpus(self, tmp_path, capsys):
         assert run(["synth-fixture", "--out", tmp_path / "fx"]) == 0
@@ -86,6 +96,15 @@ class TestProcessScores:
         assert "not valid UTF-8" in capsys.readouterr().err
 
 
+    def test_header_only_scores_is_data_error(self, tmp_path, corpus_dir, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject_id,sequence_id,session_id,score,ssq_flag\n")
+        assert run(["process-scores", "--config", corpus_dir / "config.txt",
+                    "--set", f"scores={scores}",
+                    "--set", f"output_dir={tmp_path / 'out'}"]) == 3
+        assert f"{scores}: no rating records" in capsys.readouterr().err
+
+
 class TestSiti:
     def test_constant_corpus_all_zero(self, tmp_path):
         fixture = tmp_path / "const"
@@ -126,6 +145,17 @@ class TestHmStats:
         assert len(rows) == 8
         for r in rows:
             assert float(r["duration_s"]) > 0
+
+
+    def test_nan_trace_is_data_error(self, tmp_path, corpus_dir, capsys):
+        hm = tmp_path / "hm"
+        shutil.copytree(corpus_dir / "hm", hm)
+        copy_with_field(corpus_dir / "hm" / "seq02.csv", hm / "seq02.csv",
+                        line=10, column=1, value="nan")
+        assert run(["hm-stats", "--config", corpus_dir / "config.txt",
+                    "--set", f"hm_root={hm}", "--set", f"output_dir={tmp_path / 'out'}"]) == 3
+        assert "seq02.csv: line 10: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "hm_stats.csv").exists()
 
 
 class TestSplit:
@@ -278,6 +308,23 @@ class TestEvaluate:
                 args += ["--set", o]
         assert run(args) == 0
         assert (out / "metrics.csv").read_bytes() == expected
+
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_nan_mos_is_data_error(self, tmp_path, corpus_dir, trained_dir, command, capsys):
+        out, overrides = trained_dir
+        bad = tmp_path / "mos.csv"
+        copy_with_field(out / "mos.csv", bad, line=5, column=1, value="nan")
+        args = [command, "--config", corpus_dir / "config.txt", "--on", "all",
+                "--set", f"mos_table={bad}", "--set", f"output_dir={tmp_path / 'out'}"]
+        for o in overrides:
+            if not o.startswith("output_dir="):
+                args += ["--set", o]
+        if command == "evaluate":
+            args += ["--checkpoint", out / "model.avqc"]
+        assert run(args) == 3
+        assert f"{bad}: line 5: mos nan outside" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestPredict:

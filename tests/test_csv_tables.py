@@ -1,0 +1,96 @@
+"""The CSV table contract that every table reader shares through
+``manifest.read_csv_table``: UTF-8, an exact header, blank rows skipped,
+a fixed field count, and a DataError naming the path and line otherwise."""
+
+import re
+
+import pytest
+from hypothesis import given, strategies as st
+
+from avq360.cli import _load_split
+from avq360.errors import Avq360Error, DataError
+from avq360.hm import load_hm
+from avq360.manifest import load_scores_csv
+from avq360.subjective import read_mos_csv
+
+# reader, header, valid data rows
+TABLES = {
+    "scores": (load_scores_csv, "subject_id,sequence_id,session_id,score,ssq_flag",
+               ["s0,a,x,42.5000,false", "s1,a,x,77.0000,true", "s0,b,y,12.2500,false"]),
+    "mos": (read_mos_csv, "sequence_id,mos,std,n_valid,ci95_half_width",
+            ["a,50.000000,3.000000,19,1.348973", "b,71.250000,0.000000,1,0.000000"]),
+    "hm": (load_hm, "t,yaw,pitch,roll",
+           ["0.000000,10.0000,-5.0000,0.0000", "0.008333,11.5000,-4.0000,0.5000",
+            "0.016667,-179.0000,0.0000,1.0000"]),
+    "split": (_load_split, "sequence_id,split", ["a,train", "b,test"]),
+}
+
+
+def table_text(header, rows):
+    return "".join(line + "\r\n" for line in [header, *rows])
+
+
+def _bad_tables(header, rows):
+    """(case, file text, message after the path) for each malformed table.
+    Row faults sit on line 4, after a valid row and a blank one."""
+    n = header.count(",") + 1
+    good, other = rows[0], rows[1]
+    return [
+        ("empty file", "", "empty file"),
+        ("wrong header", table_text(header + "_x", rows), "bad header"),
+        ("field too many", table_text(header, [good, "", other + ",0"]),
+         f"line 4: expected {n} fields, got {n + 1}"),
+        ("field too few", table_text(header, [good, "", other.rsplit(",", 1)[0]]),
+         f"line 4: expected {n} fields, got {n - 1}"),
+        # an unclosed quote swallows the rest of the file into one field
+        ("field over the parser limit", table_text(header, [good, "", '"' + "x" * 140_000]),
+         "line 4: field larger than field limit"),
+    ]
+
+
+CASES = [(name, *case) for name, (_, header, rows) in TABLES.items()
+         for case in _bad_tables(header, rows)]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_valid_table_loads(tmp_path, name):
+    reader, header, rows = TABLES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(table_text(header, rows).encode())
+    reader(path)
+
+
+@pytest.mark.parametrize("name, case, text, message", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_malformed_table_is_data_error_naming_path_and_line(tmp_path, name, case, text,
+                                                           message):
+    reader = TABLES[name][0]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}")):
+        reader(path)
+
+
+# Bytes that steer the CSV parser (quote, separator, line ends, NUL) or
+# are not UTF-8 on their own, drawn as often as any other byte value.
+_STRUCTURAL = st.sampled_from(b'",\r\n\x00\xff')
+
+
+@pytest.mark.parametrize("name", TABLES)
+@given(data=st.data())
+def test_mutated_table_loads_or_raises_toolkit_error(tmp_path_factory, name, data):
+    reader, header, rows = TABLES[name]
+    raw = table_text(header, rows).encode()
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        i = data.draw(st.integers(0, len(raw) - 1), label="position")
+        byte = data.draw(st.one_of(_STRUCTURAL, st.integers(0, 255))
+                         .filter(lambda b: b != raw[i]), label="byte")
+        mutated = raw[:i] + bytes([byte]) + raw[i + 1:]
+    path = tmp_path_factory.getbasetemp() / f"mutated_{name}.csv"
+    path.write_bytes(mutated)
+    try:
+        reader(path)
+    except Avq360Error:
+        pass

@@ -52,6 +52,16 @@ class TestLoad:
         assert trace.n_samples == 2
         assert trace.yaw[0] == 1.0  # first row kept
 
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, column, value):
+        row = [0.1, 2.0, 0.0, 0.0]
+        row[column] = value
+        path = tmp_path / "nf.csv"
+        write_trace(path, [(0.0, 1.0, 0.0, 0.0), row, (0.2, 3.0, 0.0, 0.0)])
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            load_hm(path)
+
     def test_non_monotone_time(self, tmp_path):
         path = tmp_path / "nm.csv"
         write_trace(path, [(0.0, 0, 0, 0), (0.2, 0, 0, 0), (0.1, 0, 0, 0)])

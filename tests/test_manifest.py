@@ -278,6 +278,12 @@ class TestScoresCSV:
         with pytest.raises(DataError, match="bad header"):
             load_scores_csv(path)
 
+    def test_header_only_is_data_error(self, tmp_path):
+        path = tmp_path / "none.csv"
+        path.write_text("subject_id,sequence_id,session_id,score,ssq_flag\n")
+        with pytest.raises(DataError, match="no rating records"):
+            load_scores_csv(path)
+
     def test_out_of_range_score(self, tmp_path):
         path = tmp_path / "oor.csv"
         path.write_text(

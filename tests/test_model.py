@@ -366,7 +366,7 @@ class TestTraining:
     def test_zero_steps_keeps_initialization(self, tmp_path):
         cfg = tiny_model_config(train_steps=0)
         m = AVQAModel(cfg)
-        init = m.store.state_dict()
+        init = {k: v.copy() for k, v in m.store.params.items()}
         feats, targets = self.make_dataset()
         train_model(m, feats, targets)
         for name, value in init.items():

@@ -217,3 +217,18 @@ class TestComputeMOS:
         for m in mos:
             assert loaded[m.sequence_id].mos == pytest.approx(m.mos, abs=1e-6)
             assert loaded[m.sequence_id].n_valid == m.n_valid
+
+    @pytest.mark.parametrize("column, value", [
+        (1, "nan"), (1, "inf"), (1, "-0.5"), (1, "100.5"),
+        (2, "nan"), (2, "inf"), (2, "-1.0"),
+        (3, "0"), (3, "-4"),
+        (4, "nan"), (4, "-inf"), (4, "-0.1"),
+    ])
+    def test_out_of_range_value_is_data_error(self, tmp_path, column, value):
+        row = ["b", "50.000000", "3.000000", "19", "1.348973"]
+        row[column] = value
+        path = tmp_path / "mos.csv"
+        path.write_text("sequence_id,mos,std,n_valid,ci95_half_width\n"
+                        "a,50.000000,3.000000,19,1.348973\n" + ",".join(row) + "\n")
+        with pytest.raises(DataError, match="line 3"):
+            read_mos_csv(path)
