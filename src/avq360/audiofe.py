@@ -1,10 +1,12 @@
 """Audio DSP front-end: STFT magnitudes, mel filterbank, log-mel patches.
 
-Defaults follow the common audio-embedding convention: 25 ms windows with
-10 ms hops at 16 kHz, 64 HTK-scale mel bins spanning 125-7500 Hz, natural
-log with a 0.01 offset, and 96-frame patches. Energies are quadratic in
-magnitude (power), so doubling the input amplitude quadruples mel
-energies before the log. No DCT is applied; the front-end stops at the
+The front end follows the common audio-embedding convention, and its
+values are fixed constants, not parameters: 25 ms windows with 10 ms hops
+at 16 kHz, HTK-scale mel bins spanning 125-7500 Hz, and a natural log with
+a 0.01 offset. The mel bin count (64) and the patch length (96 frames)
+are the defaults of ModelConfig's num_mel and patch_frames. Energies are
+quadratic in magnitude (power), so doubling the input amplitude
+quadruples mel energies before the log. No DCT is applied; the front-end stops at the
 log-mel representation the downstream CNN consumes.
 
 Clips arrive as float64 C-order ``(channels, n)`` rows (see
@@ -29,13 +31,13 @@ from .errors import DataError, ValidationError
 from .manifest import AudioClip
 from .nn import read_tensor_record, write_tensor_record
 
-DEFAULT_SAMPLE_RATE = 16000
-DEFAULT_FRAME_LEN_S = 0.025
-DEFAULT_HOP_S = 0.010
+SAMPLE_RATE = 16000
+FRAME_LEN_S = 0.025
+HOP_S = 0.010
+FMIN_HZ = 125.0
+FMAX_HZ = 7500.0
+LOG_OFFSET = 0.01
 DEFAULT_NUM_MEL = 64
-DEFAULT_FMIN_HZ = 125.0
-DEFAULT_FMAX_HZ = 7500.0
-DEFAULT_LOG_OFFSET = 0.01
 PATCH_FRAMES = 96
 
 
@@ -55,26 +57,20 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def stft_magnitude(
-    clip: AudioClip,
-    frame_len_s: float = DEFAULT_FRAME_LEN_S,
-    hop_s: float = DEFAULT_HOP_S,
-) -> np.ndarray:
+def stft_magnitude(clip: AudioClip) -> np.ndarray:
     """Magnitude STFT of a mono clip.
 
-    Frames are strided views of the signal, windowed with a periodic Hann
-    of length round(frame_len_s*sr); the FFT size is the next power of two at or
-    above the window. Output shape is (n_frames, nfft//2 + 1) with
+    Frames are strided views of the signal, hop round(HOP_S*sr), windowed
+    with a periodic Hann of length round(FRAME_LEN_S*sr); the FFT size is
+    the next power of two at or above the window. Output shape is (n_frames, nfft//2 + 1) with
     n_frames = 1 + floor((len-win)/hop); a clip shorter than one window
     yields zero frames (with a warning), not an error.
     """
     if clip.channels != 1:
         raise ValidationError(f"stft needs a mono clip, got {clip.channels} channels")
-    if not 0 < hop_s <= frame_len_s:
-        raise ValidationError("need frame_len_s >= hop_s > 0")
     x = clip.samples[0]
-    win = int(round(frame_len_s * clip.sample_rate))
-    hop = int(round(hop_s * clip.sample_rate))
+    win = int(round(FRAME_LEN_S * clip.sample_rate))
+    hop = int(round(HOP_S * clip.sample_rate))
     if win < 2 or hop < 1:
         raise ValidationError("window/hop too small for this sample rate")
     nfft = next_pow2(win)
@@ -91,27 +87,18 @@ def stft_magnitude(
     return np.abs(np.fft.rfft(frames, n=nfft, axis=1))
 
 
-def mel_filterbank(
-    num_mel: int = DEFAULT_NUM_MEL,
-    fmin_hz: float = DEFAULT_FMIN_HZ,
-    fmax_hz: float = DEFAULT_FMAX_HZ,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-    fft_bins: int = 257,
-) -> np.ndarray:
-    """Triangular mel filterbank, shape (num_mel, fft_bins).
+def mel_filterbank(num_mel: int = DEFAULT_NUM_MEL, fft_bins: int = 257) -> np.ndarray:
+    """Triangular mel filterbank over the bins of a SAMPLE_RATE spectrum,
+    shape (num_mel, fft_bins).
 
-    Band edges are spaced uniformly on the HTK mel scale between fmin and
-    fmax; each triangle peaks at 1.0 at its center and reaches zero at
-    the centers of its neighbours, so adjacent filters cross at half
-    height and every filter's support stays inside [fmin, fmax].
+    Band edges are spaced uniformly on the HTK mel scale between FMIN_HZ
+    and FMAX_HZ; each triangle peaks at 1.0 at its center and reaches zero
+    at the centers of its neighbours, so adjacent filters cross at half
+    height and every filter's support stays inside [FMIN_HZ, FMAX_HZ].
     """
-    if not 0 <= fmin_hz < fmax_hz <= sample_rate / 2:
-        raise ValidationError(
-            f"need 0 <= fmin < fmax <= sr/2, got fmin={fmin_hz}, fmax={fmax_hz}, sr={sample_rate}"
-        )
     nfft = 2 * (fft_bins - 1)
-    bin_hz = np.arange(fft_bins) * sample_rate / nfft
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), num_mel + 2))
+    bin_hz = np.arange(fft_bins) * SAMPLE_RATE / nfft
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), num_mel + 2))
     fb = np.zeros((num_mel, fft_bins))
     for m in range(num_mel):
         lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
@@ -121,19 +108,15 @@ def mel_filterbank(
     return fb
 
 
-def log_mel(
-    stft_mag: np.ndarray,
-    filterbank: np.ndarray,
-    log_offset: float = DEFAULT_LOG_OFFSET,
-) -> np.ndarray:
-    """log(power mel energy + log_offset), natural log; shape (frames, num_mel)."""
+def log_mel(stft_mag: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
+    """log(power mel energy + LOG_OFFSET), natural log; shape (frames, num_mel)."""
     mag = np.asarray(stft_mag, dtype=np.float64)
     fb = np.asarray(filterbank, dtype=np.float64)
     if mag.ndim != 2 or fb.ndim != 2 or mag.shape[1] != fb.shape[1]:
         raise ValidationError(
             f"shape mismatch: stft {mag.shape} vs filterbank {fb.shape}"
         )
-    return np.log((mag * mag) @ fb.T + log_offset)
+    return np.log((mag * mag) @ fb.T + LOG_OFFSET)
 
 
 def frame_patches(mel: np.ndarray, patch_frames: int = PATCH_FRAMES) -> np.ndarray:

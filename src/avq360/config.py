@@ -106,7 +106,9 @@ def _run_config(raw: dict[str, str], base_dir: Path) -> RunConfig:
     model_kwargs: dict = {}
     for key, value in raw.items():
         if key in _REQUIRED_PATHS or key in _DEFAULT_PATHS:
-            paths[key] = (base_dir / value).resolve() if value else None
+            # resolve() rejects a NUL byte with ValueError
+            paths[key] = (_parse_value(key, value, lambda v: (base_dir / v).resolve())
+                          if value else None)
         elif key in run_parsers:
             run_kwargs[key] = _parse_value(key, value, run_parsers[key])
         elif key in model_parsers:

@@ -2,9 +2,9 @@
 
 An ERP frame maps latitude linearly onto pixel rows, so the sphere's
 solid-angle density per row is proportional to cos(latitude). Frames are
-partitioned into horizontal bands; per-band features are aggregated with
-weights softmax(learned_logits + log(cos_prior)) so the physical prior
-acts as a bias while gradients flow into the logits.
+partitioned into horizontal bands; the model aggregates per-band features
+with weights softmax(learned_logits + log(cos_prior)) so the physical
+prior acts as a bias while gradients flow into the logits.
 """
 
 from __future__ import annotations
@@ -66,43 +66,3 @@ def cos_latitude_prior(partition: LatitudeBandPartition) -> np.ndarray:
     for m, (a, b) in enumerate(partition.band_row_ranges):
         w[m] = np.cos(row_latitude(np.arange(a, b), partition.height)).sum()
     return w / w.sum()
-
-
-@dataclass
-class LatitudeWeights:
-    """Prior, learnable logits, and the resulting effective weights."""
-
-    prior_weights: np.ndarray
-    learned_logits: np.ndarray
-    effective_weights: np.ndarray
-
-    @classmethod
-    def from_logits(cls, prior_weights, learned_logits) -> "LatitudeWeights":
-        prior = np.asarray(prior_weights, dtype=np.float64)
-        logits = np.asarray(learned_logits, dtype=np.float64)
-        if prior.shape != logits.shape:
-            raise ValidationError("prior and logits must have the same length")
-        if np.any(prior <= 0):
-            raise ValidationError("prior weights must be strictly positive")
-        z = logits + np.log(prior)
-        z = z - z.max()
-        e = np.exp(z)
-        return cls(prior, logits, e / e.sum())
-
-
-def aggregate_band_features(features, weights: LatitudeWeights) -> np.ndarray:
-    """Convex combination of per-band feature tensors.
-
-    ``features`` is a length-M sequence of equally shaped arrays; the
-    output is sum_m effective_weights[m] * features[m].
-    """
-    if len(features) != len(weights.effective_weights):
-        raise ValidationError(
-            f"{len(features)} feature tensors vs {len(weights.effective_weights)} weights"
-        )
-    shapes = {np.shape(f) for f in features}
-    if len(shapes) != 1:
-        raise ValidationError(f"band feature shapes differ: {sorted(shapes)}")
-    stacked = np.stack([np.asarray(f, dtype=np.float64) for f in features])
-    w = weights.effective_weights.reshape((-1,) + (1,) * (stacked.ndim - 1))
-    return (w * stacked).sum(axis=0)

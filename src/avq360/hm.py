@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DataError, ValidationError
 from .manifest import read_csv_table, write_csv_table
 
-NOMINAL_RATE_HZ = 120.0
 YAW_HIST_BINS = 36  # 10 degrees per bin
 
 
@@ -26,7 +25,6 @@ class HeadMovementTrace:
     yaw: np.ndarray    # degrees in [-180, 180]
     pitch: np.ndarray  # degrees in [-90, 90]
     roll: np.ndarray   # degrees in [-180, 180]
-    nominal_rate: float = NOMINAL_RATE_HZ
 
     @property
     def n_samples(self) -> int:
@@ -56,8 +54,9 @@ def load_hm(path) -> HeadMovementTrace:
     """Read a `t,yaw,pitch,roll` CSV trace.
 
     Every value must be a finite number. Duplicate timestamps are
-    collapsed keeping the first row; time must be strictly increasing
-    afterwards and angles must be within their nominal ranges.
+    collapsed keeping the first row; at least 2 samples must remain, time
+    must be strictly increasing afterwards and angles must be within their
+    nominal ranges.
     """
     rows = []
     for lineno, row in read_csv_table(path, _HM_HEADER):
@@ -75,6 +74,9 @@ def load_hm(path) -> HeadMovementTrace:
     keep = np.concatenate([[True], np.diff(t) != 0.0])  # drop duplicate timestamps
     arr = arr[keep]
     t, yaw, pitch, roll = arr.T
+    if len(t) < 2:
+        raise DataError(f"{path}: {len(t)} sample(s) after collapsing duplicate "
+                        "timestamps, need at least 2")
     if np.any(np.diff(t) <= 0):
         raise DataError(f"{path}: timestamps not strictly increasing")
     for name, values in (("yaw", yaw), ("pitch", pitch), ("roll", roll)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -71,11 +72,11 @@ class SequenceManifestEntry:
             )
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"{ctx}: non-positive dimensions")
-        if self.fps <= 0:
-            raise ValidationError(f"{ctx}: fps must be > 0, got {self.fps}")
-        if self.duration_s <= 0:
+        if not 0 < self.fps < math.inf:
+            raise ValidationError(f"{ctx}: fps must be finite and > 0, got {self.fps}")
+        if not 0 < self.duration_s < math.inf:
             raise ValidationError(
-                f"{ctx}: duration_s must be > 0, got {self.duration_s}"
+                f"{ctx}: duration_s must be finite and > 0, got {self.duration_s}"
             )
         if self.scene not in SCENES:
             raise ValidationError(f"{ctx}: unknown scene {self.scene!r}")
@@ -153,7 +154,7 @@ def load_manifest(path) -> list[SequenceManifestEntry]:
                 motion=str(obj["motion"]),
                 split=str(obj.get("split", "unassigned")),
             )
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise DataError(f"{path}: entry {i}: {e}") from e
         try:
             entry.validate()
@@ -444,11 +445,23 @@ def read_csv_table(path, header):
 
 def write_csv_table(path, header, rows) -> None:
     """Write ``header``, then each row of the iterable ``rows`` as it is
-    produced, as UTF-8 CSV with CRLF line ends."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+    produced, as UTF-8 CSV with CRLF line ends.
+
+    The table is written to ``<path>.tmp`` and renamed over ``path`` only
+    once every row is written, so a failure while producing the rows
+    leaves neither a partial table nor the temporary file behind, and an
+    earlier table at ``path`` as it was.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            writer.writerows(rows)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

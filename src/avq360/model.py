@@ -164,16 +164,12 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
 def audio_input(clip: AudioClip, cfg: ModelConfig) -> np.ndarray:
     """Log-mel patch stack (P, patch_frames, num_mel) from any ingested clip."""
     mono = downmix_mono(clip)
-    if mono.sample_rate != audiofe.DEFAULT_SAMPLE_RATE:
-        mono = audiofe.resample_linear(mono, audiofe.DEFAULT_SAMPLE_RATE)
+    if mono.sample_rate != audiofe.SAMPLE_RATE:
+        mono = audiofe.resample_linear(mono, audiofe.SAMPLE_RATE)
     mag = audiofe.stft_magnitude(mono)
     if mag.shape[0] == 0:
         raise DataError("audio too short to produce a single analysis frame")
-    fb = audiofe.mel_filterbank(
-        num_mel=cfg.num_mel,
-        sample_rate=audiofe.DEFAULT_SAMPLE_RATE,
-        fft_bins=mag.shape[1],
-    )
+    fb = audiofe.mel_filterbank(num_mel=cfg.num_mel, fft_bins=mag.shape[1])
     return audiofe.frame_patches(audiofe.log_mel(mag, fb), patch_frames=cfg.patch_frames)
 
 
@@ -455,7 +451,7 @@ class AVQAModel:
         meta = {k: v for k, v in tensors.items() if k.startswith("meta/")}
         params = {k: v.astype(np.float64)
                   for k, v in tensors.items() if not k.startswith("meta/")}
-        cfg = _config_from_meta(meta, path)
+        cfg = _config_from_meta(meta, sum(v.size for v in params.values()), path)
         model = cls(cfg)
         try:
             model.store.load_state(params)
@@ -518,7 +514,28 @@ def _read_meta(meta: dict, name: str, default, path):
     return value
 
 
-def _config_from_meta(meta: dict, path) -> ModelConfig:
+def _param_count(cfg: ModelConfig) -> int:
+    """The number of parameter floats of AVQAModel(cfg), counted without
+    building the model."""
+    d, hidden = cfg.d_model, cfg.ff_mult * cfg.d_model
+
+    def conv_stack(channels):  # 3x3 convs with biases, then the projection
+        cins = (1,) + tuple(channels[:-1])
+        return sum(o * (9 * i + 1) for i, o in zip(cins, channels)) + (channels[-1] + 1) * d
+
+    ln, mha = 2 * d, 4 * d * (d + 1)
+    block = 2 * ln + mha + (d + 1) * hidden + (hidden + 1) * d
+    n = cfg.bands * (conv_stack(cfg.band_channels) + 1) + block
+    n += conv_stack(cfg.audio_channels) + ln
+    if cfg.fusion_mode == "transformer":
+        n += cfg.fusion_blocks * block + cfg.fusion_blocks // 2 * (ln + mha) + ln
+    return n + (2 * d if cfg.fusion_mode == "cat" else d) + 1
+
+
+def _config_from_meta(meta: dict, n_params: int, path) -> ModelConfig:
+    """The ModelConfig a checkpoint's ``meta/`` tensors record. It must
+    describe a model of exactly ``n_params`` parameter floats, the number
+    the checkpoint holds; that is checked before anything is sized by it."""
     cfg = ModelConfig(**{
         f.name: _read_meta(meta, f.name, f.default, path)
         for f in _stored_fields(ModelConfig)
@@ -527,6 +544,12 @@ def _config_from_meta(meta: dict, path) -> ModelConfig:
         cfg.validate()
     except ValidationError as e:
         raise DataError(f"{path}: invalid architecture metadata: {e}") from e
+    n_cfg = _param_count(cfg)
+    if n_cfg != n_params:
+        raise DataError(
+            f"{path}: checkpoint/config mismatch: the recorded architecture has "
+            f"{n_cfg} parameters, the checkpoint holds {n_params}"
+        )
     recorded = _read_meta(meta, "cross_attention_blocks", (), path)
     expected = _cross_attention_schedule(cfg)
     if recorded != expected:

@@ -8,8 +8,13 @@ explicitly so it can be verified op-by-op against central finite
 differences, which the test suite does at float64.
 
 Conventions: tensors are plain float64 numpy arrays; conv inputs are
-(N, C, H, W); token matrices are (T, d). A module-level finite-check mode
-(on by default) raises NumericError whenever an op produces NaN/Inf.
+(N, C, H, W); token matrices are (T, d). Finite checks are always on,
+with no switch: the conv, max-pool, linear, layer-norm, softmax and
+attention forwards, the conv and attention backwards and Adam (on each
+gradient) raise NumericError when their output holds NaN/Inf. The layer
+settings are fixed constants: 3x3 convs with stride 1 and zero pad 1,
+layer-norm epsilon LN_EPS, softmax over the last axis, and Adam with
+ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Conv is im2col in NCHW order (Chellapilla, Puri & Simard, 2006): the
 column tensor is (N, C*kh*kw, Ho*Wo), so one batched matmul with the
@@ -38,20 +43,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError, ValidationError
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf assertions after each op; returns previous setting."""
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return prev
+LN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _check_finite(name: str, *arrays) -> None:
-    if not _FINITE_CHECKS:
-        return
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericError(f"{name}: non-finite values detected")
@@ -194,12 +192,12 @@ def relu_backward(gy, cache):
     return gy * cache
 
 
-def layer_norm_forward(x, gamma, beta, eps: float = 1e-5):
-    """Normalize over the last dimension, then affine."""
+def layer_norm_forward(x, gamma, beta):
+    """Normalize over the last dimension (epsilon LN_EPS), then affine."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     y = xhat * gamma + beta
     _check_finite("layer_norm", y)
@@ -220,16 +218,17 @@ def layer_norm_backward(gy, cache):
     return gx, ggamma, gbeta
 
 
-def softmax(x, axis: int = -1):
-    """Shift-invariant softmax (row max subtracted before exp)."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(x):
+    """Shift-invariant softmax over the last axis (row max subtracted
+    before exp)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     _check_finite("softmax", y)
     return y
 
 
-def softmax_backward(gy, y, axis: int = -1):
-    return y * (gy - (gy * y).sum(axis=axis, keepdims=True))
+def softmax_backward(gy, y):
+    return y * (gy - (gy * y).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x):
@@ -277,7 +276,7 @@ def mha_forward(q_in, kv_in, params: dict, heads: int):
     vh = v.reshape(tk, heads, hd).transpose(1, 0, 2)
     scale = 1.0 / np.sqrt(hd)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    attn = softmax(scores, axis=-1)
+    attn = softmax(scores)
     oh = attn @ vh
     o = oh.transpose(1, 0, 2).reshape(tq, d)
     y = o @ params["wo"] + params["bo"]
@@ -370,9 +369,6 @@ class ParamStore:
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -389,19 +385,19 @@ def adam_init(store: ParamStore, lr: float = 1e-3) -> AdamState:
 def adam_step(store: ParamStore, state: AdamState) -> None:
     """Standard bias-corrected Adam update, in place, fixed name order."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name in store.param_names():
         if name not in store.grads:
             raise NumericError(f"missing gradient for parameter {name!r}")
         g = store.grads[name]
         _check_finite(f"adam_step[{name}]", g)
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        store.params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        store.params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def write_tensor_record(f, array) -> None:
@@ -412,11 +408,17 @@ def write_tensor_record(f, array) -> None:
     f.write(arr.tobytes())
 
 
+# numpy's limit on the number of array dimensions
+_MAX_RANK = 64
+
+
 def read_tensor_record(data: bytes, pos: int, path) -> tuple[np.ndarray, int]:
     """The record write_tensor_record left at data[pos:], and the offset
-    just past it."""
+    just past it. A rank above _MAX_RANK is rejected before any dim is read."""
     raw, pos = _take(data, pos, 4, path)
     (rank,) = struct.unpack("<I", raw)
+    if rank > _MAX_RANK:
+        raise DataError(f"{path}: tensor rank {rank} at offset {pos - 4} exceeds {_MAX_RANK}")
     raw, pos = _take(data, pos, 4 * rank, path)
     dims = struct.unpack(f"<{rank}I", raw)
     raw, pos = _take(data, pos, 4 * math.prod(dims), path)
@@ -551,16 +553,15 @@ def gradient_rel_err(analytic, numeric, zero_tol: float = 1e-7) -> float:
 # ---------------------------------------------------------------------------
 
 class Conv2d:
-    def __init__(self, store, name, in_channels, out_channels, rng,
-                 ksize: int = 3, stride: int = 1, pad: int = 1):
-        self.stride, self.pad = stride, pad
+    """3x3 conv, stride 1, zero pad 1: the output keeps the input's H x W."""
+
+    def __init__(self, store, name, in_channels, out_channels, rng):
         self._store, self._name = store, name
-        fan_in = in_channels * ksize * ksize
-        self.w = store.register(f"{name}.w", kaiming_uniform(rng, (out_channels, in_channels, ksize, ksize), fan_in))
+        self.w = store.register(f"{name}.w", kaiming_uniform(rng, (out_channels, in_channels, 3, 3), in_channels * 9))
         self.b = store.register(f"{name}.b", np.zeros(out_channels))
 
     def forward(self, x):
-        return conv2d_forward(x, self.w, self.b, self.stride, self.pad)
+        return conv2d_forward(x, self.w, self.b, 1, 1)
 
     def backward(self, gy, cache, need_gx: bool = True):
         """Returns gx, or None when need_gx is False."""
@@ -587,14 +588,13 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, store, name, dim, eps: float = 1e-5):
+    def __init__(self, store, name, dim):
         self._store, self._name = store, name
-        self.eps = eps
         self.gamma = store.register(f"{name}.gamma", np.ones(dim))
         self.beta = store.register(f"{name}.beta", np.zeros(dim))
 
     def forward(self, x):
-        return layer_norm_forward(x, self.gamma, self.beta, self.eps)
+        return layer_norm_forward(x, self.gamma, self.beta)
 
     def backward(self, gy, cache):
         gx, ggamma, gbeta = layer_norm_backward(gy, cache)

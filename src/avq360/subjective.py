@@ -4,8 +4,8 @@ The screening step implements the classic kurtosis-gated outlier count:
 per sequence, scores beyond mean +/- k*std are tallied (k = 2 for
 normal-ish distributions, sqrt(20) otherwise), and a subject is rejected
 when their outlier fraction exceeds 5% while being balanced between the
-high and low sides. A single pass is applied; re-screening is left to
-the caller.
+high and low sides. The rule's thresholds are fixed constants, not
+parameters. A single pass is applied; re-screening is left to the caller.
 """
 
 from __future__ import annotations
@@ -24,17 +24,13 @@ from .manifest import (SCORE_MAX, SCORE_MIN, RatingRecord, read_csv_table,
 # screening for its MOS to be considered trustworthy.
 MIN_VALID_RATINGS = 15
 
-
-@dataclass(frozen=True)
-class ScreeningParams:
-    """Thresholds of the outlier-count rejection rule."""
-
-    outlier_fraction: float = 0.05   # reject only if (P+Q)/N exceeds this
-    balance_threshold: float = 0.3   # ... and |P-Q|/(P+Q) is below this
-    kurtosis_lo: float = 2.0
-    kurtosis_hi: float = 4.0
-    k_normal: float = 2.0
-    k_nonnormal: float = math.sqrt(20.0)
+# Thresholds of the outlier-count rejection rule.
+OUTLIER_FRACTION = 0.05   # reject only if (P+Q)/N exceeds this
+BALANCE_THRESHOLD = 0.3   # ... and |P-Q|/(P+Q) is below this
+KURTOSIS_LO = 2.0         # k = K_NORMAL for kurtosis in [KURTOSIS_LO, KURTOSIS_HI]
+KURTOSIS_HI = 4.0
+K_NORMAL = 2.0
+K_NONNORMAL = math.sqrt(20.0)
 
 
 @dataclass
@@ -44,13 +40,11 @@ class SequenceScoreStats:
     mean: float
     std: float        # sample std (n-1 denominator)
     kurtosis: float   # m4/m2^2 on population moments (normal ~ 3); 0 if std == 0
-    n: int
 
 
 @dataclass
 class SubjectScreeningResult:
     subject_id: str
-    kurtosis_per_sequence: dict[str, float]
     p_count: int
     q_count: int
     rejected: bool
@@ -94,24 +88,19 @@ def sequence_score_stats(records: list[RatingRecord]) -> dict[str, SequenceScore
         d = x - mean
         m2 = float((d * d).mean())
         kurt = float((d ** 4).mean() / (m2 * m2)) if m2 > 0 else 0.0
-        stats[seq] = SequenceScoreStats(mean=mean, std=std, kurtosis=kurt, n=len(x))
+        stats[seq] = SequenceScoreStats(mean=mean, std=std, kurtosis=kurt)
     return stats
 
 
-def rejection_rule(p: int, q: int, n: int, params: ScreeningParams | None = None) -> bool:
-    """Reject iff (P+Q)/N > outlier_fraction and |P-Q|/(P+Q) < balance_threshold."""
-    params = params or ScreeningParams()
+def rejection_rule(p: int, q: int, n: int) -> bool:
+    """Reject iff (P+Q)/N > OUTLIER_FRACTION and |P-Q|/(P+Q) < BALANCE_THRESHOLD."""
     if p + q == 0:
         return False
-    return (
-        (p + q) / n > params.outlier_fraction
-        and abs(p - q) / (p + q) < params.balance_threshold
-    )
+    return (p + q) / n > OUTLIER_FRACTION and abs(p - q) / (p + q) < BALANCE_THRESHOLD
 
 
 def screen_subjects(
     records: list[RatingRecord],
-    params: ScreeningParams | None = None,
 ) -> tuple[list[SubjectScreeningResult], list[RatingRecord]]:
     """Single-pass subject screening over a rating table.
 
@@ -119,12 +108,11 @@ def screen_subjects(
     and toward Q when below mean_j - k_j*std_j, where k_j depends on the
     sequence kurtosis. Subject i is rejected iff
 
-        (P+Q)/N > outlier_fraction  and  |P-Q|/(P+Q) < balance_threshold
+        (P+Q)/N > OUTLIER_FRACTION  and  |P-Q|/(P+Q) < BALANCE_THRESHOLD
 
     with N the number of scores subject i gave. Returns the per-subject
     results plus the table with rejected subjects' records removed.
     """
-    params = params or ScreeningParams()
     subjects = list(dict.fromkeys(r.subject_id for r in records))
     sequences = {r.sequence_id for r in records}
     if len(subjects) < 2 or len(sequences) < 2:
@@ -133,15 +121,10 @@ def screen_subjects(
             f"{len(subjects)} subject(s) / {len(sequences)} sequence(s)"
         )
     stats = sequence_score_stats(records)
-    kurtosis_map = {seq: s.kurtosis for seq, s in stats.items()}
 
     thresholds = {}
     for seq, s in stats.items():
-        k = (
-            params.k_normal
-            if params.kurtosis_lo <= s.kurtosis <= params.kurtosis_hi
-            else params.k_nonnormal
-        )
+        k = K_NORMAL if KURTOSIS_LO <= s.kurtosis <= KURTOSIS_HI else K_NONNORMAL
         thresholds[seq] = (s.mean + k * s.std, s.mean - k * s.std)
 
     counts = {sid: [0, 0, 0] for sid in subjects}  # P, Q, N
@@ -158,13 +141,12 @@ def screen_subjects(
     rejected_ids = set()
     for sid in subjects:
         p, q, n = counts[sid]
-        rejected = rejection_rule(p, q, n, params)
+        rejected = rejection_rule(p, q, n)
         if rejected:
             rejected_ids.add(sid)
         results.append(
             SubjectScreeningResult(
                 subject_id=sid,
-                kurtosis_per_sequence=kurtosis_map,
                 p_count=p,
                 q_count=q,
                 rejected=rejected,

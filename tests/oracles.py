@@ -8,10 +8,12 @@ blocks so that tests can pin those blocks' behaviour.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from avq360 import audiofe
+from avq360.errors import ValidationError
 from avq360.model import _overlap_matrix
 
 
@@ -219,13 +221,58 @@ def area_resize(img, out_h, out_w):
 
 def filter_center_frequencies(
     num_mel=audiofe.DEFAULT_NUM_MEL,
-    fmin_hz=audiofe.DEFAULT_FMIN_HZ,
-    fmax_hz=audiofe.DEFAULT_FMAX_HZ,
+    fmin_hz=audiofe.FMIN_HZ,
+    fmax_hz=audiofe.FMAX_HZ,
 ):
     """Center frequency (Hz) of each filter of ``audiofe.mel_filterbank``:
     the interior points of num_mel + 2 edges spaced evenly in HTK mel."""
     edges = np.linspace(audiofe.hz_to_mel(fmin_hz), audiofe.hz_to_mel(fmax_hz), num_mel + 2)
     return audiofe.mel_to_hz(edges)[1:-1]
+
+
+# -- reference latitude weighting --------------------------------------------
+# The band weighting that ``model.AVQAModel._video_tokens`` does inline,
+# written as a separate weights object and a convex combination.
+
+
+@dataclass
+class LatitudeWeights:
+    """Prior, learnable logits, and the resulting effective weights."""
+
+    prior_weights: np.ndarray
+    learned_logits: np.ndarray
+    effective_weights: np.ndarray
+
+    @classmethod
+    def from_logits(cls, prior_weights, learned_logits) -> "LatitudeWeights":
+        prior = np.asarray(prior_weights, dtype=np.float64)
+        logits = np.asarray(learned_logits, dtype=np.float64)
+        if prior.shape != logits.shape:
+            raise ValidationError("prior and logits must have the same length")
+        if np.any(prior <= 0):
+            raise ValidationError("prior weights must be strictly positive")
+        z = logits + np.log(prior)
+        z = z - z.max()
+        e = np.exp(z)
+        return cls(prior, logits, e / e.sum())
+
+
+def aggregate_band_features(features, weights: LatitudeWeights) -> np.ndarray:
+    """Convex combination of per-band feature tensors.
+
+    ``features`` is a length-M sequence of equally shaped arrays; the
+    output is sum_m effective_weights[m] * features[m].
+    """
+    if len(features) != len(weights.effective_weights):
+        raise ValidationError(
+            f"{len(features)} feature tensors vs {len(weights.effective_weights)} weights"
+        )
+    shapes = {np.shape(f) for f in features}
+    if len(shapes) != 1:
+        raise ValidationError(f"band feature shapes differ: {sorted(shapes)}")
+    stacked = np.stack([np.asarray(f, dtype=np.float64) for f in features])
+    w = weights.effective_weights.reshape((-1,) + (1,) * (stacked.ndim - 1))
+    return (w * stacked).sum(axis=0)
 
 
 # -- reference formulations of the audio ingest path -------------------------
@@ -244,9 +291,9 @@ def interp_resample(samples, sample_rate, target_rate):
     return np.stack([np.interp(t_out, t_in, ch) for ch in samples])
 
 
-def gathered_stft_magnitude(x, sample_rate=audiofe.DEFAULT_SAMPLE_RATE,
-                            frame_len_s=audiofe.DEFAULT_FRAME_LEN_S,
-                            hop_s=audiofe.DEFAULT_HOP_S):
+def gathered_stft_magnitude(x, sample_rate=audiofe.SAMPLE_RATE,
+                            frame_len_s=audiofe.FRAME_LEN_S,
+                            hop_s=audiofe.HOP_S):
     """|rfft| of periodic-Hann frames of the 1-D signal x, gathered by an
     (n_frames, win) index array and zero-padded to the next power of two."""
     win = int(round(frame_len_s * sample_rate))
@@ -267,8 +314,8 @@ def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):
     samples = pcm.T.astype(np.float64)
     samples /= 32768.0
     mono = samples.mean(axis=0, keepdims=True)
-    if sample_rate != audiofe.DEFAULT_SAMPLE_RATE:
-        mono = interp_resample(mono, sample_rate, audiofe.DEFAULT_SAMPLE_RATE)
+    if sample_rate != audiofe.SAMPLE_RATE:
+        mono = interp_resample(mono, sample_rate, audiofe.SAMPLE_RATE)
     mag = gathered_stft_magnitude(mono[0])
     fb = audiofe.mel_filterbank(num_mel=num_mel, fft_bins=mag.shape[1])
     mel = audiofe.log_mel(mag, fb)

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ class TestSiti:
             assert float(r["si_mean"]) == 0.0
             assert float(r["ti_max"]) == 0.0
 
+    def test_failed_run_leaves_no_partial_table(self, tmp_path, corpus_dir, capsys):
+        media = tmp_path / "media"
+        shutil.copytree(corpus_dir / "media", media)
+        args = ["siti", "--config", corpus_dir / "config.txt",
+                "--set", f"media_root={media}", "--set", f"output_dir={tmp_path / 'out'}"]
+        (media / "seq05.y4m").rename(tmp_path / "seq05.y4m")
+        assert run(args) == 3
+        assert "missing media seq05.y4m" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+        # an earlier table survives a failed run byte for byte
+        (tmp_path / "seq05.y4m").rename(media / "seq05.y4m")
+        assert run(args) == 0
+        table = (tmp_path / "out" / "siti.csv").read_bytes()
+        (media / "seq05.y4m").unlink()
+        assert run(args) == 3
+        assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "siti.csv"]
+        assert (tmp_path / "out" / "siti.csv").read_bytes() == table
+
     def test_matches_library_summaries(self, corpus_dir):
         assert run(["siti", "--config", corpus_dir / "config.txt",
                     "--set", "output_dir=out_siti"]) == 0
@@ -156,6 +175,17 @@ class TestHmStats:
                     "--set", f"hm_root={hm}", "--set", f"output_dir={tmp_path / 'out'}"]) == 3
         assert "seq02.csv: line 10: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "out" / "hm_stats.csv").exists()
+
+
+    def test_single_sample_trace_is_data_error(self, tmp_path, corpus_dir, capsys):
+        hm = tmp_path / "hm"
+        shutil.copytree(corpus_dir / "hm", hm)
+        lines = (hm / "seq02.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (hm / "seq02.csv").write_text("".join(lines[:2]), encoding="utf-8")
+        assert run(["hm-stats", "--config", corpus_dir / "config.txt",
+                    "--set", f"hm_root={hm}", "--set", f"output_dir={tmp_path / 'out'}"]) == 3
+        assert "seq02.csv: 1 sample(s) after collapsing duplicate timestamps" in (
+            capsys.readouterr().err)
 
 
 class TestSplit:
@@ -354,6 +384,18 @@ class TestPredict:
             args += ["--set", o]
         assert run(args) == 3
         assert "meta/bands" in capsys.readouterr().err
+
+    def test_rank_65_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
+        _, overrides = trained_dir
+        bad = tmp_path / "rank65.avqc"
+        bad.write_bytes(b"AVQC" + struct.pack("<III", 1, 1, 1) + b"a"
+                        + struct.pack("<66I", 65, *[0] * 65))
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--checkpoint", bad]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert "tensor rank 65 at offset 17 exceeds 64" in capsys.readouterr().err
 
     def test_zero_sample_rate_wav_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
         _, overrides = trained_dir

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from avq360.cli import _load_split
 from avq360.errors import Avq360Error, DataError
 from avq360.hm import load_hm
-from avq360.manifest import load_scores_csv
+from avq360.manifest import load_scores_csv, write_csv_table
 from avq360.subjective import read_mos_csv
 
 # reader, header, valid data rows
@@ -94,3 +94,25 @@ def test_mutated_table_loads_or_raises_toolkit_error(tmp_path_factory, name, dat
         reader(path)
     except Avq360Error:
         pass
+
+
+def test_written_table_is_renamed_into_place(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv_table(path, ["a", "b"], iter([[1, "x"], [2.5, "y,z"]]))
+    assert path.read_bytes() == b'a,b\r\n1,x\r\n2.5,"y,z"\r\n'
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_write_leaves_earlier_table_and_no_temporary_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv_table(path, ["a"], [[1]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2]
+        raise DataError("row source failed")
+
+    with pytest.raises(DataError, match="row source failed"):
+        write_csv_table(path, ["a"], rows())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

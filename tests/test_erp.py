@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avq360.erp import (
-    LatitudeWeights,
-    aggregate_band_features,
-    cos_latitude_prior,
-    partition_erp,
-    row_latitude,
-)
+from avq360.erp import cos_latitude_prior, partition_erp, row_latitude
 from avq360.errors import ValidationError
+
+from oracles import LatitudeWeights, aggregate_band_features
 
 
 class TestPartition:

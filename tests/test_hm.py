@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +44,16 @@ class TestLoad:
             load_hm(path)
         path.write_text("t,yaw,pitch,roll\n")
         with pytest.raises(DataError, match="no samples"):
+            load_hm(path)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 1.0, 0.0, 0.0)],
+        [(0.5, 1.0, 0.0, 0.0), (0.5, 2.0, 0.0, 0.0)],
+    ])
+    def test_fewer_than_two_samples_is_data_error(self, tmp_path, rows):
+        path = tmp_path / "short.csv"
+        write_trace(path, rows)
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: 1 sample(s)")):
             load_hm(path)
 
     def test_duplicate_timestamps_collapsed(self, tmp_path):

@@ -93,6 +93,25 @@ class TestManifest:
         with pytest.raises(DataError, match="unknown fields"):
             load_manifest(path)
 
+    def test_overflowing_number_is_data_error(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        text = json.dumps([make_entry(0).__dict__]).replace('"width": 64', '"width": 1e999')
+        path.write_text(text)
+        with pytest.raises(DataError, match="entry 0"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fps", "NaN"), ("fps", "Infinity"), ("duration_s", "NaN"), ("duration_s", "Infinity"),
+    ])
+    def test_non_finite_rate_or_duration_rejected(self, tmp_path, field, value):
+        path = tmp_path / "nonfinite.json"
+        obj = make_entry(0).__dict__
+        text = json.dumps([obj]).replace(f'"{field}": {obj[field]!r}', f'"{field}": {value}')
+        assert value in text
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"entry 0: .*{field} must be finite and > 0"):
+            load_manifest(path)
+
 
 class TestY4M:
     def test_roundtrip_8_frames(self, tmp_path):

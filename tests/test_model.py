@@ -1,8 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
 from avq360 import nn
-from avq360.erp import LatitudeWeights, aggregate_band_features
 from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
@@ -19,7 +20,8 @@ from avq360.model import (
 )
 
 from conftest import tiny_features, tiny_model_config
-from oracles import area_resize, reference_audio_input
+from oracles import (LatitudeWeights, aggregate_band_features, area_resize,
+                     reference_audio_input)
 
 
 class TestPreprocessing:
@@ -464,6 +466,58 @@ class TestPersistence:
         nn.write_checkpoint(path, tensors)
         with pytest.raises(DataError, match=str(path)):
             AVQAModel.load(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d_model", np.float32(8192)),
+        ("fusion_blocks", np.float32(2 ** 29)),
+        ("band_channels", np.array([2, 2 ** 24], dtype=np.float32)),
+    ])
+    def test_meta_of_a_larger_model_is_refused_before_building(self, tmp_path, monkeypatch,
+                                                              key, value):
+        from avq360.model import _config_to_meta
+
+        m = AVQAModel(tiny_model_config())
+        tensors = dict(m.store.params)
+        tensors.update(_config_to_meta(m.cfg))
+        tensors[f"meta/{key}"] = value
+        path = tmp_path / "model.avqc"
+        nn.write_checkpoint(path, tensors)
+        monkeypatch.setattr(AVQAModel, "__init__", lambda self, cfg: pytest.fail("model built"))
+        with pytest.raises(DataError, match="mismatch: the recorded architecture has"):
+            AVQAModel.load(path)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"fusion_mode": "cat"}, {"fusion_mode": "add"},
+        {"fusion_blocks": 6, "bands": 3, "ff_mult": 3, "band_channels": (2, 3, 4)},
+    ])
+    def test_param_count_matches_built_model(self, overrides):
+        from avq360.model import _param_count
+
+        for cfg in (tiny_model_config(**overrides), ModelConfig(**overrides)):
+            built = sum(p.size for p in AVQAModel(cfg).store.params.values())
+            assert _param_count(cfg) == built
+
+    def test_f32_on_disk_f64_in_memory(self, tmp_path):
+        from avq360.model import _config_to_meta
+
+        m = AVQAModel(tiny_model_config())
+        path = tmp_path / "model.avqc"
+        m.save(path)
+        # the file is the sorted named records of every tensor as <f4
+        tensors = {**m.store.params, **_config_to_meta(m.cfg)}
+        expected = b"AVQC" + struct.pack("<II", 1, len(tensors))
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name], dtype="<f4")
+            expected += struct.pack("<I", len(name)) + name.encode()
+            expected += struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape) + arr.tobytes()
+        assert path.read_bytes() == expected
+        loaded = AVQAModel.load(path)
+        for name, p in loaded.store.params.items():
+            assert p.dtype == np.float64
+            np.testing.assert_array_equal(p, m.store.params[name].astype("<f4"))
+        again = tmp_path / "again.avqc"
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_distinct_fusion_modes_distinct_checkpoints(self, tmp_path):
         blobs = {}
