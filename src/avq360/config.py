@@ -4,15 +4,17 @@ Format: UTF-8 lines of ``key = value``; blank lines and ``#`` comments
 ignored, each key given once. Integer lists are comma-separated.
 Relative paths resolve against the directory containing the config file,
 so a fixture directory is self-contained and relocatable. Every
-``ModelConfig`` field is a key, parsed by the type of its default.
+``ModelConfig`` field is a key. Each value goes through one field parser,
+``manifest.text_parsers``, chosen by the field's annotated type.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError, read_text_utf8
+from .manifest import text_parsers
 from .model import ModelConfig
 
 
@@ -36,38 +38,6 @@ class RunConfig:
                 f"split_ratio must be in (0, 1), got {self.split_ratio}"
             )
         self.model.validate()
-
-
-def _parse_bool(v: str) -> bool:
-    lv = v.strip().lower()
-    if lv in ("true", "1"):
-        return True
-    if lv in ("false", "0"):
-        return False
-    raise ValidationError(f"expected true/false, got {v!r}")
-
-
-def _parse_int_tuple(v: str) -> tuple:
-    try:
-        return tuple(int(x) for x in v.split(","))
-    except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {v!r}") from None
-
-
-def _parsers(cls) -> dict:
-    """Value parser of each field of ``cls`` that has a plain default,
-    chosen by the type of that default."""
-    out = {}
-    for f in fields(cls):
-        if f.default is MISSING:
-            continue
-        if isinstance(f.default, bool):
-            out[f.name] = _parse_bool
-        elif isinstance(f.default, tuple):
-            out[f.name] = _parse_int_tuple
-        else:
-            out[f.name] = type(f.default)
-    return out
 
 
 _REQUIRED_PATHS = ("manifest", "media_root", "scores", "hm_root", "output_dir")
@@ -100,7 +70,7 @@ def _parse_value(key: str, value: str, parser):
 
 
 def _run_config(raw: dict[str, str], base_dir: Path) -> RunConfig:
-    run_parsers, model_parsers = _parsers(RunConfig), _parsers(ModelConfig)
+    run_parsers, model_parsers = text_parsers(RunConfig), text_parsers(ModelConfig)
     paths: dict = {}
     run_kwargs: dict = {}
     model_kwargs: dict = {}

@@ -5,6 +5,9 @@ Everything enters the toolkit through this module: sequence manifests
 subjective scores (CSV). Every CSV table of the toolkit is read by
 ``read_csv_table`` and written by ``write_csv_table``. Ingestion is
 deliberately codec-free so that every byte of every input is deterministic.
+Each record decodes through its dataclass fields: one field parser,
+chosen by the field's annotated type (``text_parsers`` for text, strict
+JSON types for the manifest).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,26 +99,18 @@ class SequenceManifestEntry:
             raise ValidationError(f"{ctx}: unknown split {self.split!r}")
 
 
-_MANIFEST_FIELDS = (
-    "sequence_id",
-    "width",
-    "height",
-    "fps",
-    "duration_s",
-    "scene",
-    "device",
-    "audio_channels",
-    "audio_sample_rate",
-    "motion",
-    "split",
-)
+# The JSON types a manifest field of each annotated type takes (a bool is
+# never a number), and their name in messages.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
 
 
 def load_manifest(path) -> list[SequenceManifestEntry]:
     """Load and validate a manifest (UTF-8 JSON array of sequence objects).
 
     Entries are returned in file order. Raises DataError on malformed
-    JSON or wrong field sets, ValidationError on invariant violations
+    JSON, wrong field sets or a value of another JSON type than its field
+    takes (``_JSON_TYPES``), ValidationError on invariant violations
     (including duplicate sequence ids).
     """
     text = read_text_utf8(path)
@@ -129,33 +125,29 @@ def load_manifest(path) -> list[SequenceManifestEntry]:
     if not raw:
         raise DataError(f"{path}: empty manifest")
 
+    hints = typing.get_type_hints(SequenceManifestEntry)
+    required = [f.name for f in fields(SequenceManifestEntry) if f.default is MISSING]
     entries = []
     seen = set()
     for i, obj in enumerate(raw):
         if not isinstance(obj, dict):
             raise DataError(f"{path}: entry {i} is not an object")
-        missing = [f for f in _MANIFEST_FIELDS if f != "split" and f not in obj]
+        missing = [f for f in required if f not in obj]
         if missing:
             raise DataError(f"{path}: entry {i}: missing fields {missing}")
-        unknown = [k for k in obj if k not in _MANIFEST_FIELDS]
+        unknown = [k for k in obj if k not in hints]
         if unknown:
             raise DataError(f"{path}: entry {i}: unknown fields {unknown}")
-        try:
-            entry = SequenceManifestEntry(
-                sequence_id=str(obj["sequence_id"]),
-                width=int(obj["width"]),
-                height=int(obj["height"]),
-                fps=float(obj["fps"]),
-                duration_s=float(obj["duration_s"]),
-                scene=str(obj["scene"]),
-                device=str(obj["device"]),
-                audio_channels=int(obj["audio_channels"]),
-                audio_sample_rate=int(obj["audio_sample_rate"]),
-                motion=str(obj["motion"]),
-                split=str(obj.get("split", "unassigned")),
-            )
-        except (TypeError, ValueError, OverflowError) as e:
-            raise DataError(f"{path}: entry {i}: {e}") from e
+        for name, value in obj.items():
+            types, expected = _JSON_TYPES[hints[name]]
+            try:
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise TypeError
+                obj[name] = hints[name](value)  # float() of a huge int overflows
+            except (TypeError, OverflowError):
+                raise DataError(f"{path}: entry {i}: bad {name} {json.dumps(value)} "
+                                f"(expected {expected})") from None
+        entry = SequenceManifestEntry(**obj)
         try:
             entry.validate()
         except ValidationError as e:
@@ -464,6 +456,55 @@ def write_csv_table(path, header, rows) -> None:
         raise
 
 
+def _parse_bool(text: str) -> bool:
+    token = text.strip().lower()
+    if token in ("true", "1"):
+        return True
+    if token in ("false", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# A tuple field holds integers, written comma-separated.
+_TEXT_PARSERS = {bool: _parse_bool, tuple: lambda text: tuple(int(x) for x in text.split(",")),
+                 int: int, float: float, str: str}
+
+
+def text_parsers(cls) -> dict:
+    """The text parser of each field of the dataclass ``cls``, chosen by
+    its annotated type (bool, tuple of ints, int, float or str); a field
+    of any other type has none. A parser raises ValueError on bad text."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _TEXT_PARSERS[hints[f.name]] for f in fields(cls)
+            if hints[f.name] in _TEXT_PARSERS}
+
+
+def read_records(path, cls):
+    """Yield ``(line number, record)`` for each row of a CSV table whose
+    header is the field names of ``cls`` (see ``read_csv_table``).
+
+    Each value is parsed by its field's ``text_parsers`` entry; a str field
+    is taken as it is. A value that does not parse is a DataError
+    "<path>: line N: bad <field> '<value>'", and a record that ``cls``
+    rejects with a ValidationError is a DataError "<path>: line N: <why>".
+    """
+    names = [f.name for f in fields(cls)]
+    parsers = text_parsers(cls)
+    convert = [(i, parsers[name]) for i, name in enumerate(names)
+               if parsers.get(name, str) is not str]
+    for lineno, row in read_csv_table(path, names):
+        try:
+            for i, parse in convert:
+                row[i] = parse(row[i])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad {names[i]} {row[i]!r}") from None
+        try:
+            record = cls(*row)
+        except ValidationError as e:
+            raise DataError(f"{path}: line {lineno}: {e}") from e
+        yield lineno, record
+
+
 # ---------------------------------------------------------------------------
 # Subjective scores: CSV
 # ---------------------------------------------------------------------------
@@ -486,35 +527,17 @@ class RatingRecord:
             )
 
 
-_SCORES_HEADER = ["subject_id", "sequence_id", "session_id", "score", "ssq_flag"]
-_BOOL_TOKENS = {"true": True, "1": True, "false": False, "0": False}
-
-
 def load_scores_csv(path) -> list[RatingRecord]:
-    """Read the rating table CSV (see ``read_csv_table``); a table with no
+    """Read the rating table CSV (see ``read_records``); a table with no
     records is a DataError."""
-    records = []
-    for lineno, row in read_csv_table(path, _SCORES_HEADER):
-        flag = _BOOL_TOKENS.get(row[4].strip().lower())
-        if flag is None:
-            raise DataError(f"{path}: line {lineno}: bad ssq_flag {row[4]!r}")
-        try:
-            score = float(row[3])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: bad score {row[3]!r}") from None
-        try:
-            records.append(
-                RatingRecord(row[0], row[1], row[2], score, flag)
-            )
-        except ValidationError as e:
-            raise DataError(f"{path}: line {lineno}: {e}") from e
+    records = [record for _, record in read_records(path, RatingRecord)]
     if not records:
         raise DataError(f"{path}: no rating records")
     return records
 
 
 def write_scores_csv(records, path) -> None:
-    write_csv_table(path, _SCORES_HEADER, (
+    write_csv_table(path, [f.name for f in fields(RatingRecord)], (
         [r.subject_id, r.sequence_id, r.session_id,
          f"{r.score:.4f}", "true" if r.ssq_flag else "false"]
         for r in records

@@ -31,6 +31,11 @@ from .manifest import AudioClip, FrameSequence, downmix_mono, write_csv_table
 
 FUSION_MODES = ("transformer", "cat", "add")
 
+# Largest band side, patch_frames and num_mel a config may give. They size no
+# parameter, so a checkpoint's parameter count does not bound them, and
+# preprocessing allocates by them.
+MAX_INPUT_SIDE = 1024
+
 
 @dataclass
 class ModelConfig:
@@ -67,6 +72,11 @@ class ModelConfig:
         if len(self.band_input_hw) != 2 or min(self.band_input_hw) < 1:
             raise ValidationError(
                 f"band_input_hw must be two sizes >= 1, got {self.band_input_hw}"
+            )
+        if max(*self.band_input_hw, self.patch_frames, self.num_mel) > MAX_INPUT_SIDE:
+            raise ValidationError(
+                f"band_input_hw {self.band_input_hw}, patch_frames {self.patch_frames} "
+                f"and num_mel {self.num_mel} must each be <= {MAX_INPUT_SIDE}"
             )
         if self.d_model % self.heads:
             raise ValidationError(

@@ -422,7 +422,10 @@ def read_tensor_record(data: bytes, pos: int, path) -> tuple[np.ndarray, int]:
     raw, pos = _take(data, pos, 4 * rank, path)
     dims = struct.unpack(f"<{rank}I", raw)
     raw, pos = _take(data, pos, 4 * math.prod(dims), path)
-    return np.frombuffer(raw, dtype="<f4").reshape(dims).copy(), pos
+    try:
+        return np.frombuffer(raw, dtype="<f4").reshape(dims).copy(), pos
+    except ValueError:  # an empty tensor whose other dims numpy cannot hold
+        raise DataError(f"{path}: tensor shape {dims} is too large") from None
 
 
 def _take(data: bytes, pos: int, nbytes: int, path) -> tuple[memoryview, int]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .manifest import (SCORE_MAX, SCORE_MIN, RatingRecord, read_csv_table,
+from .manifest import (SCORE_MAX, SCORE_MIN, RatingRecord, read_records,
                        write_csv_table)
 
 # Minimum number of valid ratings a sequence should retain after
@@ -53,13 +53,27 @@ class SubjectScreeningResult:
 
 @dataclass
 class MOSRecord:
-    """Screened per-sequence mean opinion score with 95% CI half-width."""
+    """Screened per-sequence mean opinion score with 95% CI half-width.
+
+    The MOS lies in [SCORE_MIN, SCORE_MAX], std and the CI half-width are
+    finite and >= 0, and n_valid >= 1.
+    """
 
     sequence_id: str
     mos: float
     std: float
     n_valid: int
     ci95_half_width: float
+
+    def __post_init__(self):
+        if not SCORE_MIN <= self.mos <= SCORE_MAX:
+            raise ValidationError(f"mos {self.mos} outside [{SCORE_MIN}, {SCORE_MAX}]")
+        for name in ("std", "ci95_half_width"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValidationError(f"{name} {value} is not finite and >= 0")
+        if self.n_valid < 1:
+            raise ValidationError(f"n_valid {self.n_valid} < 1")
 
     def meets_minimum(self) -> bool:
         return self.n_valid >= MIN_VALID_RATINGS
@@ -193,11 +207,8 @@ def compute_mos(records: list[RatingRecord]) -> list[MOSRecord]:
     return out
 
 
-_MOS_HEADER = ["sequence_id", "mos", "std", "n_valid", "ci95_half_width"]
-
-
 def write_mos_csv(records: list[MOSRecord], path) -> None:
-    write_csv_table(path, _MOS_HEADER, (
+    write_csv_table(path, [f.name for f in fields(MOSRecord)], (
         [r.sequence_id, f"{r.mos:.6f}", f"{r.std:.6f}",
          r.n_valid, f"{r.ci95_half_width:.6f}"]
         for r in records
@@ -205,32 +216,11 @@ def write_mos_csv(records: list[MOSRecord], path) -> None:
 
 
 def read_mos_csv(path) -> dict[str, MOSRecord]:
-    """Read a MOS table back as a sequence_id -> MOSRecord mapping.
-
-    Each MOS must lie in [SCORE_MIN, SCORE_MAX], each std and CI
-    half-width must be finite and >= 0, and each n_valid >= 1.
-    """
+    """Read a MOS table (see ``manifest.read_records``) back as a
+    sequence_id -> MOSRecord mapping; a table with no rows or a repeated
+    sequence_id is a DataError."""
     out: dict[str, MOSRecord] = {}
-    for lineno, row in read_csv_table(path, _MOS_HEADER):
-        try:
-            rec = MOSRecord(
-                sequence_id=row[0],
-                mos=float(row[1]),
-                std=float(row[2]),
-                n_valid=int(row[3]),
-                ci95_half_width=float(row[4]),
-            )
-        except ValueError as e:
-            raise DataError(f"{path}: line {lineno}: {e}") from e
-        if not SCORE_MIN <= rec.mos <= SCORE_MAX:
-            raise DataError(f"{path}: line {lineno}: mos {rec.mos} outside "
-                            f"[{SCORE_MIN}, {SCORE_MAX}]")
-        for name, value in (("std", rec.std), ("ci95_half_width", rec.ci95_half_width)):
-            if not 0.0 <= value < math.inf:
-                raise DataError(f"{path}: line {lineno}: {name} {value} is not "
-                                "finite and >= 0")
-        if rec.n_valid < 1:
-            raise DataError(f"{path}: line {lineno}: n_valid {rec.n_valid} < 1")
+    for lineno, rec in read_records(path, MOSRecord):
         if rec.sequence_id in out:
             raise DataError(
                 f"{path}: line {lineno}: duplicate sequence_id {rec.sequence_id!r}"

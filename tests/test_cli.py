@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from avq360 import model
 from avq360.audiofe import read_features
 from avq360.cli import main
 from avq360.nn import read_checkpoint, write_checkpoint
@@ -20,7 +21,7 @@ from avq360.siti import summarize_siti
 from avq360.manifest import load_y4m, RatingRecord
 from avq360.synthetic import PLANTED_SUBJECT
 
-from test_manifest import make_entry
+from test_manifest import MISTYPED_VALUES, make_entry
 
 
 def read_csv_rows(path):
@@ -154,6 +155,16 @@ class TestSiti:
             got = rows[e.sequence_id]
             assert float(got["si_mean"]) == pytest.approx(expect.si_mean, abs=1e-6)
             assert float(got["ti_mean"]) == pytest.approx(expect.ti_mean, abs=1e-6)
+
+    @pytest.mark.parametrize("field, value", MISTYPED_VALUES)
+    def test_mistyped_manifest_value_exits_3(self, tmp_path, capsys, field, value):
+        (tmp_path / "manifest.json").write_text(
+            json.dumps([make_entry(0).__dict__ | {field: value}]), encoding="utf-8")
+        (tmp_path / "config.txt").write_text(
+            "manifest = manifest.json\nmedia_root = media\nscores = s.csv\n"
+            "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
+        assert run(["siti", "--config", tmp_path / "config.txt"]) == 3
+        assert f"manifest.json: entry 0: bad {field} " in capsys.readouterr().err
 
 
 class TestHmStats:
@@ -397,6 +408,26 @@ class TestPredict:
         assert run(args) == 3
         assert "tensor rank 65 at offset 17 exceeds 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_checkpoint_input_size_above_cap_exits_3_before_preprocessing(
+            self, tmp_path, corpus_dir, trained_dir, command, capsys, monkeypatch):
+        out, overrides = trained_dir
+        tensors = read_checkpoint(out / "model.avqc")
+        tensors["meta/band_input_hw"] = np.array([16, 4194304], dtype=np.float32)
+        bad = tmp_path / "wide_band.avqc"
+        write_checkpoint(bad, tensors)
+
+        def no_preprocessing(*args, **kwargs):
+            raise AssertionError("preprocessing ran")
+
+        monkeypatch.setattr(model, "preprocess_sequence", no_preprocessing)
+        args = [command, "--config", corpus_dir / "config.txt", "--checkpoint", bad]
+        args += ["--on", "all"] if command == "evaluate" else ["--sequence", "seq03"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert "band_input_hw (16, 4194304)" in capsys.readouterr().err
+
     def test_zero_sample_rate_wav_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
         _, overrides = trained_dir
         media = tmp_path / "media"
@@ -447,6 +478,15 @@ class TestConfigHandling:
         assert run(["train", "--config", corpus_dir / "config.txt",
                     "--set", f"output_dir={tmp_path}", "--set", f"mos_table={out / 'mos.csv'}",
                     "--set", "train_steps=1", "--set", override]) == 2
+
+    @pytest.mark.parametrize("override", ["band_input_hw=16,2048", "num_mel=1040"])
+    def test_input_size_above_cap_exits_2(self, tmp_path, corpus_dir, trained_dir, override,
+                                          capsys):
+        out, _ = trained_dir
+        assert run(["train", "--config", corpus_dir / "config.txt",
+                    "--set", f"output_dir={tmp_path}", "--set", f"mos_table={out / 'mos.csv'}",
+                    "--set", "train_steps=1", "--set", override]) == 2
+        assert "must each be <= 1024" in capsys.readouterr().err
 
     def test_bad_ratio_rejected(self, corpus_dir):
         assert run(["split", "--config", corpus_dir / "config.txt",

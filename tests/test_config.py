@@ -3,12 +3,15 @@ key and every stored architecture field is a checkpoint ``meta/`` tensor.
 Also pins the override rules of ``load_config``."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from avq360 import config, model
-from avq360.config import load_config
+from avq360.config import RunConfig, load_config
 from avq360.errors import ValidationError
+from avq360.manifest import text_parsers
 from avq360.model import FUSION_MODES, AVQAModel, ModelConfig
 
 from conftest import tiny_model_config
@@ -118,7 +121,49 @@ def test_key_twice_in_file_rejected_even_when_overridden(tmp_path):
         load_config(path, ["split_seed=5"])
 
 
+@pytest.mark.parametrize("item", ["temporal_pos_enc=maybe", "band_channels=8,,16",
+                                  "d_model=6.5", "lr=fast"])
+def test_value_that_does_not_parse_names_key_and_value(tmp_path, item):
+    key, value = item.split("=")
+    with pytest.raises(ValidationError, match=f"^bad value for {key}: '{value}'$"):
+        load_config(write_config(tmp_path), [item])
+
+
 def test_empty_required_path_is_missing(tmp_path):
     path = write_config(tmp_path)
     with pytest.raises(ValidationError, match="output_dir"):
         load_config(path, ["output_dir="])
+
+
+def readme_config_table() -> dict[str, str]:
+    """key -> default cell of each key of README's configuration table. A
+    row of several keys gives each its entry of a ", "-separated default."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
+    table: dict[str, str] = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):  # prose, the header row and the rule
+            continue
+        keys_cell, _, default_cell = (cell.strip() for cell in line.strip("|").split("|"))
+        keys = re.findall(r"`([^`]+)`", keys_cell)
+        defaults = default_cell.split(", ")
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), line
+        for key, default in zip(keys, defaults):
+            assert key not in table, f"{key} listed twice"
+            table[key] = default
+    return table
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    table = readme_config_table()
+    parsers = {**text_parsers(RunConfig), **text_parsers(ModelConfig)}
+    paths = {**{key: "required" for key in config._REQUIRED_PATHS},
+             **{key: "under `output_dir`" for key in config._DEFAULT_PATHS}}
+    assert sorted(table) == sorted([*paths, *parsers])
+    for key, default in paths.items():
+        assert table[key] == default, key
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) + MODEL_FIELDS}
+    for key, parse in parsers.items():
+        assert parse(table[key]) == defaults[key], key

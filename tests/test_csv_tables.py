@@ -96,6 +96,20 @@ def test_mutated_table_loads_or_raises_toolkit_error(tmp_path_factory, name, dat
         pass
 
 
+@pytest.mark.parametrize("name, column, value", [
+    ("scores", 3, "4O.5"), ("scores", 4, "maybe"), ("mos", 1, "fifty"), ("mos", 3, "1.5"),
+])
+def test_value_that_does_not_parse_names_field_and_value(tmp_path, name, column, value):
+    reader, header, rows = TABLES[name]
+    fields = rows[1].split(",")
+    fields[column] = value
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(table_text(header, [rows[0], ",".join(fields)]).encode())
+    field = header.split(",")[column]
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 3: bad {field} '{value}'")):
+        reader(path)
+
+
 def test_written_table_is_renamed_into_place(tmp_path):
     path = tmp_path / "t.csv"
     write_csv_table(path, ["a", "b"], iter([[1, "x"], [2.5, "y,z"]]))

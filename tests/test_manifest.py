@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -22,6 +23,14 @@ from avq360.manifest import (
     write_wav,
     write_y4m,
 )
+
+
+# (field, JSON value of another type than the field takes): each is a
+# DataError naming the entry and the field
+MISTYPED_VALUES = [
+    ("sequence_id", None), ("sequence_id", 5), ("width", 64.9), ("audio_channels", True),
+    ("fps", "8"), ("audio_sample_rate", 16000.7), ("split", None),
+]
 
 
 def make_entry(i, **overrides):
@@ -111,6 +120,27 @@ class TestManifest:
         path.write_text(text)
         with pytest.raises(ValidationError, match=f"entry 0: .*{field} must be finite and > 0"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("field, value", MISTYPED_VALUES)
+    def test_value_of_another_json_type_is_data_error(self, tmp_path, field, value):
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps([make_entry(0).__dict__,
+                                    make_entry(1).__dict__ | {field: value}]))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: entry 1: bad {field} {json.dumps(value)} (expected ")):
+            load_manifest(path)
+
+    def test_integer_too_large_for_a_float_field_is_data_error(self, tmp_path):
+        path = tmp_path / "huge_fps.json"
+        path.write_text(json.dumps([make_entry(0).__dict__ | {"fps": 10 ** 400}]))
+        with pytest.raises(DataError, match="entry 0: bad fps 10{400} \\(expected a number\\)"):
+            load_manifest(path)
+
+    def test_integer_fps_is_taken_as_a_float(self, tmp_path):
+        path = tmp_path / "int_fps.json"
+        path.write_text(json.dumps([make_entry(0).__dict__ | {"fps": 8}]))
+        (entry,) = load_manifest(path)
+        assert type(entry.fps) is float and entry.fps == 8.0
 
 
 class TestY4M:

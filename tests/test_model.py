@@ -7,6 +7,7 @@ from avq360 import nn
 from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
+    MAX_INPUT_SIDE,
     AVQAModel,
     ModelConfig,
     SequenceFeatures,
@@ -123,6 +124,21 @@ class TestConfig:
     def test_unknown_fusion_mode(self):
         with pytest.raises(ValidationError, match="fusion_mode"):
             ModelConfig(fusion_mode="blend").validate()
+
+    @pytest.mark.parametrize("size", [dict(band_input_hw=(16, 2048)),
+                                      dict(band_input_hw=(2048, 16)),
+                                      dict(patch_frames=1040), dict(num_mel=1040)])
+    def test_input_size_above_cap_rejected(self, size):
+        assert MAX_INPUT_SIDE == 1024
+        with pytest.raises(ValidationError, match="must each be <= 1024"):
+            ModelConfig(**size).validate()
+
+    def test_input_sizes_at_cap_accepted(self):
+        ModelConfig(band_input_hw=(1024, 1024), patch_frames=1024, num_mel=1024).validate()
+
+    def test_default_and_test_configs_validate(self):
+        ModelConfig().validate()
+        tiny_model_config().validate()
 
 
 class TestVideoBranch:

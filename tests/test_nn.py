@@ -509,6 +509,18 @@ class TestTensorRecords:
         arr = read_features(path)
         assert arr.shape == (1,) * 64 and arr.item() == 2.5
 
+    def test_empty_tensor_too_large_for_numpy_is_data_error(self, tmp_path):
+        # no payload bytes, so only numpy's shape limit can refuse it
+        path = tmp_path / "empty.avqf"
+        path.write_bytes(b"AVQF" + struct.pack("<5I", 4, 0, *[2 ** 31] * 3))
+        with pytest.raises(DataError, match=r"tensor shape \(0, 2147483648, .*\) is too large"):
+            read_features(path)
+
+    def test_empty_tensor_loads(self, tmp_path):
+        path = tmp_path / "empty.avqf"
+        path.write_bytes(b"AVQF" + struct.pack("<3I", 2, 0, 7))
+        assert read_features(path).shape == (0, 7)
+
 
 class TestInit:
     @given(st.integers(0, 2 ** 31 - 1))

@@ -3,7 +3,12 @@ that one mutation has broken: truncated, one byte changed, or bytes
 inserted. Whatever the mutation, the reader either loads the file or
 raises one of the toolkit's own errors (``Avq360Error``); no raw Python
 exception escapes. ``tests/test_csv_tables.py`` holds the same property
-for the CSV tables."""
+for the CSV tables. The manifest is also fed valid JSON with one field's
+value of another JSON type."""
+
+import dataclasses
+import json
+import typing
 
 import numpy as np
 import pytest
@@ -12,8 +17,8 @@ from hypothesis import given, strategies as st
 from avq360.audiofe import read_features, write_features
 from avq360.config import load_config
 from avq360.errors import Avq360Error
-from avq360.manifest import (AudioClip, FrameSequence, load_manifest, load_wav,
-                             load_y4m, write_manifest, write_wav, write_y4m)
+from avq360.manifest import (AudioClip, FrameSequence, SequenceManifestEntry, load_manifest,
+                             load_wav, load_y4m, write_manifest, write_wav, write_y4m)
 from avq360.model import AVQAModel
 
 from conftest import tiny_model_config
@@ -90,3 +95,32 @@ def test_mutated_file_loads_or_raises_toolkit_error(tmp_path_factory, name, data
         reader(path)
     except Avq360Error:
         pass
+
+
+# null, a bool, an integer, a fractional number, a string, a list or an object
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    st.text(max_size=8), st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@given(data=st.data())
+def test_manifest_field_of_any_json_type_loads_typed_or_raises_toolkit_error(
+        tmp_path_factory, data):
+    objs = [dataclasses.asdict(make_entry(0)), dataclasses.asdict(make_entry(1, split="train"))]
+    obj = objs[data.draw(st.integers(0, 1), label="entry")]
+    name = data.draw(st.sampled_from(sorted(obj)), label="field")
+    obj[name] = data.draw(_JSON_VALUES, label="value")
+    path = tmp_path_factory.getbasetemp() / "retyped_manifest.json"
+    path.write_text(json.dumps(objs), encoding="utf-8")
+    try:
+        entries = load_manifest(path)
+    except Avq360Error:
+        return
+    # each loaded value has its field's type and equals the JSON value
+    hints = typing.get_type_hints(SequenceManifestEntry)
+    for entry, obj in zip(entries, objs, strict=True):
+        for name, value in dataclasses.asdict(entry).items():
+            assert type(value) is hints[name] and value == obj[name], (name, value)

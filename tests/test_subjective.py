@@ -8,6 +8,7 @@ from avq360.errors import DataError, ValidationError
 from avq360.manifest import RatingRecord
 from avq360.subjective import (
     MIN_VALID_RATINGS,
+    MOSRecord,
     compute_mos,
     exclude_ssq,
     rejection_rule,
@@ -232,3 +233,13 @@ class TestComputeMOS:
                         "a,50.000000,3.000000,19,1.348973\n" + ",".join(row) + "\n")
         with pytest.raises(DataError, match="line 3"):
             read_mos_csv(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mos", math.nan), ("mos", -0.5), ("mos", 100.5), ("std", math.inf), ("std", -1.0),
+        ("n_valid", 0), ("ci95_half_width", math.nan), ("ci95_half_width", -0.1),
+    ])
+    def test_record_with_out_of_range_value_is_refused(self, field, value):
+        kwargs = dict(sequence_id="a", mos=50.0, std=3.0, n_valid=19, ci95_half_width=1.35)
+        MOSRecord(**kwargs)
+        with pytest.raises(ValidationError, match=f"^{field} "):
+            MOSRecord(**kwargs | {field: value})
