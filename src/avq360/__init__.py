@@ -19,6 +19,7 @@ from .manifest import (
     downmix_mono,
     load_manifest,
     load_wav,
+    load_wav_mono,
     load_y4m,
 )
 from .metrics import MetricReport, evaluate_predictions
@@ -37,6 +38,7 @@ __all__ = [
     "load_manifest",
     "load_y4m",
     "load_wav",
+    "load_wav_mono",
     "downmix_mono",
     "MOSRecord",
     "exclude_ssq",

@@ -22,6 +22,7 @@ features, not for listening.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +88,10 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, n=nfft, axis=1))
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(num_mel: int = DEFAULT_NUM_MEL, fft_bins: int = 257) -> np.ndarray:
     """Triangular mel filterbank over the bins of a SAMPLE_RATE spectrum,
-    shape (num_mel, fft_bins).
+    shape (num_mel, fft_bins). Cached and shared, so it is read-only.
 
     Band edges are spaced uniformly on the HTK mel scale between FMIN_HZ
     and FMAX_HZ; each triangle peaks at 1.0 at its center and reaches zero
@@ -105,6 +107,7 @@ def mel_filterbank(num_mel: int = DEFAULT_NUM_MEL, fft_bins: int = 257) -> np.nd
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 

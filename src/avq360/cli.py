@@ -20,7 +20,7 @@ import numpy as np
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
 from .errors import DataError, NumericError, ValidationError
-from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
+from .manifest import (load_manifest, load_scores_csv, load_wav_mono, load_y4m,
                        read_csv_table, write_csv_table)
 
 EXIT_OK = 0
@@ -58,10 +58,12 @@ def _media_path(cfg: RunConfig, sequence_id: str, suffix: str) -> Path:
 
 def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
               sequence_id: str) -> model.SequenceFeatures:
-    """Model input tensors of one sequence, preprocessed from its media."""
+    """Model input tensors of one sequence, preprocessed from its media.
+    The audio is decoded to mono (``load_wav_mono``): the model reads
+    nothing but the mean of the channels."""
     return model.preprocess_sequence(
         load_y4m(_media_path(cfg, sequence_id, ".y4m")),
-        load_wav(_media_path(cfg, sequence_id, ".wav")),
+        load_wav_mono(_media_path(cfg, sequence_id, ".wav")),
         model_cfg, sequence_id,
     )
 

@@ -330,14 +330,10 @@ class AudioClip:
         return self.n_samples / self.sample_rate
 
 
-def load_wav(path) -> AudioClip:
-    """Read a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels).
-
-    Samples are scaled to [-1, 1] by the exact factor 2**-15, so the most
-    negative 16-bit code maps to -1.0 exactly. They are de-interleaved
-    into C-order ``(channels, n)`` rows straight from the file buffer,
-    without a copy of the data chunk.
-    """
+def _read_pcm16(path) -> tuple[np.ndarray, int]:
+    """Parse a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels) into the
+    interleaved ``(n, channels)`` int16 view of its data chunk, read
+    straight from the file buffer, and its sample rate."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
@@ -373,9 +369,37 @@ def load_wav(path) -> AudioClip:
     if size % (2 * channels):
         raise DataError(f"{path}: data chunk size not a multiple of frame size")
     pcm = np.frombuffer(data, dtype="<i2", count=size // 2, offset=offset)
-    samples = pcm.reshape(-1, channels).T.astype(np.float64, order="C")
+    return pcm.reshape(-1, channels), sample_rate
+
+
+def load_wav(path) -> AudioClip:
+    """Read a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels).
+
+    Samples are scaled to [-1, 1] by the exact factor 2**-15, so the most
+    negative 16-bit code maps to -1.0 exactly. They are de-interleaved
+    into C-order ``(channels, n)`` rows straight from the file buffer,
+    without a copy of the data chunk.
+    """
+    pcm, sample_rate = _read_pcm16(path)
+    samples = pcm.T.astype(np.float64, order="C")
     samples *= 2.0 ** -15
     return AudioClip(samples=samples, sample_rate=sample_rate)
+
+
+def load_wav_mono(path) -> AudioClip:
+    """The mono clip ``downmix_mono(load_wav(path))``, bit for bit, decoded
+    straight from the int16 codes: the channel columns are added in int32
+    and the sum is scaled once by 2**-15/channels.
+
+    The bits match because a float sum of k*2**-15 values (at most 4
+    codes of 16 bits) is exact, and so is a division by 1, 2 or 4.
+    """
+    pcm, sample_rate = _read_pcm16(path)
+    total = pcm[:, 0].astype(np.int32)
+    for c in range(1, pcm.shape[1]):
+        total += pcm[:, c]
+    mono = total * (2.0 ** -15 / pcm.shape[1])
+    return AudioClip(samples=mono[None], sample_rate=sample_rate)
 
 
 def write_wav(clip: AudioClip, path) -> None:

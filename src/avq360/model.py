@@ -140,7 +140,8 @@ def sample_frame_indices(n_frames: int, t: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _overlap_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Exact area-average resampling matrix (n_out, n_in); rows sum to 1."""
+    """Exact area-average resampling matrix (n_out, n_in); rows sum to 1.
+    Cached and shared, so it is read-only."""
     scale = n_in / n_out
     mat = np.zeros((n_out, n_in))
     for i in range(n_out):
@@ -148,6 +149,7 @@ def _overlap_matrix(n_in: int, n_out: int) -> np.ndarray:
         j0, j1 = int(np.floor(lo)), min(int(np.ceil(hi)), n_in)
         for j in range(j0, j1):
             mat[i, j] = max(0.0, min(hi, j + 1) - max(lo, j)) / scale
+    mat.flags.writeable = False
     return mat
 
 
@@ -173,7 +175,7 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
 
 def audio_input(clip: AudioClip, cfg: ModelConfig) -> np.ndarray:
     """Log-mel patch stack (P, patch_frames, num_mel) from any ingested clip."""
-    mono = downmix_mono(clip)
+    mono = clip if clip.channels == 1 else downmix_mono(clip)
     if mono.sample_rate != audiofe.SAMPLE_RATE:
         mono = audiofe.resample_linear(mono, audiofe.SAMPLE_RATE)
     mag = audiofe.stft_magnitude(mono)
@@ -205,9 +207,15 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _ConvStack:
-    """conv(3x3, pad 1) + relu + 2x2 maxpool stages, then global mean pool
+    """conv(3x3, pad 1) + 2x2 maxpool + relu stages, then global mean pool
     and a linear projection to d_model. backward accumulates parameter
-    gradients only: the stack's input is data."""
+    gradients only: the stack's input is data.
+
+    Each stage pools before its relu, so the relu runs on a quarter of the
+    elements. That equals relu then pool, bit for bit, in both passes:
+    relu and max commute, and on the way back a window whose max is <= 0
+    sends gy*0 to all four positions in either order, while in a window
+    whose max is > 0 the ties fall on the same positive values."""
 
     def __init__(self, store, name, channels, d_model, rng):
         self.convs = []
@@ -221,9 +229,9 @@ class _ConvStack:
         stage_caches = []
         for conv in self.convs:
             x, cc = conv.forward(x)
-            x, rc = nn.relu_forward(x)
             x, pc = nn.maxpool2_forward(x)
-            stage_caches.append((cc, rc, pc))
+            x, rc = nn.relu_forward(x)
+            stage_caches.append((cc, pc, rc))
         x, gap_cache = nn.global_mean_pool_forward(x)
         y, proj_cache = self.proj.forward(x)
         return y, (stage_caches, gap_cache, proj_cache)
@@ -232,9 +240,9 @@ class _ConvStack:
         stage_caches, gap_cache, proj_cache = cache
         g = self.proj.backward(gy, proj_cache)
         g = nn.global_mean_pool_backward(g, gap_cache)
-        for conv, (cc, rc, pc) in zip(reversed(self.convs), reversed(stage_caches)):
-            g = nn.maxpool2_backward(g, pc)
+        for conv, (cc, pc, rc) in zip(reversed(self.convs), reversed(stage_caches)):
             g = nn.relu_backward(g, rc)
+            g = nn.maxpool2_backward(g, pc)
             # the first conv's input is data: its gradient is never read
             g = conv.backward(g, cc, need_gx=conv is not self.convs[0])
 
@@ -303,10 +311,13 @@ class _TransformerBlock:
 # ---------------------------------------------------------------------------
 
 class AVQAModel:
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray] | None = None):
+        """The model of ``cfg``, its parameters drawn from ``cfg.seed``; or,
+        given ``params``, holding those float64 arrays themselves, with no
+        random draw (see ``nn.ParamStore``)."""
         cfg.validate()
         self.cfg = cfg
-        self.store = nn.ParamStore()
+        self.store = nn.ParamStore(params)
         rng = np.random.default_rng(cfg.seed)
         d = cfg.d_model
 
@@ -314,7 +325,7 @@ class AVQAModel:
             _ConvStack(self.store, f"video.band{m}", cfg.band_channels, d, rng)
             for m in range(cfg.bands)
         ]
-        self.lat_logits = self.store.register("video.lat_logits", np.zeros(cfg.bands))
+        self.lat_logits = self.store.create("video.lat_logits", (cfg.bands,), np.zeros)
         self.temporal = _TransformerBlock(
             self.store, "video.temporal", d, cfg.heads, rng, cross=False,
             ff_mult=cfg.ff_mult,
@@ -462,8 +473,8 @@ class AVQAModel:
         params = {k: v.astype(np.float64)
                   for k, v in tensors.items() if not k.startswith("meta/")}
         cfg = _config_from_meta(meta, sum(v.size for v in params.values()), path)
-        model = cls(cfg)
-        try:
+        model = cls(cfg, params)
+        try:  # the arrays are in place; this checks their names and shapes
             model.store.load_state(params)
         except DataError as e:
             raise DataError(f"{path}: checkpoint/config mismatch: {e}") from e

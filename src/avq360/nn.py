@@ -326,16 +326,35 @@ class ParamStore:
     Parameter arrays are owned by the store and shared by reference with
     the layers that registered them; the optimizer updates them in place
     so those references stay valid.
+
+    A store built from ``initial``, a mapping of names to float64 arrays,
+    takes those arrays over as the values of the parameters ``create``
+    makes, and calls no initializer. A name it lacks, or an array of
+    another shape, gets zeros instead; ``load_state(initial)`` reports it.
     """
 
-    def __init__(self):
+    def __init__(self, initial: dict[str, np.ndarray] | None = None):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._initial = initial
 
     def register(self, name: str, value: np.ndarray) -> np.ndarray:
+        """Add parameter ``name`` holding a float64 copy of ``value``."""
+        return self._add(name, np.array(value, dtype=np.float64))
+
+    def create(self, name: str, shape: tuple, init) -> np.ndarray:
+        """Add parameter ``name`` of ``shape``: its initial array, or
+        ``init(shape)`` for a store built without one."""
+        if self._initial is None:
+            return self.register(name, init(shape))
+        value = self._initial.get(name)
+        if value is None or value.shape != shape:
+            value = np.zeros(shape)
+        return self._add(name, np.asarray(value, dtype=np.float64))
+
+    def _add(self, name: str, arr: np.ndarray) -> np.ndarray:
         if name in self.params:
             raise ValidationError(f"duplicate parameter name {name!r}")
-        arr = np.array(value, dtype=np.float64)
         self.params[name] = arr
         self.grads[name] = np.zeros_like(arr)
         return arr
@@ -363,7 +382,8 @@ class ParamStore:
                 raise DataError(
                     f"shape mismatch for {name}: checkpoint {src.shape} vs model {p.shape}"
                 )
-            p[...] = src
+            if src is not p:
+                p[...] = src
 
 
 @dataclass
@@ -480,76 +500,6 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Gradient checking (central finite differences; forward passes only)
-# ---------------------------------------------------------------------------
-
-def numerical_gradient(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f(x) w.r.t. every entry of x."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = g.reshape(-1)
-    for i in range(flat_x.size):
-        old = flat_x[i]
-        flat_x[i] = old + h
-        fp = f(x)
-        flat_x[i] = old - h
-        fm = f(x)
-        flat_x[i] = old
-        flat_g[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
-def finite_difference_store_grads(
-    loss_fn,
-    store: ParamStore,
-    h: float = 1e-5,
-    max_coords_per_tensor: int | None = None,
-    seed: int = 0,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Central differences of loss_fn() w.r.t. store parameters (in place).
-
-    Returns {name: (flat_indices, numeric_grads)}. When a tensor has
-    more entries than max_coords_per_tensor, a seeded subset is checked.
-    """
-    rng = np.random.default_rng(seed)
-    out = {}
-    for name in store.param_names():
-        flat = store.params[name].reshape(-1)
-        if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:
-            idx = np.sort(rng.choice(flat.size, size=max_coords_per_tensor, replace=False))
-        else:
-            idx = np.arange(flat.size)
-        vals = np.empty(len(idx))
-        for j, i in enumerate(idx):
-            old = flat[i]
-            flat[i] = old + h
-            fp = loss_fn()
-            flat[i] = old - h
-            fm = loss_fn()
-            flat[i] = old
-            vals[j] = (fp - fm) / (2.0 * h)
-        out[name] = (idx, vals)
-    return out
-
-
-def gradient_rel_err(analytic, numeric, zero_tol: float = 1e-7) -> float:
-    """Worst-case relative disagreement between two gradient estimates.
-
-    Entries where both magnitudes are below zero_tol are compared
-    absolutely (their ratio would be dominated by finite-difference
-    noise rather than by the formulas under test).
-    """
-    a = np.asarray(analytic, dtype=np.float64).reshape(-1)
-    n = np.asarray(numeric, dtype=np.float64).reshape(-1)
-    denom = np.maximum(np.abs(a), np.abs(n))
-    err = np.abs(a - n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(denom < zero_tol, err, err / denom)
-    return float(rel.max()) if rel.size else 0.0
-
-
-# ---------------------------------------------------------------------------
 # Layers: own their parameters via a ParamStore, never their activations.
 # forward returns (y, cache); backward(gy, cache) accumulates the parameter
 # gradients into the store and returns the input gradient.
@@ -560,8 +510,9 @@ class Conv2d:
 
     def __init__(self, store, name, in_channels, out_channels, rng):
         self._store, self._name = store, name
-        self.w = store.register(f"{name}.w", kaiming_uniform(rng, (out_channels, in_channels, 3, 3), in_channels * 9))
-        self.b = store.register(f"{name}.b", np.zeros(out_channels))
+        self.w = store.create(f"{name}.w", (out_channels, in_channels, 3, 3),
+                              lambda shape: kaiming_uniform(rng, shape, in_channels * 9))
+        self.b = store.create(f"{name}.b", (out_channels,), np.zeros)
 
     def forward(self, x):
         return conv2d_forward(x, self.w, self.b, 1, 1)
@@ -577,8 +528,9 @@ class Conv2d:
 class Linear:
     def __init__(self, store, name, d_in, d_out, rng):
         self._store, self._name = store, name
-        self.w = store.register(f"{name}.w", kaiming_uniform(rng, (d_in, d_out), d_in))
-        self.b = store.register(f"{name}.b", np.zeros(d_out))
+        self.w = store.create(f"{name}.w", (d_in, d_out),
+                              lambda shape: kaiming_uniform(rng, shape, d_in))
+        self.b = store.create(f"{name}.b", (d_out,), np.zeros)
 
     def forward(self, x):
         return linear_forward(x, self.w, self.b)
@@ -593,8 +545,8 @@ class Linear:
 class LayerNorm:
     def __init__(self, store, name, dim):
         self._store, self._name = store, name
-        self.gamma = store.register(f"{name}.gamma", np.ones(dim))
-        self.beta = store.register(f"{name}.beta", np.zeros(dim))
+        self.gamma = store.create(f"{name}.gamma", (dim,), np.ones)
+        self.beta = store.create(f"{name}.beta", (dim,), np.zeros)
 
     def forward(self, x):
         return layer_norm_forward(x, self.gamma, self.beta)
@@ -614,9 +566,10 @@ class MultiHeadAttention:
         self._store, self._name = store, name
         self.params = {}
         for key in ("wq", "wk", "wv", "wo"):
-            self.params[key] = store.register(f"{name}.{key}", kaiming_uniform(rng, (d_model, d_model), d_model))
+            self.params[key] = store.create(f"{name}.{key}", (d_model, d_model),
+                                            lambda shape: kaiming_uniform(rng, shape, d_model))
         for key in ("bq", "bk", "bv", "bo"):
-            self.params[key] = store.register(f"{name}.{key}", np.zeros(d_model))
+            self.params[key] = store.create(f"{name}.{key}", (d_model,), np.zeros)
 
     def forward(self, q_in, kv_in):
         return mha_forward(q_in, kv_in, self.params, self.heads)

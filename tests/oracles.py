@@ -3,8 +3,9 @@
 Every oracle here is written with plain loops and stdlib math, on
 purpose: these implementations must not share code paths with the
 package so that agreement between the two is meaningful evidence.
-The helpers at the end are the exception: they apply package building
-blocks so that tests can pin those blocks' behaviour.
+The central finite differences call the forward passes under test and
+nothing else. The helpers after them are the exception: they apply
+package building blocks so that tests can pin those blocks' behaviour.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avq360 import audiofe
+from avq360 import audiofe, nn
 from avq360.errors import ValidationError
 from avq360.model import _overlap_matrix
 
@@ -208,6 +209,76 @@ def naive_maxpool2(x, gy):
     return y, gx
 
 
+# -- central finite differences (forward passes only) ------------------------
+# The float64 gradient checks of the hand-written backward passes.
+
+
+def numerical_gradient(f, x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of scalar f(x) w.r.t. every entry of x."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat_x = x.reshape(-1)
+    flat_g = g.reshape(-1)
+    for i in range(flat_x.size):
+        old = flat_x[i]
+        flat_x[i] = old + h
+        fp = f(x)
+        flat_x[i] = old - h
+        fm = f(x)
+        flat_x[i] = old
+        flat_g[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def finite_difference_store_grads(
+    loss_fn,
+    store: nn.ParamStore,
+    h: float = 1e-5,
+    max_coords_per_tensor: int | None = None,
+    seed: int = 0,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Central differences of loss_fn() w.r.t. store parameters (in place).
+
+    Returns {name: (flat_indices, numeric_grads)}. When a tensor has
+    more entries than max_coords_per_tensor, a seeded subset is checked.
+    """
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name in store.param_names():
+        flat = store.params[name].reshape(-1)
+        if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:
+            idx = np.sort(rng.choice(flat.size, size=max_coords_per_tensor, replace=False))
+        else:
+            idx = np.arange(flat.size)
+        vals = np.empty(len(idx))
+        for j, i in enumerate(idx):
+            old = flat[i]
+            flat[i] = old + h
+            fp = loss_fn()
+            flat[i] = old - h
+            fm = loss_fn()
+            flat[i] = old
+            vals[j] = (fp - fm) / (2.0 * h)
+        out[name] = (idx, vals)
+    return out
+
+
+def gradient_rel_err(analytic, numeric, zero_tol: float = 1e-7) -> float:
+    """Worst-case relative disagreement between two gradient estimates.
+
+    Entries where both magnitudes are below zero_tol are compared
+    absolutely (their ratio would be dominated by finite-difference
+    noise rather than by the formulas under test).
+    """
+    a = np.asarray(analytic, dtype=np.float64).reshape(-1)
+    n = np.asarray(numeric, dtype=np.float64).reshape(-1)
+    denom = np.maximum(np.abs(a), np.abs(n))
+    err = np.abs(a - n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.where(denom < zero_tol, err, err / denom)
+    return float(rel.max()) if rel.size else 0.0
+
+
 # -- test-only helpers on package building blocks ----------------------------
 
 
@@ -217,6 +288,20 @@ def area_resize(img, out_h, out_w):
     any ratio)."""
     img = np.asarray(img, dtype=np.float64)
     return _overlap_matrix(img.shape[0], out_h) @ img @ _overlap_matrix(img.shape[1], out_w).T
+
+
+def relu_pool_forward(x):
+    """A conv stage's relu and 2x2 max pool in the order they first ran,
+    relu then pool, by their nn ops. Returns (y, cache)."""
+    r, relu_cache = nn.relu_forward(x)
+    y, pool_cache = nn.maxpool2_forward(r)
+    return y, (relu_cache, pool_cache)
+
+
+def relu_pool_backward(gy, cache):
+    """The input gradient of ``relu_pool_forward``: pool, then relu backward."""
+    relu_cache, pool_cache = cache
+    return nn.relu_backward(nn.maxpool2_backward(gy, pool_cache), relu_cache)
 
 
 def filter_center_frequencies(

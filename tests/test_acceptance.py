@@ -24,7 +24,8 @@ from avq360.audiofe import log_mel, mel_filterbank, stft_magnitude
 from avq360.synthetic import PLANTED_SUBJECT, fixture_sequence_targets, make_rating_table
 
 from conftest import tiny_features, tiny_model_config
-from oracles import brute_krocc, brute_srocc, naive_sobel_si, naive_ti, screen_oracle
+from oracles import (brute_krocc, brute_srocc, finite_difference_store_grads, gradient_rel_err,
+                     naive_sobel_si, naive_ti, numerical_gradient, screen_oracle)
 
 GRADIENT_TOL = 1e-4
 
@@ -40,8 +41,8 @@ def _op_gradient_errors():
 
     def fd_vs_analytic(name, forward, analytic, arrays):
         for label, arr, grad in arrays:
-            num = nn.numerical_gradient(lambda v, _l=label: forward(_l, v), arr)
-            errs[f"{name}.{label}"] = nn.gradient_rel_err(grad, num)
+            num = numerical_gradient(lambda v, _l=label: forward(_l, v), arr)
+            errs[f"{name}.{label}"] = gradient_rel_err(grad, num)
 
     # conv2d
     x = rng.normal(size=(2, 3, 5, 5))
@@ -125,12 +126,12 @@ def _op_gradient_errors():
     y, cache = nn.mha_forward(q_in, kv_in, p, heads)
     r = rng.normal(size=y.shape)
     gq, gkv, grads = nn.mha_backward(r, cache)
-    errs["mha.q_in"] = nn.gradient_rel_err(
-        gq, nn.numerical_gradient(
+    errs["mha.q_in"] = gradient_rel_err(
+        gq, numerical_gradient(
             lambda v: float((r * nn.mha_forward(v, kv_in, p, heads)[0]).sum()),
             q_in))
-    errs["mha.kv_in"] = nn.gradient_rel_err(
-        gkv, nn.numerical_gradient(
+    errs["mha.kv_in"] = gradient_rel_err(
+        gkv, numerical_gradient(
             lambda v: float((r * nn.mha_forward(q_in, v, p, heads)[0]).sum()),
             kv_in))
     for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
@@ -138,7 +139,7 @@ def _op_gradient_errors():
             trial = dict(p)
             trial[key] = v
             return float((r * nn.mha_forward(q_in, kv_in, trial, heads)[0]).sum())
-        errs[f"mha.{key}"] = nn.gradient_rel_err(grads[key], nn.numerical_gradient(f, p[key]))
+        errs[f"mha.{key}"] = gradient_rel_err(grads[key], numerical_gradient(f, p[key]))
     return errs
 
 
@@ -160,11 +161,11 @@ def test_criterion_1_gradient_correctness():
     net.store.zero_grads()
     s = net.forward(feat)
     net.backward(2.0 * (s - target))
-    numeric = nn.finite_difference_store_grads(loss_fn, net.store)  # full sweep
+    numeric = finite_difference_store_grads(loss_fn, net.store)  # full sweep
     worst_model = 0.0
     for name, (idx, vals) in numeric.items():
         analytic = net.store.grads[name].reshape(-1)[idx]
-        worst_model = max(worst_model, nn.gradient_rel_err(analytic, vals))
+        worst_model = max(worst_model, gradient_rel_err(analytic, vals))
     elapsed = time.time() - t0
     assert worst_model < GRADIENT_TOL
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"

@@ -90,6 +90,12 @@ class TestMelFilterbank:
         assert hz_to_mel(700.0) == pytest.approx(2595.0 * math.log10(2.0), abs=1e-9)
         assert mel_to_hz(hz_to_mel(1234.5)) == pytest.approx(1234.5, rel=1e-12)
 
+    def test_cached_and_read_only(self):
+        fb = mel_filterbank(fft_bins=257)
+        assert mel_filterbank(fft_bins=257) is fb
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
     def test_support_within_range(self):
         fb = mel_filterbank(fft_bins=257)
         freqs = np.arange(257) * 16000 / 512

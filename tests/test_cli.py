@@ -8,7 +8,8 @@ import pytest
 
 from avq360 import model
 from avq360.audiofe import read_features
-from avq360.cli import main
+from avq360.cli import _features, main
+from avq360.config import load_config
 from avq360.nn import read_checkpoint, write_checkpoint
 from avq360.manifest import (
     FrameSequence,
@@ -18,7 +19,7 @@ from avq360.manifest import (
     write_y4m,
 )
 from avq360.siti import summarize_siti
-from avq360.manifest import load_y4m, RatingRecord
+from avq360.manifest import load_wav, load_y4m, RatingRecord
 from avq360.synthetic import PLANTED_SUBJECT
 
 from test_manifest import MISTYPED_VALUES, make_entry
@@ -231,6 +232,19 @@ class TestSplit:
 
 
 class TestExtractFeatures:
+    def test_features_equal_preprocess_of_load_wav(self, corpus_dir):
+        cfg, _ = load_config(corpus_dir / "config.txt")
+        for entry in load_manifest(cfg.manifest):
+            seq = entry.sequence_id
+            got = _features(cfg, cfg.model, seq)
+            want = model.preprocess_sequence(load_y4m(cfg.media_root / f"{seq}.y4m"),
+                                              load_wav(cfg.media_root / f"{seq}.wav"),
+                                              cfg.model, seq)
+            assert got.sequence_id == want.sequence_id == seq
+            for f in ("video", "audio", "lat_prior"):
+                a, b = getattr(got, f), getattr(want, f)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f
+
     def test_avqf_dumps(self, corpus_dir):
         assert run(["extract-features", "--config", corpus_dir / "config.txt",
                     "--set", "output_dir=out_feat"]) == 0

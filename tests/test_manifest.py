@@ -17,6 +17,7 @@ from avq360.manifest import (
     load_manifest,
     load_scores_csv,
     load_wav,
+    load_wav_mono,
     load_y4m,
     write_manifest,
     write_scores_csv,
@@ -255,6 +256,27 @@ class TestWAV:
         assert loaded.samples.dtype == np.float64
         assert np.array_equal(loaded.samples, pcm.T / 32768.0)
         assert loaded.samples[0, 0] == -1.0
+
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_mono_decode_equals_downmix_bitwise(self, tmp_path, channels):
+        pcm = np.random.default_rng(channels).integers(
+            -32768, 32768, size=(1001, channels)).astype("<i2")
+        pcm[0] = -32768
+        pcm[1] = 32767
+        pcm[2] = [1, -1, 1, -1][:channels]  # cancels to zero for 2 and 4 channels
+        path = tmp_path / "m.wav"
+        path.write_bytes(wav_bytes(channels, 48000, pcm.tobytes(), extra=b"LIST\x03\0\0\0abc\0"))
+        got = load_wav_mono(path)
+        want = downmix_mono(load_wav(path))
+        assert got.sample_rate == want.sample_rate == 48000
+        assert got.samples.shape == want.samples.shape == (1, 1001)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_mono_decode_checks_like_load_wav(self, tmp_path):
+        path = tmp_path / "tri.wav"
+        path.write_bytes(wav_bytes(3, 8000, bytes(12)))
+        with pytest.raises(DataError, match="channel count 3"):
+            load_wav_mono(path)
 
     def test_zero_sample_rate_is_data_error(self, tmp_path):
         path = tmp_path / "zero.wav"

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -11,6 +12,8 @@ from avq360.model import (
     AVQAModel,
     ModelConfig,
     SequenceFeatures,
+    _ConvStack,
+    _overlap_matrix,
     audio_input,
     cross_attention_block_indices,
     preprocess_sequence,
@@ -22,7 +25,8 @@ from avq360.model import (
 
 from conftest import tiny_features, tiny_model_config
 from oracles import (LatitudeWeights, aggregate_band_features, area_resize,
-                     reference_audio_input)
+                     finite_difference_store_grads, gradient_rel_err, reference_audio_input,
+                     relu_pool_backward, relu_pool_forward)
 
 
 class TestPreprocessing:
@@ -64,6 +68,12 @@ class TestPreprocessing:
         assert prior.shape == (2,)
         assert prior.sum() == pytest.approx(1.0)
         assert np.all(video >= 0.0) and np.all(video <= 1.0)
+
+    def test_overlap_matrix_is_read_only(self):
+        mat = _overlap_matrix(64, 32)
+        assert _overlap_matrix(64, 32) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
     def test_video_input_rejects_non_erp(self):
         cfg = tiny_model_config()
@@ -197,6 +207,34 @@ class TestVideoBranch:
             assert np.abs(g).max() > 0.0
 
 
+class TestConvStack:
+    def test_matches_relu_then_pool(self):
+        rng = np.random.default_rng(22)
+        store = nn.ParamStore()
+        stack = _ConvStack(store, "s", (3, 4), 5, rng)
+        x = rng.normal(size=(2, 1, 8, 8))
+        x[:, :, :4] = 0.0  # conv outputs there are the zero bias: tied windows of zeros
+        y, cache = stack.forward(x)
+        gy = rng.normal(size=y.shape)
+        stack.backward(gy, cache)
+        grads = {k: g.copy() for k, g in store.grads.items()}
+        store.zero_grads()
+        # the same stack with each stage in the order relu, then pool
+        h, caches = x, []
+        for conv in stack.convs:
+            h, conv_cache = conv.forward(h)
+            h, stage_cache = relu_pool_forward(h)
+            caches.append((conv_cache, stage_cache))
+        h, gap_cache = nn.global_mean_pool_forward(h)
+        want_y, proj_cache = stack.proj.forward(h)
+        g = nn.global_mean_pool_backward(stack.proj.backward(gy, proj_cache), gap_cache)
+        for conv, (conv_cache, stage_cache) in zip(reversed(stack.convs), reversed(caches)):
+            g = conv.backward(relu_pool_backward(g, stage_cache), conv_cache)
+        assert y.tobytes() == want_y.tobytes()
+        for k, g in store.grads.items():
+            assert g.tobytes() == grads[k].tobytes(), k
+
+
 class TestAudioBranch:
     def test_identical_patches_identical_tokens(self):
         cfg = tiny_model_config()
@@ -294,13 +332,13 @@ class TestGradient:
         m.store.zero_grads()
         s = m.forward(feat)
         m.backward(2.0 * (s - target))
-        numeric = nn.finite_difference_store_grads(
+        numeric = finite_difference_store_grads(
             loss_fn, m.store, max_coords_per_tensor=4, seed=0
         )
         worst = 0.0
         for name, (idx, vals) in numeric.items():
             analytic = m.store.grads[name].reshape(-1)[idx]
-            worst = max(worst, nn.gradient_rel_err(analytic, vals))
+            worst = max(worst, gradient_rel_err(analytic, vals))
         assert worst < 1e-4
 
     def test_predict_between_forward_and_backward_keeps_gradients(self):
@@ -367,12 +405,12 @@ class TestGradient:
         m.store.zero_grads()
         s = m.forward(feat)
         m.backward(2.0 * (s - 0.3))
-        numeric = nn.finite_difference_store_grads(
+        numeric = finite_difference_store_grads(
             loss_fn, m.store, max_coords_per_tensor=4, seed=1
         )
         for name, (idx, vals) in numeric.items():
             analytic = m.store.grads[name].reshape(-1)[idx]
-            assert nn.gradient_rel_err(analytic, vals) < 1e-4, name
+            assert gradient_rel_err(analytic, vals) < 1e-4, name
 
 
 class TestTraining:
@@ -512,6 +550,71 @@ class TestPersistence:
         for cfg in (tiny_model_config(**overrides), ModelConfig(**overrides)):
             built = sum(p.size for p in AVQAModel(cfg).store.params.values())
             assert _param_count(cfg) == built
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        cfg = tiny_model_config(train_steps=2, batch_size=1)
+        feat = tiny_features(seed=15)
+        m = AVQAModel(cfg)
+        train_model(m, [feat], np.array([0.3]))
+        path = tmp_path / "model.avqc"
+        m.save(path)
+        # the model as it was loaded before: seeded init, then the checkpoint
+        want = AVQAModel(cfg)
+        want.store.load_state({k: v.astype(np.float64) for k, v in nn.read_checkpoint(path).items()
+                               if not k.startswith("meta/")})
+
+        def no_draw(*args):
+            raise AssertionError("random init drawn")
+
+        monkeypatch.setattr(nn, "kaiming_uniform", no_draw)
+        with pytest.raises(AssertionError, match="random init drawn"):
+            AVQAModel(cfg)
+        loaded = AVQAModel.load(path)
+        assert loaded.store.param_names() == want.store.param_names()
+        for name in want.store.param_names():
+            assert loaded.store.params[name].tobytes() == want.store.params[name].tobytes()
+        assert loaded.predict(feat) == want.predict(feat)
+        # one array per name, shared by the store and its layer
+        assert loaded.head.w is loaded.store.params["head.w"]
+
+    def test_load_errors_keep_their_messages(self, tmp_path):
+        from avq360.model import _config_to_meta, _param_count
+
+        m = AVQAModel(tiny_model_config())
+        n, d = _param_count(m.cfg), m.cfg.d_model
+        path = tmp_path / "model.avqc"
+        cases = [
+            (lambda t: t.update({"head.x": t.pop("head.w")}),
+             "parameter set mismatch: missing ['head.w'], unexpected ['head.x']"),
+            (lambda t: t.update({"head.w": t["head.w"].reshape(1, d)}),
+             f"shape mismatch for head.w: checkpoint (1, {d}) vs model ({d}, 1)"),
+            (lambda t: t.pop("head.w"),
+             f"the recorded architecture has {n} parameters, the checkpoint holds {n - d}"),
+        ]
+        for edit, message in cases:
+            tensors = dict(m.store.params)
+            tensors.update(_config_to_meta(m.cfg))
+            edit(tensors)
+            nn.write_checkpoint(path, tensors)
+            with pytest.raises(DataError) as e:
+                AVQAModel.load(path)
+            assert str(e.value) == f"{path}: checkpoint/config mismatch: {message}"
+
+    # SHA-256 of each parameter's name and float64 bytes, in name order,
+    # taken from the seeded init before the layers drew it lazily
+    @pytest.mark.parametrize("cfg,digest", [
+        (ModelConfig(), "8d3fa6df1cf589790c5e1c89cd81e2d6851e55a7f81f3f442b4d4dd78060d12f"),
+        (tiny_model_config(), "0dd888f2052704361880219158dbd1dcaa819677d613758393cd3a241ccda11f"),
+        (ModelConfig(fusion_mode="cat", seed=3),
+         "47fa4d054a573923039869397fda9bad097fb4f55e29e68de4636d9fccbccf3f"),
+    ])
+    def test_seeded_init_is_unchanged(self, cfg, digest):
+        store = AVQAModel(cfg).store
+        h = hashlib.sha256()
+        for name in store.param_names():
+            h.update(name.encode())
+            h.update(store.params[name].tobytes())
+        assert h.hexdigest() == digest
 
     def test_f32_on_disk_f64_in_memory(self, tmp_path):
         from avq360.model import _config_to_meta

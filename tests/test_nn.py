@@ -8,7 +8,8 @@ from avq360 import nn
 from avq360.audiofe import read_features, write_features
 from avq360.errors import DataError, NumericError, ValidationError
 
-from oracles import naive_conv2d, naive_maxpool2
+from oracles import (gradient_rel_err, naive_conv2d, naive_maxpool2, numerical_gradient,
+                     relu_pool_backward, relu_pool_forward)
 
 
 def weighted_sum_loss(seed, shape):
@@ -57,8 +58,8 @@ class TestConv2d:
             (w, gw, lambda v: loss(nn.conv2d_forward(x, v, b, stride, pad)[0])),
             (b, gb, lambda v: loss(nn.conv2d_forward(x, w, v, stride, pad)[0])),
         ]:
-            num = nn.numerical_gradient(f, arr)
-            assert nn.gradient_rel_err(grad, num) < 1e-6
+            num = numerical_gradient(f, arr)
+            assert gradient_rel_err(grad, num) < 1e-6
 
 
 class TestMaxPool2:
@@ -88,8 +89,8 @@ class TestMaxPool2:
         y, cache = nn.maxpool2_forward(x)
         r, loss = weighted_sum_loss(2, y.shape)
         gx = nn.maxpool2_backward(r, cache)
-        num = nn.numerical_gradient(lambda v: loss(nn.maxpool2_forward(v)[0]), x)
-        assert nn.gradient_rel_err(gx, num) < 1e-6
+        num = numerical_gradient(lambda v: loss(nn.maxpool2_forward(v)[0]), x)
+        assert gradient_rel_err(gx, num) < 1e-6
 
 
 # (C, H, W, O) of the 3 band convs and the 4 audio convs of the default model
@@ -172,6 +173,30 @@ class TestKernelOracles:
             assert g.tobytes() == full[k].tobytes()
 
 
+class TestPoolBeforeRelu:
+    """The conv stage of ``model._ConvStack``, max pool then relu, equals
+    relu then pool byte for byte, signed zeros included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stage_matches_relu_then_pool(self, seed):
+        rng = np.random.default_rng(seed)
+        # integers in -2..2: ties in most windows, exact zeros, all-negative windows
+        x = rng.integers(-2, 3, size=(2, 3, 8, 6)).astype(np.float64)
+        x[0, 0, :2, :2] = [[-1.0, -2.0], [-1.0, -3.0]]  # all negative, max tied
+        x[0, 1, :2, :2] = 0.0                            # all zero
+        x[1, 2, :2, :2] = [[-1.0, 0.0], [0.0, -2.0]]     # max exactly zero, tied
+        gy = rng.normal(size=(2, 3, 4, 3))               # about half negative
+        p, pool_cache = nn.maxpool2_forward(x)
+        y, relu_cache = nn.relu_forward(p)
+        gx = nn.maxpool2_backward(nn.relu_backward(gy, relu_cache), pool_cache)
+        want_y, cache = relu_pool_forward(x)
+        want_gx = relu_pool_backward(gy, cache)
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+        # both signs of zero occur in the gradients compared
+        assert np.signbit(gx[gx == 0]).any() and not np.signbit(gx[gx == 0]).all()
+
+
 class TestElementwiseOps:
     def test_relu_values(self):
         np.testing.assert_allclose(nn.relu_forward(np.array([-1.0, 0.0, 2.0]))[0], [0.0, 0.0, 2.0])
@@ -182,8 +207,8 @@ class TestElementwiseOps:
         y, cache = nn.relu_forward(x)
         r, loss = weighted_sum_loss(3, y.shape)
         g = nn.relu_backward(r, cache)
-        num = nn.numerical_gradient(lambda v: loss(nn.relu_forward(v)[0]), x)
-        assert nn.gradient_rel_err(g, num) < 1e-6
+        num = numerical_gradient(lambda v: loss(nn.relu_forward(v)[0]), x)
+        assert gradient_rel_err(g, num) < 1e-6
 
     def test_softmax_uniform_for_equal_logits(self):
         y = nn.softmax(np.zeros((3, 5)))
@@ -203,8 +228,8 @@ class TestElementwiseOps:
         y = nn.softmax(x)
         r, loss = weighted_sum_loss(4, y.shape)
         g = nn.softmax_backward(r, y)
-        num = nn.numerical_gradient(lambda v: loss(nn.softmax(v)), x)
-        assert nn.gradient_rel_err(g, num) < 1e-6
+        num = numerical_gradient(lambda v: loss(nn.softmax(v)), x)
+        assert gradient_rel_err(g, num) < 1e-6
 
     def test_sigmoid_stable_at_extremes(self):
         y = nn.sigmoid(np.array([-800.0, 0.0, 800.0]))
@@ -220,12 +245,12 @@ class TestLinear:
         y, cache = nn.linear_forward(x, w, b)
         r, loss = weighted_sum_loss(5, y.shape)
         gx, gw, gb = nn.linear_backward(r, cache)
-        assert nn.gradient_rel_err(
-            gx, nn.numerical_gradient(lambda v: loss(nn.linear_forward(v, w, b)[0]), x)) < 1e-6
-        assert nn.gradient_rel_err(
-            gw, nn.numerical_gradient(lambda v: loss(nn.linear_forward(x, v, b)[0]), w)) < 1e-6
-        assert nn.gradient_rel_err(
-            gb, nn.numerical_gradient(lambda v: loss(nn.linear_forward(x, w, v)[0]), b)) < 1e-6
+        assert gradient_rel_err(
+            gx, numerical_gradient(lambda v: loss(nn.linear_forward(v, w, b)[0]), x)) < 1e-6
+        assert gradient_rel_err(
+            gw, numerical_gradient(lambda v: loss(nn.linear_forward(x, v, b)[0]), w)) < 1e-6
+        assert gradient_rel_err(
+            gb, numerical_gradient(lambda v: loss(nn.linear_forward(x, w, v)[0]), b)) < 1e-6
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
@@ -248,16 +273,16 @@ class TestLayerNorm:
         y, cache = nn.layer_norm_forward(x, gamma, beta)
         r, loss = weighted_sum_loss(6, y.shape)
         gx, ggamma, gbeta = nn.layer_norm_backward(r, cache)
-        assert nn.gradient_rel_err(
-            gx, nn.numerical_gradient(lambda v: loss(nn.layer_norm_forward(v, gamma, beta)[0]), x)
+        assert gradient_rel_err(
+            gx, numerical_gradient(lambda v: loss(nn.layer_norm_forward(v, gamma, beta)[0]), x)
         ) < 1e-6
-        assert nn.gradient_rel_err(
+        assert gradient_rel_err(
             ggamma,
-            nn.numerical_gradient(lambda v: loss(nn.layer_norm_forward(x, v, beta)[0]), gamma),
+            numerical_gradient(lambda v: loss(nn.layer_norm_forward(x, v, beta)[0]), gamma),
         ) < 1e-6
-        assert nn.gradient_rel_err(
+        assert gradient_rel_err(
             gbeta,
-            nn.numerical_gradient(lambda v: loss(nn.layer_norm_forward(x, gamma, v)[0]), beta),
+            numerical_gradient(lambda v: loss(nn.layer_norm_forward(x, gamma, v)[0]), beta),
         ) < 1e-6
 
 
@@ -330,14 +355,14 @@ class TestMultiHeadAttention:
         r, loss = weighted_sum_loss(11, y.shape)
         gq, gkv, grads = nn.mha_backward(r, cache)
 
-        assert nn.gradient_rel_err(
+        assert gradient_rel_err(
             gq,
-            nn.numerical_gradient(
+            numerical_gradient(
                 lambda v: loss(nn.mha_forward(v, kv_in, p, heads)[0]), q_in),
         ) < 1e-5
-        assert nn.gradient_rel_err(
+        assert gradient_rel_err(
             gkv,
-            nn.numerical_gradient(
+            numerical_gradient(
                 lambda v: loss(nn.mha_forward(q_in, v, p, heads)[0]), kv_in),
         ) < 1e-5
         for key in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
@@ -346,8 +371,8 @@ class TestMultiHeadAttention:
                 trial[key] = v
                 return loss(nn.mha_forward(q_in, kv_in, trial, heads)[0])
 
-            num = nn.numerical_gradient(f, p[key])
-            assert nn.gradient_rel_err(grads[key], num) < 1e-5, key
+            num = numerical_gradient(f, p[key])
+            assert gradient_rel_err(grads[key], num) < 1e-5, key
 
     def test_self_attention_gradient_shares_input(self):
         # q_in is kv_in: total input grad is the sum of both paths
@@ -357,9 +382,9 @@ class TestMultiHeadAttention:
         y, cache = nn.mha_forward(x, x, p, heads=2)
         r, loss = weighted_sum_loss(14, y.shape)
         gq, gkv, _ = nn.mha_backward(r, cache)
-        num = nn.numerical_gradient(
+        num = numerical_gradient(
             lambda v: loss(nn.mha_forward(v, v, p, 2)[0]), x)
-        assert nn.gradient_rel_err(gq + gkv, num) < 1e-5
+        assert gradient_rel_err(gq + gkv, num) < 1e-5
 
 
 class TestAdam:
