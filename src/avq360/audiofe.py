@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ValidationError
+from .errors import ValidationError, replaced_when_written
 from .manifest import AudioClip
-from .nn import read_tensor_record, write_tensor_record
+from .nn import write_tensor_record
 
 SAMPLE_RATE = 16000
 FRAME_LEN_S = 0.025
@@ -173,17 +172,9 @@ _AVQF_MAGIC = b"AVQF"
 
 
 def write_features(path, array: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    """Replaces ``path`` only once the whole dump is written."""
+    with replaced_when_written(path) as f:
         f.write(_AVQF_MAGIC)
         # a rank-0 array is stored as shape (1,)
         write_tensor_record(f, np.atleast_1d(array))
 
-
-def read_features(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:4] != _AVQF_MAGIC:
-        raise DataError(f"{path}: bad magic, not an AVQF feature dump")
-    arr, end = read_tensor_record(data, 4, path)
-    if end != len(data):
-        raise DataError(f"{path}: payload size does not match dims {arr.shape}")
-    return arr

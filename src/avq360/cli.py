@@ -94,8 +94,8 @@ def _load_split(path: Path) -> dict[str, str]:
 
 def cmd_synth_fixture(args) -> int:
     outdir = Path(args.out)
-    sequences = synthetic.generate_corpus(outdir, seed=args.seed)
-    print(f"wrote {len(sequences)} sequences under {outdir}")
+    entries = synthetic.generate_corpus(outdir, seed=args.seed)
+    print(f"wrote {len(entries)} sequences under {outdir}")
     print(f"config: {outdir / 'config.txt'}")
     return EXIT_OK
 

@@ -1,5 +1,9 @@
-"""Exception hierarchy shared across the toolkit, and the UTF-8 text read
-every text reader goes through."""
+"""Exception hierarchy shared across the toolkit, the UTF-8 text read
+every text reader goes through, and the replace-on-success write every
+table, checkpoint and feature writer goes through."""
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class Avq360Error(Exception):
@@ -27,3 +31,18 @@ def read_text_utf8(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not valid UTF-8 text at byte {e.start}") from e
+
+
+@contextmanager
+def replaced_when_written(path, mode="wb", **open_kwargs):
+    """Open ``<path>.tmp`` for writing and yield the file; rename it over
+    ``path`` once the block completes. Any exception in the block removes
+    the temporary file and leaves an earlier file at ``path`` as it was."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

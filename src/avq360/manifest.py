@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, read_text_utf8
+from .errors import DataError, ValidationError, read_text_utf8, replaced_when_written
 
 # The ten scene categories covered by the dataset design.
 SCENES = (
@@ -44,6 +44,7 @@ DEVICES = ("Insta360Pro2", "Insta360X3", "Synthetic")
 MOTIONS = ("static", "dynamic")
 SPLITS = ("train", "test", "unassigned")
 VALID_CHANNEL_COUNTS = (1, 2, 4)
+MIN_WAV_RATE = 8000  # Hz; upsampling to 16 kHz then at most doubles a clip
 
 # Continuous rating scale. The numeric range is a toolkit convention.
 SCORE_MIN = 0.0
@@ -331,9 +332,10 @@ class AudioClip:
 
 
 def _read_pcm16(path) -> tuple[np.ndarray, int]:
-    """Parse a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels) into the
-    interleaved ``(n, channels)`` int16 view of its data chunk, read
-    straight from the file buffer, and its sample rate."""
+    """Parse a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels, at least
+    MIN_WAV_RATE Hz) into the interleaved ``(n, channels)`` int16 view of
+    its data chunk, read straight from the file buffer, and its sample
+    rate."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
@@ -363,8 +365,10 @@ def _read_pcm16(path) -> tuple[np.ndarray, int]:
         raise DataError(
             f"{path}: channel count {channels} not in {VALID_CHANNEL_COUNTS}"
         )
-    if sample_rate == 0:
-        raise DataError(f"{path}: sample rate 0 in fmt chunk")
+    if sample_rate < MIN_WAV_RATE:
+        raise DataError(
+            f"{path}: sample rate {sample_rate} in fmt chunk, below {MIN_WAV_RATE} Hz"
+        )
     offset, size = payload
     if size % (2 * channels):
         raise DataError(f"{path}: data chunk size not a multiple of frame size")
@@ -463,21 +467,14 @@ def write_csv_table(path, header, rows) -> None:
     """Write ``header``, then each row of the iterable ``rows`` as it is
     produced, as UTF-8 CSV with CRLF line ends.
 
-    The table is written to ``<path>.tmp`` and renamed over ``path`` only
-    once every row is written, so a failure while producing the rows
-    leaves neither a partial table nor the temporary file behind, and an
-    earlier table at ``path`` as it was.
+    The table replaces ``path`` only once every row is written
+    (``replaced_when_written``), so a failure while producing the rows
+    leaves an earlier table at ``path`` as it was.
     """
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replaced_when_written(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_bool(text: str) -> bool:

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import expit
 
 from .errors import ValidationError
 from .manifest import write_csv_table
@@ -53,6 +51,8 @@ class MetricReport:
 
 def logistic4(x, b1, b2, b3, b4):
     """(b1-b2)/(1+exp(-(x-b3)/|b4|)) + b2; |b4| keeps the curve monotone."""
+    from scipy.special import expit
+
     scale = max(abs(b4), 1e-12)
     return (b1 - b2) * expit((np.asarray(x, dtype=np.float64) - b3) / scale) + b2
 
@@ -84,11 +84,13 @@ def logistic_fit(pred, mos) -> LogisticFit:
         max(float(pred.std()) / 4.0, 1e-6),
     ])
 
+    from scipy.optimize import minimize
+
     def sse(beta):
         r = logistic4(pred, *beta) - mos
         return float(r @ r)
 
-    res = optimize.minimize(
+    res = minimize(
         sse, x0, method="Nelder-Mead",
         options={"maxiter": 2000, "maxfev": 4000, "xatol": 1e-10, "fatol": 1e-12},
     )
@@ -128,7 +130,9 @@ def srocc(x, y) -> float:
     x, y = _validated_pair(x, y)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValidationError("rank correlation undefined for constant input")
-    return float(stats.spearmanr(x, y).correlation)
+    from scipy.stats import spearmanr
+
+    return float(spearmanr(x, y).correlation)
 
 
 def krocc(x, y) -> float:
@@ -136,7 +140,9 @@ def krocc(x, y) -> float:
     x, y = _validated_pair(x, y)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValidationError("rank correlation undefined for constant input")
-    return float(stats.kendalltau(x, y, variant="b").correlation)
+    from scipy.stats import kendalltau
+
+    return float(kendalltau(x, y, variant="b").correlation)
 
 
 def rmse(x, y) -> float:

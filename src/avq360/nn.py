@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, NumericError, ValidationError
+from .errors import DataError, NumericError, ValidationError, replaced_when_written
 
 LN_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -466,8 +466,8 @@ CHECKPOINT_VERSION = 1
 def write_checkpoint(path, tensors: dict) -> None:
     """Binary checkpoint: magic "AVQC", u32 version, u32 tensor count,
     then per tensor u32 name length, name bytes and a tensor record.
-    Names are written sorted."""
-    with open(path, "wb") as f:
+    Names are written sorted. The file is replaced only once complete."""
+    with replaced_when_written(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
         for name in sorted(tensors):

@@ -16,9 +16,7 @@ byte-reproducible and safe to regenerate inside tests.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +28,7 @@ from .manifest import (
     FrameSequence,
     RatingRecord,
     SequenceManifestEntry,
+    write_csv_table,
     write_manifest,
     write_scores_csv,
     write_wav,
@@ -64,13 +63,7 @@ N_FRAMES = 8
 FPS = 8.0
 AUDIO_SR = 16000
 DURATION_S = 1.0
-
-
-@dataclass
-class FixtureSequence:
-    entry: SequenceManifestEntry
-    distortion: float
-    target_mos: float
+HM_RATE_HZ = 120.0
 
 
 def _box_blur(img: np.ndarray, passes: int) -> np.ndarray:
@@ -84,27 +77,21 @@ def _box_blur(img: np.ndarray, passes: int) -> np.ndarray:
     return img
 
 
-def make_frames(
-    rng: np.random.Generator,
-    distortion: float,
-    motion: str,
-    n_frames: int = N_FRAMES,
-    height: int = FRAME_H,
-    width: int = FRAME_W,
-) -> np.ndarray:
-    """Procedural luma frames (uint8): sinusoid field + blur/noise distortion."""
-    yy, xx = np.mgrid[0:height, 0:width]
+def make_frames(rng: np.random.Generator, distortion: float, motion: str) -> np.ndarray:
+    """N_FRAMES procedural FRAME_H x FRAME_W luma frames (uint8): sinusoid
+    field + blur/noise distortion."""
+    yy, xx = np.mgrid[0:FRAME_H, 0:FRAME_W]
     fx = rng.uniform(1.0, 4.0)
     fy = rng.uniform(1.0, 4.0)
     ph1, ph2 = rng.uniform(0, 1, size=2)
     drift = 0.08 if motion == "dynamic" else 0.0
     frames = []
     blur_passes = int(round(4 * distortion))
-    for t in range(n_frames):
+    for t in range(N_FRAMES):
         base = (
             0.5
-            + 0.22 * np.sin(2 * np.pi * (fx * xx / width + ph1 + drift * t))
-            + 0.22 * np.sin(2 * np.pi * (fy * yy / height + ph2 + 0.5 * drift * t))
+            + 0.22 * np.sin(2 * np.pi * (fx * xx / FRAME_W + ph1 + drift * t))
+            + 0.22 * np.sin(2 * np.pi * (fy * yy / FRAME_H + ph2 + 0.5 * drift * t))
         )
         img = _box_blur(base, blur_passes)
         img = img + rng.normal(0.0, 0.12 * distortion, size=img.shape)
@@ -112,16 +99,11 @@ def make_frames(
     return (np.stack(frames) * 255.0).round().astype(np.uint8)
 
 
-def make_audio(
-    rng: np.random.Generator,
-    distortion: float,
-    channels: int,
-    sample_rate: int = AUDIO_SR,
-    duration_s: float = DURATION_S,
-) -> AudioClip:
-    """Tonal bed per channel with noise amplitude tied to the distortion."""
-    n = int(round(sample_rate * duration_s))
-    t = np.arange(n) / sample_rate
+def make_audio(rng: np.random.Generator, distortion: float, channels: int) -> AudioClip:
+    """DURATION_S at AUDIO_SR: a tonal bed per channel with noise amplitude
+    tied to the distortion."""
+    n = int(round(AUDIO_SR * DURATION_S))
+    t = np.arange(n) / AUDIO_SR
     tones = (440.0, 554.4, 659.3, 784.0)
     chans = []
     for c in range(channels):
@@ -129,18 +111,16 @@ def make_audio(
         clean += 0.15 * np.sin(2 * np.pi * 2.0 * tones[c % len(tones)] * t)
         noisy = clean + 0.3 * distortion * rng.uniform(-1.0, 1.0, size=n)
         chans.append(np.clip(noisy, -0.98, 0.98))
-    return AudioClip(samples=np.stack(chans), sample_rate=sample_rate)
+    return AudioClip(samples=np.stack(chans), sample_rate=AUDIO_SR)
 
 
 def make_hm_rows(
-    rng: np.random.Generator,
-    motion: str,
-    duration_s: float = DURATION_S,
-    rate_hz: float = 120.0,
+    rng: np.random.Generator, motion: str, duration_s: float = DURATION_S
 ) -> list[tuple[float, float, float, float]]:
-    """(t, yaw, pitch, roll) rows: slow scan for dynamic, jitter for static."""
-    n = int(round(duration_s * rate_hz))
-    t = np.arange(n) / rate_hz
+    """(t, yaw, pitch, roll) rows at HM_RATE_HZ: slow scan for dynamic,
+    jitter for static."""
+    n = int(round(duration_s * HM_RATE_HZ))
+    t = np.arange(n) / HM_RATE_HZ
     if motion == "dynamic":
         yaw = 180.0 - np.mod(180.0 - (-60.0 + 25.0 * t), 360.0)
         pitch = 8.0 * np.sin(2 * np.pi * 0.4 * t)
@@ -158,10 +138,10 @@ def make_hm_rows(
 
 
 def write_hm_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("t,yaw,pitch,roll\n")
-        for t, yaw, pitch, roll in rows:
-            f.write(f"{t:.6f},{yaw:.4f},{pitch:.4f},{roll:.4f}\n")
+    write_csv_table(path, ["t", "yaw", "pitch", "roll"], (
+        [f"{t:.6f}", f"{yaw:.4f}", f"{pitch:.4f}", f"{roll:.4f}"]
+        for t, yaw, pitch, roll in rows
+    ))
 
 
 def make_rating_table(
@@ -236,19 +216,19 @@ batch_size = 8
 """
 
 
-def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[FixtureSequence]:
-    """Write the full synthetic corpus; returns the manifest descriptors.
+def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[SequenceManifestEntry]:
+    """Write the full synthetic corpus; returns the manifest entries.
 
     Layout: manifest.json, media/<id>.y4m + .wav, hm/<id>.csv,
-    scores.csv, config.txt, fixture_meta.json.
+    scores.csv, config.txt. Sequence i has distortion i/7 and designed
+    MOS MEDIA_TARGETS[i].
     """
     outdir = Path(outdir)
     (outdir / "media").mkdir(parents=True, exist_ok=True)
     (outdir / "hm").mkdir(parents=True, exist_ok=True)
 
-    master = np.random.default_rng(seed)
-    sequences = []
-    for i, target in enumerate(MEDIA_TARGETS):
+    entries = []
+    for i in range(len(MEDIA_TARGETS)):
         seq_id = f"seq{i:02d}"
         distortion = i / (len(MEDIA_TARGETS) - 1)
         motion = "dynamic" if i % 2 else "static"
@@ -277,11 +257,9 @@ def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[FixtureSequence]:
             outdir / "media" / f"{seq_id}.wav",
         )
         write_hm_csv(make_hm_rows(rng, motion), outdir / "hm" / f"{seq_id}.csv")
-        sequences.append(
-            FixtureSequence(entry=entry, distortion=distortion, target_mos=target)
-        )
+        entries.append(entry)
 
-    write_manifest([s.entry for s in sequences], outdir / "manifest.json")
+    write_manifest(entries, outdir / "manifest.json")
 
     targets = fixture_sequence_targets()
     records = make_rating_table(targets, seed=seed)
@@ -291,24 +269,7 @@ def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[FixtureSequence]:
     (outdir / "config.txt").write_text(
         _CONFIG_TEMPLATE.format(seed=seed), encoding="utf-8"
     )
-    meta = {
-        "seed": seed,
-        "planted_subject": PLANTED_SUBJECT,
-        "ssq_subject": SSQ_SUBJECT,
-        "noise_std": NOISE_STD,
-        "sequences": [
-            {
-                "sequence_id": s.entry.sequence_id,
-                "distortion": s.distortion,
-                "target_mos": s.target_mos,
-            }
-            for s in sequences
-        ],
-    }
-    (outdir / "fixture_meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
-    return sequences
+    return entries
 
 
 def _verify_screening(records) -> None:

@@ -10,11 +10,12 @@ package building blocks so that tests can pin those blocks' behaviour.
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from avq360 import audiofe, nn
-from avq360.errors import ValidationError
+from avq360.errors import DataError, ValidationError
 from avq360.model import _overlap_matrix
 
 
@@ -302,6 +303,18 @@ def relu_pool_backward(gy, cache):
     """The input gradient of ``relu_pool_forward``: pool, then relu backward."""
     relu_cache, pool_cache = cache
     return nn.relu_backward(nn.maxpool2_backward(gy, pool_cache), relu_cache)
+
+
+def read_features(path) -> np.ndarray:
+    """The array of an AVQF feature dump (``audiofe.write_features``):
+    the magic, then one tensor record that must end the file."""
+    data = Path(path).read_bytes()
+    if data[:4] != audiofe._AVQF_MAGIC:
+        raise DataError(f"{path}: bad magic, not an AVQF feature dump")
+    arr, end = nn.read_tensor_record(data, 4, path)
+    if end != len(data):
+        raise DataError(f"{path}: payload size does not match dims {arr.shape}")
+    return arr
 
 
 def filter_center_frequencies(

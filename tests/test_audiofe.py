@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from avq360 import audiofe
 from avq360.audiofe import (
     frame_patches,
     hz_to_mel,
@@ -11,7 +12,6 @@ from avq360.audiofe import (
     mel_filterbank,
     mel_to_hz,
     next_pow2,
-    read_features,
     resample_linear,
     stft_magnitude,
     write_features,
@@ -19,7 +19,8 @@ from avq360.audiofe import (
 from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip
 
-from oracles import filter_center_frequencies, gathered_stft_magnitude, interp_resample
+from oracles import (filter_center_frequencies, gathered_stft_magnitude, interp_resample,
+                     read_features)
 
 
 def mono(x, sr=16000):
@@ -261,3 +262,20 @@ class TestFeatureDump:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataError, match="size"):
             read_features(path)
+
+    def test_interrupted_write_leaves_earlier_dump_and_no_temporary_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "f.avqf"
+        write_features(path, np.ones((2, 3), dtype=np.float32))
+        before = path.read_bytes()
+
+        def fail(f, arr):
+            f.write(b"\0" * 8)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(audiofe, "write_tensor_record", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_features(path, np.zeros((2, 3), dtype=np.float32))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avq360
 from avq360 import model
-from avq360.audiofe import read_features
 from avq360.cli import _features, main
 from avq360.config import load_config
 from avq360.nn import read_checkpoint, write_checkpoint
@@ -22,6 +26,7 @@ from avq360.siti import summarize_siti
 from avq360.manifest import load_wav, load_y4m, RatingRecord
 from avq360.synthetic import PLANTED_SUBJECT
 
+from oracles import read_features
 from test_manifest import MISTYPED_VALUES, make_entry
 
 
@@ -49,14 +54,38 @@ class TestSynthFixture:
         assert run(["synth-fixture", "--out", tmp_path / "fx"]) == 0
         out = capsys.readouterr().out
         assert "8 sequences" in out
-        for name in ("manifest.json", "scores.csv", "config.txt", "fixture_meta.json"):
+        for name in ("manifest.json", "scores.csv", "config.txt"):
             assert (tmp_path / "fx" / name).is_file()
+        assert {p.name for p in (tmp_path / "fx").iterdir()} == {
+            "manifest.json", "scores.csv", "config.txt", "media", "hm"}
         entries = load_manifest(tmp_path / "fx" / "manifest.json")
         assert len(entries) == 8
         for e in entries:
             assert (tmp_path / "fx" / "media" / f"{e.sequence_id}.y4m").is_file()
             assert (tmp_path / "fx" / "media" / f"{e.sequence_id}.wav").is_file()
             assert (tmp_path / "fx" / "hm" / f"{e.sequence_id}.csv").is_file()
+
+
+class TestImportCost:
+    """Commands other than `evaluate` never need scipy, and the package
+    root imports nothing: checked in a fresh interpreter."""
+
+    @staticmethod
+    def loaded_after(statement):
+        src = str(Path(avq360.__file__).resolve().parents[1])
+        code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        return out.split()
+
+    def test_cli_import_loads_no_scipy(self):
+        loaded = self.loaded_after("import avq360.cli")
+        assert "avq360.metrics" in loaded
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = self.loaded_after("import avq360")
+        assert [m for m in loaded if m.startswith("avq360.")] == []
 
 
 class TestProcessScores:
@@ -455,6 +484,21 @@ class TestPredict:
             args += ["--set", o]
         assert run(args) == 3
         assert "seq03.wav: sample rate 0" in capsys.readouterr().err
+
+    def test_sample_rate_below_8000_wav_is_data_error(self, tmp_path, corpus_dir, trained_dir,
+                                                      capsys):
+        _, overrides = trained_dir
+        media = tmp_path / "media"
+        shutil.copytree(corpus_dir / "media", media)
+        raw = bytearray((media / "seq03.wav").read_bytes())
+        raw[24:28] = struct.pack("<I", 50)  # fmt chunk sample rate
+        (media / "seq03.wav").write_bytes(bytes(raw))
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--set", f"media_root={media}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert "seq03.wav: sample rate 50" in capsys.readouterr().err
 
     def test_unknown_sequence_is_validation_error(self, corpus_dir, trained_dir):
         _, overrides = trained_dir

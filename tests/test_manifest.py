@@ -284,6 +284,14 @@ class TestWAV:
         with pytest.raises(DataError, match="zero.wav: sample rate 0"):
             load_wav(path)
 
+    @pytest.mark.parametrize("load", [load_wav, load_wav_mono])
+    def test_sample_rate_below_8000_is_data_error(self, tmp_path, load):
+        # 8 KB of PCM at 50 Hz would resample to 640 000 samples per channel
+        path = tmp_path / "slow.wav"
+        path.write_bytes(wav_bytes(2, 50, bytes(2 * 2 * 2000)))
+        with pytest.raises(DataError, match="slow.wav: sample rate 50 .*below 8000 Hz"):
+            load(path)
+
     def test_truncated_data_chunk(self, tmp_path):
         path = tmp_path / "short.wav"
         path.write_bytes(wav_bytes(2, 8000, bytes(16))[:-2])

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avq360 import nn
-from avq360.audiofe import read_features, write_features
+from avq360.audiofe import write_features
 from avq360.errors import DataError, NumericError, ValidationError
 
 from oracles import (gradient_rel_err, naive_conv2d, naive_maxpool2, numerical_gradient,
-                     relu_pool_backward, relu_pool_forward)
+                     read_features, relu_pool_backward, relu_pool_forward)
 
 
 def weighted_sum_loss(seed, shape):
@@ -487,6 +487,29 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError):
             nn.read_checkpoint(path)
+
+    def test_interrupted_write_leaves_earlier_checkpoint_and_no_temporary_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "m.avqc"
+        tensors = {"a": np.ones((2, 3), dtype=np.float32), "b": np.float32(2.0)}
+        nn.write_checkpoint(path, tensors)
+        before = path.read_bytes()
+        write_record = nn.write_tensor_record
+        written = []
+
+        def fail_after_one(f, arr):
+            if written:
+                raise KeyboardInterrupt
+            written.append(arr)
+            write_record(f, arr)
+
+        monkeypatch.setattr(nn, "write_tensor_record", fail_after_one)
+        with pytest.raises(KeyboardInterrupt):
+            nn.write_checkpoint(path, {k: v * 2 for k, v in tensors.items()})
+        assert len(written) == 1
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestTensorRecords:

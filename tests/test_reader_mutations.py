@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avq360.audiofe import read_features, write_features
+from avq360.audiofe import write_features
 from avq360.config import load_config
 from avq360.errors import Avq360Error
 from avq360.manifest import (AudioClip, FrameSequence, SequenceManifestEntry, load_manifest,
@@ -23,6 +23,7 @@ from avq360.manifest import (AudioClip, FrameSequence, SequenceManifestEntry, lo
 from avq360.model import AVQAModel
 
 from conftest import tiny_model_config
+from oracles import read_features
 from test_manifest import make_entry
 
 
