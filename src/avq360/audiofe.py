@@ -9,8 +9,8 @@ quadratic in magnitude (power), so doubling the input amplitude
 quadruples mel energies before the log. No DCT is applied; the front-end stops at the
 log-mel representation the downstream CNN consumes.
 
-Clips arrive as float64 C-order ``(channels, n)`` rows (see
-``manifest.AudioClip``). ``resample_linear`` places output sample k at
+Clips arrive as one float64 row, the mean of a file's channels (see
+``manifest.load_wav``). ``resample_linear`` places output sample k at
 input position k*sr_in/sr_out, taken as an exact integer quotient and
 remainder, and interpolates linearly between the two input samples
 around it. When sr_in is a multiple of sr_out (48 -> 16 kHz) every

@@ -20,7 +20,7 @@ import numpy as np
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
 from .errors import DataError, NumericError, ValidationError
-from .manifest import (load_manifest, load_scores_csv, load_wav_mono, load_y4m,
+from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
                        read_csv_table, write_csv_table)
 
 EXIT_OK = 0
@@ -58,12 +58,11 @@ def _media_path(cfg: RunConfig, sequence_id: str, suffix: str) -> Path:
 
 def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
               sequence_id: str) -> model.SequenceFeatures:
-    """Model input tensors of one sequence, preprocessed from its media.
-    The audio is decoded to mono (``load_wav_mono``): the model reads
-    nothing but the mean of the channels."""
+    """Model input tensors of one sequence, preprocessed from its media;
+    ``load_wav`` decodes the audio to the mean of its channels."""
     return model.preprocess_sequence(
         load_y4m(_media_path(cfg, sequence_id, ".y4m")),
-        load_wav_mono(_media_path(cfg, sequence_id, ".wav")),
+        load_wav(_media_path(cfg, sequence_id, ".wav")),
         model_cfg, sequence_id,
     )
 
@@ -208,19 +207,25 @@ def _select_entries(cfg: RunConfig, entries, subset: str):
     return labelled
 
 
-def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+def _rated_entries(cfg: RunConfig, subset: str):
+    """The manifest entries of ``subset`` (see ``_select_entries``) and the
+    MOS table; an empty subset or one the table does not rate in full is
+    an error."""
     entries = _manifest_entries(cfg)
     _require_file(cfg.mos_table, "MOS table (run process-scores first)")
     mos_map = subjective.read_mos_csv(cfg.mos_table)
-
-    selected = _select_entries(cfg, entries, args.on)
+    selected = _select_entries(cfg, entries, subset)
     if not selected:
-        raise ValidationError("training subset is empty")
-    missing_mos = [e.sequence_id for e in selected if e.sequence_id not in mos_map]
-    if missing_mos:
-        raise DataError(f"MOS table lacks sequences {missing_mos}")
+        raise ValidationError(f"subset {subset!r} is empty")
+    missing = [e.sequence_id for e in selected if e.sequence_id not in mos_map]
+    if missing:
+        raise DataError(f"MOS table lacks sequences {missing}")
+    return selected, mos_map
 
+
+def cmd_train(args) -> int:
+    cfg = _config_from_args(args)
+    selected, mos_map = _rated_entries(cfg, args.on)
     feats = [_features(cfg, cfg.model, e.sequence_id) for e in selected]
     targets = np.array([mos_map[e.sequence_id].mos / 100.0 for e in selected])
 
@@ -237,20 +242,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    entries = _manifest_entries(cfg)
-    ckpt = args.checkpoint or cfg.checkpoint
-    _require_file(ckpt, "checkpoint")
-    _require_file(cfg.mos_table, "MOS table")
-    mos_map = subjective.read_mos_csv(cfg.mos_table)
-
-    selected = _select_entries(cfg, entries, args.on)
-    if not selected:
-        raise ValidationError(f"evaluation subset {args.on!r} is empty")
-    missing = [e.sequence_id for e in selected if e.sequence_id not in mos_map]
-    if missing:
-        raise DataError(f"MOS table lacks sequences {missing}")
-
-    net = model.AVQAModel.load(ckpt)
+    _require_file(cfg.checkpoint, "checkpoint")
+    selected, mos_map = _rated_entries(cfg, args.on)
+    net = model.AVQAModel.load(cfg.checkpoint)
     preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id)) for e in selected])
     mos = np.array([mos_map[e.sequence_id].mos for e in selected])
     report = metrics.evaluate_predictions(preds, mos)
@@ -270,9 +264,8 @@ def cmd_predict(args) -> int:
     by_id = {e.sequence_id: e for e in entries}
     if args.sequence not in by_id:
         raise ValidationError(f"sequence {args.sequence!r} not in manifest")
-    ckpt = args.checkpoint or cfg.checkpoint
-    _require_file(ckpt, "checkpoint")
-    net = model.AVQAModel.load(ckpt)
+    _require_file(cfg.checkpoint, "checkpoint")
+    net = model.AVQAModel.load(cfg.checkpoint)
     score = net.predict(_features(cfg, net.cfg, args.sequence))
     print(f"{args.sequence}: {score:.4f}")
     return EXIT_OK
@@ -323,12 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_config("evaluate", "logistic fit + PLCC/SROCC/KROCC/RMSE")
     p.add_argument("--on", choices=("train", "test", "all"), default="test")
-    p.add_argument("--checkpoint", help="checkpoint path (defaults to config)")
     p.set_defaults(func=cmd_evaluate)
 
     p = with_config("predict", "score one sequence with a trained checkpoint")
     p.add_argument("--sequence", required=True, help="sequence id from the manifest")
-    p.add_argument("--checkpoint", help="checkpoint path (defaults to config)")
     p.set_defaults(func=cmd_predict)
 
     return parser

@@ -37,6 +37,8 @@ class RunConfig:
             raise ValidationError(
                 f"split_ratio must be in (0, 1), got {self.split_ratio}"
             )
+        if self.split_seed < 0:
+            raise ValidationError(f"split_seed must be >= 0, got {self.split_seed}")
         self.model.validate()
 
 

@@ -71,6 +71,9 @@ class SequenceManifestEntry:
         ctx = f"sequence {self.sequence_id!r}"
         if not self.sequence_id:
             raise ValidationError("empty sequence_id")
+        if any(c in self.sequence_id for c in "/\\\0"):
+            # the id names media, trace and feature files inside their directories
+            raise ValidationError(f"{ctx}: sequence_id must not contain '/', '\\' or NUL")
         if self.width != 2 * self.height:
             raise ValidationError(
                 f"{ctx}: {self.width}x{self.height} is not 2:1 ERP"
@@ -308,7 +311,7 @@ def write_y4m(seq: FrameSequence, path) -> None:
 class AudioClip:
     """Per-channel PCM samples scaled to [-1, 1]: float64 C-order rows of
     shape (channels, n), so each channel is contiguous and a mean over
-    channels adds whole rows."""
+    channels adds whole rows. ``load_wav`` gives one row."""
 
     samples: np.ndarray
     sample_rate: int
@@ -326,16 +329,18 @@ class AudioClip:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate
 
+def load_wav(path) -> AudioClip:
+    """Read a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels, at least
+    MIN_WAV_RATE Hz) as a mono clip: one row, the mean of the channels.
 
-def _read_pcm16(path) -> tuple[np.ndarray, int]:
-    """Parse a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels, at least
-    MIN_WAV_RATE Hz) into the interleaved ``(n, channels)`` int16 view of
-    its data chunk, read straight from the file buffer, and its sample
-    rate."""
+    The row is decoded straight from the int16 codes of the data chunk:
+    the channel columns are added in int32 and the sum is scaled once by
+    2**-15/channels. So the most negative 16-bit code of a mono file maps
+    to -1.0 exactly, and the row equals the float mean of the channels
+    scaled by 2**-15, bit for bit: a float sum of at most 4 such values
+    is exact, and so is a division by 1, 2 or 4.
+    """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
@@ -372,37 +377,11 @@ def _read_pcm16(path) -> tuple[np.ndarray, int]:
     offset, size = payload
     if size % (2 * channels):
         raise DataError(f"{path}: data chunk size not a multiple of frame size")
-    pcm = np.frombuffer(data, dtype="<i2", count=size // 2, offset=offset)
-    return pcm.reshape(-1, channels), sample_rate
-
-
-def load_wav(path) -> AudioClip:
-    """Read a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels).
-
-    Samples are scaled to [-1, 1] by the exact factor 2**-15, so the most
-    negative 16-bit code maps to -1.0 exactly. They are de-interleaved
-    into C-order ``(channels, n)`` rows straight from the file buffer,
-    without a copy of the data chunk.
-    """
-    pcm, sample_rate = _read_pcm16(path)
-    samples = pcm.T.astype(np.float64, order="C")
-    samples *= 2.0 ** -15
-    return AudioClip(samples=samples, sample_rate=sample_rate)
-
-
-def load_wav_mono(path) -> AudioClip:
-    """The mono clip ``downmix_mono(load_wav(path))``, bit for bit, decoded
-    straight from the int16 codes: the channel columns are added in int32
-    and the sum is scaled once by 2**-15/channels.
-
-    The bits match because a float sum of k*2**-15 values (at most 4
-    codes of 16 bits) is exact, and so is a division by 1, 2 or 4.
-    """
-    pcm, sample_rate = _read_pcm16(path)
+    pcm = np.frombuffer(data, dtype="<i2", count=size // 2, offset=offset).reshape(-1, channels)
     total = pcm[:, 0].astype(np.int32)
-    for c in range(1, pcm.shape[1]):
+    for c in range(1, channels):
         total += pcm[:, c]
-    mono = total * (2.0 ** -15 / pcm.shape[1])
+    mono = total * (2.0 ** -15 / channels)
     return AudioClip(samples=mono[None], sample_rate=sample_rate)
 
 

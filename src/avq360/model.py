@@ -110,6 +110,8 @@ class ModelConfig:
             raise ValidationError("lr must be finite and > 0")
         if self.train_steps < 0 or self.batch_size < 1:
             raise ValidationError("train_steps must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def cross_attention_block_indices(n_blocks: int) -> list[int]:
@@ -174,7 +176,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
 
 
 def audio_input(clip: AudioClip, cfg: ModelConfig) -> np.ndarray:
-    """Log-mel patch stack (P, patch_frames, num_mel) from any ingested clip."""
+    """Log-mel patch stack (P, patch_frames, num_mel) of a clip; a
+    multichannel clip (``load_wav`` gives mono) is downmixed first."""
     mono = clip if clip.channels == 1 else downmix_mono(clip)
     if mono.sample_rate != audiofe.SAMPLE_RATE:
         mono = audiofe.resample_linear(mono, audiofe.SAMPLE_RATE)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ValidationError
 from .manifest import (
     SCENES,
     AudioClip,
@@ -223,6 +223,8 @@ def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[SequenceManifestEn
     scores.csv, config.txt. Sequence i has distortion i/7 and designed
     MOS MEDIA_TARGETS[i].
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     outdir = Path(outdir)
     (outdir / "media").mkdir(parents=True, exist_ok=True)
     (outdir / "hm").mkdir(parents=True, exist_ok=True)

@@ -65,6 +65,11 @@ class TestSynthFixture:
             assert (tmp_path / "fx" / "media" / f"{e.sequence_id}.wav").is_file()
             assert (tmp_path / "fx" / "hm" / f"{e.sequence_id}.csv").is_file()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert run(["synth-fixture", "--out", tmp_path / "fx", "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
 
 class TestImportCost:
     """Commands other than `evaluate` never need scipy, and the package
@@ -259,6 +264,12 @@ class TestSplit:
         assert labels.count("test") == expected_test
         assert labels.count("train") == n - expected_test
 
+    def test_negative_seed_exits_2(self, tmp_path, corpus_dir, capsys):
+        assert run(["split", "--config", corpus_dir / "config.txt",
+                    "--set", f"output_dir={tmp_path}", "--set", "split_seed=-1"]) == 2
+        assert "split_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExtractFeatures:
     def test_features_equal_preprocess_of_load_wav(self, corpus_dir):
@@ -281,6 +292,26 @@ class TestExtractFeatures:
         audio = read_features(corpus_dir / "out_feat" / "features" / "seq00_audio.avqf")
         assert video.shape == (8, 4, 16, 32)
         assert audio.shape == (2, 96, 64)
+
+    def test_path_in_sequence_id_exits_2_and_writes_nothing(self, tmp_path, corpus_dir,
+                                                            capsys):
+        # valid media two levels above media_root, where "../../evil" points
+        fixture = tmp_path / "a" / "fixture"
+        (fixture / "media").mkdir(parents=True)
+        shutil.copy(corpus_dir / "media" / "seq00.y4m", tmp_path / "a" / "evil.y4m")
+        shutil.copy(corpus_dir / "media" / "seq00.wav", tmp_path / "a" / "evil.wav")
+        entry = load_manifest(corpus_dir / "manifest.json")[0].__dict__
+        (fixture / "manifest.json").write_text(
+            json.dumps([entry | {"sequence_id": "../../evil"}]), encoding="utf-8")
+        (fixture / "config.txt").write_text(
+            "manifest = manifest.json\nmedia_root = media\nscores = s.csv\n"
+            "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert run(["extract-features", "--config", fixture / "config.txt"]) == 2
+        assert "entry 0: sequence '../../evil': sequence_id must not contain" in \
+            capsys.readouterr().err
+        # the one new path is the empty output directory, made before the manifest is read
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [fixture / "out"])
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +370,14 @@ class TestTrain:
         )
         assert run(["process-scores", "--config", fixture / "config.txt"]) == 0
         assert run(["train", "--config", fixture / "config.txt"]) == 3
+
+    def test_negative_seed_exits_2(self, tmp_path, corpus_dir, trained_dir, capsys):
+        out, _ = trained_dir
+        assert run(["train", "--config", corpus_dir / "config.txt",
+                    "--set", f"output_dir={tmp_path}", "--set", f"mos_table={out / 'mos.csv'}",
+                    "--set", "train_steps=1", "--set", "seed=-1"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvaluate:
@@ -405,7 +444,7 @@ class TestEvaluate:
             if not o.startswith("output_dir="):
                 args += ["--set", o]
         if command == "evaluate":
-            args += ["--checkpoint", out / "model.avqc"]
+            args += ["--set", f"checkpoint={out / 'model.avqc'}"]
         assert run(args) == 3
         assert f"{bad}: line 5: mos nan outside" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
@@ -433,7 +472,7 @@ class TestPredict:
         bad = tmp_path / "nan_bands.avqc"
         write_checkpoint(bad, tensors)
         args = ["predict", "--config", corpus_dir / "config.txt",
-                "--sequence", "seq03", "--checkpoint", bad]
+                "--sequence", "seq03", "--set", f"checkpoint={bad}"]
         for o in overrides:
             args += ["--set", o]
         assert run(args) == 3
@@ -445,7 +484,7 @@ class TestPredict:
         bad.write_bytes(b"AVQC" + struct.pack("<III", 1, 1, 1) + b"a"
                         + struct.pack("<66I", 65, *[0] * 65))
         args = ["predict", "--config", corpus_dir / "config.txt",
-                "--sequence", "seq03", "--checkpoint", bad]
+                "--sequence", "seq03", "--set", f"checkpoint={bad}"]
         for o in overrides:
             args += ["--set", o]
         assert run(args) == 3
@@ -464,7 +503,8 @@ class TestPredict:
             raise AssertionError("preprocessing ran")
 
         monkeypatch.setattr(model, "preprocess_sequence", no_preprocessing)
-        args = [command, "--config", corpus_dir / "config.txt", "--checkpoint", bad]
+        args = [command, "--config", corpus_dir / "config.txt",
+                "--set", f"checkpoint={bad}"]
         args += ["--on", "all"] if command == "evaluate" else ["--sequence", "seq03"]
         for o in overrides:
             args += ["--set", o]

@@ -17,7 +17,6 @@ from avq360.manifest import (
     load_manifest,
     load_scores_csv,
     load_wav,
-    load_wav_mono,
     load_y4m,
     write_manifest,
     write_scores_csv,
@@ -89,6 +88,16 @@ class TestManifest:
         path.write_text(json.dumps([e.__dict__, e.__dict__]))
         with pytest.raises(ValidationError, match="duplicate"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("sequence_id", ["../../evil", "a\\b", "a\0b"])
+    def test_path_separator_or_nul_in_id_rejected(self, tmp_path, sequence_id):
+        path = tmp_path / "sep.json"
+        path.write_text(json.dumps([make_entry(0).__dict__, make_entry(1).__dict__
+                                    | {"sequence_id": sequence_id}]))
+        with pytest.raises(ValidationError) as info:
+            load_manifest(path)
+        assert str(info.value) == (f"{path}: entry 1: sequence {sequence_id!r}: "
+                                   "sequence_id must not contain '/', '\\' or NUL")
 
     def test_parse_error_has_line_context(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -216,15 +225,15 @@ class TestWAV:
         assert loaded.n_samples == 16000
         assert np.all(loaded.samples == 0.0)
 
-    def test_four_channels_preserved(self, tmp_path):
+    def test_four_channels_decode_to_their_mean(self, tmp_path):
         rng = np.random.default_rng(1)
         clip = AudioClip(samples=rng.uniform(-0.5, 0.5, (4, 512)), sample_rate=48000)
         path = tmp_path / "q.wav"
         write_wav(clip, path)
         loaded = load_wav(path)
-        assert loaded.channels == 4
+        assert loaded.channels == 1
         assert loaded.sample_rate == 48000
-        assert np.abs(loaded.samples - clip.samples).max() < 1.0 / 32768
+        assert np.abs(loaded.samples - clip.samples.mean(axis=0)).max() < 1.0 / 32768
 
     def test_full_scale_negative_is_exact(self, tmp_path):
         clip = AudioClip(samples=np.array([[-1.0, 0.0, 0.25]]), sample_rate=8000)
@@ -245,16 +254,18 @@ class TestWAV:
 
     @pytest.mark.parametrize("channels", [1, 2, 4])
     def test_c_order_rows_exact(self, tmp_path, channels):
-        # odd chunk before the data chunk: the pad byte must be skipped
+        # the decoded row equals downmix_mono of the exact per-channel C-order rows
         pcm = np.random.default_rng(channels).integers(
             -32768, 32768, size=(1001, channels)).astype("<i2")
         pcm[0] = -32768
         path = tmp_path / "c.wav"
-        path.write_bytes(wav_bytes(channels, 48000, pcm.tobytes(), extra=b"LIST\x03\0\0\0abc\0"))
+        path.write_bytes(wav_bytes(channels, 48000, pcm.tobytes()))
         loaded = load_wav(path)
+        rows = AudioClip(samples=pcm.T / 32768.0, sample_rate=48000)
+        assert rows.samples.flags.c_contiguous
         assert loaded.samples.flags.c_contiguous
         assert loaded.samples.dtype == np.float64
-        assert np.array_equal(loaded.samples, pcm.T / 32768.0)
+        assert np.array_equal(loaded.samples, downmix_mono(rows).samples)
         assert loaded.samples[0, 0] == -1.0
 
     @pytest.mark.parametrize("channels", [1, 2, 4])
@@ -265,18 +276,14 @@ class TestWAV:
         pcm[1] = 32767
         pcm[2] = [1, -1, 1, -1][:channels]  # cancels to zero for 2 and 4 channels
         path = tmp_path / "m.wav"
+        # odd chunk before the data chunk: the pad byte must be skipped
         path.write_bytes(wav_bytes(channels, 48000, pcm.tobytes(), extra=b"LIST\x03\0\0\0abc\0"))
-        got = load_wav_mono(path)
-        want = downmix_mono(load_wav(path))
-        assert got.sample_rate == want.sample_rate == 48000
-        assert got.samples.shape == want.samples.shape == (1, 1001)
-        assert got.samples.tobytes() == want.samples.tobytes()
-
-    def test_mono_decode_checks_like_load_wav(self, tmp_path):
-        path = tmp_path / "tri.wav"
-        path.write_bytes(wav_bytes(3, 8000, bytes(12)))
-        with pytest.raises(DataError, match="channel count 3"):
-            load_wav_mono(path)
+        got = load_wav(path)
+        assert got.sample_rate == 48000
+        assert got.samples.flags.c_contiguous
+        assert (got.samples.dtype, got.samples.shape) == (np.float64, (1, 1001))
+        assert got.samples.tobytes() == (pcm.T / 32768.0).mean(axis=0, keepdims=True).tobytes()
+        assert got.samples[0, 0] == -1.0
 
     def test_zero_sample_rate_is_data_error(self, tmp_path):
         path = tmp_path / "zero.wav"
@@ -284,13 +291,12 @@ class TestWAV:
         with pytest.raises(DataError, match="zero.wav: sample rate 0"):
             load_wav(path)
 
-    @pytest.mark.parametrize("load", [load_wav, load_wav_mono])
-    def test_sample_rate_below_8000_is_data_error(self, tmp_path, load):
+    def test_sample_rate_below_8000_is_data_error(self, tmp_path):
         # 8 KB of PCM at 50 Hz would resample to 640 000 samples per channel
         path = tmp_path / "slow.wav"
         path.write_bytes(wav_bytes(2, 50, bytes(2 * 2 * 2000)))
         with pytest.raises(DataError, match="slow.wav: sample rate 50 .*below 8000 Hz"):
-            load(path)
+            load_wav(path)
 
     def test_truncated_data_chunk(self, tmp_path):
         path = tmp_path / "short.wav"

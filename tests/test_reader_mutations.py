@@ -18,8 +18,7 @@ from avq360.audiofe import write_features
 from avq360.config import load_config
 from avq360.errors import Avq360Error
 from avq360.manifest import (AudioClip, FrameSequence, SequenceManifestEntry, load_manifest,
-                             load_wav, load_wav_mono, load_y4m, write_manifest, write_wav,
-                             write_y4m)
+                             load_wav, load_y4m, write_manifest, write_wav, write_y4m)
 from avq360.model import AVQAModel
 
 from conftest import tiny_model_config
@@ -60,7 +59,6 @@ def _config(path):
 READERS = {
     "y4m": (load_y4m, _y4m),
     "wav": (load_wav, _wav),
-    "wav_mono": (load_wav_mono, _wav),
     "avqc": (AVQAModel.load, _avqc),
     "avqf": (read_features, _avqf),
     "manifest": (load_manifest, _manifest),
