@@ -2,8 +2,11 @@
 
 Every command is driven by one config file (see config.py); individual
 keys can be overridden with repeated ``--set key=value`` flags, and each
-override is echoed to stdout. Outputs land only under the configured
-output directory and are byte-reproducible for a given config and seed.
+override is echoed to stdout. Outputs go under the configured output
+directory, except the paths ``split_file``, ``mos_table`` and
+``checkpoint`` name, and are byte-reproducible for a given config and
+seed. A file's parent directories are created when it is written; a path
+that cannot be written is a validation error.
 
 Exit codes: 0 success, 2 validation error, 3 data error, 4 numeric
 failure.
@@ -33,7 +36,6 @@ def _config_from_args(args) -> RunConfig:
     cfg, applied = load_config(args.config, args.set or [])
     for line in applied:
         print(line)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -178,7 +180,6 @@ def cmd_extract_features(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
     feat_dir = cfg.output_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
     for entry in entries:
         feat = _features(cfg, cfg.model, entry.sequence_id)
         audiofe.write_features(feat_dir / f"{entry.sequence_id}_video.avqf", feat.video)

@@ -35,14 +35,29 @@ def read_text_utf8(path) -> str:
 
 @contextmanager
 def replaced_when_written(path, mode="wb", **open_kwargs):
-    """Open ``<path>.tmp`` for writing and yield the file; rename it over
-    ``path`` once the block completes. Any exception in the block removes
-    the temporary file and leaves an earlier file at ``path`` as it was."""
+    """Create the parent directories of ``path``, open ``<path>.tmp`` for
+    writing and yield the file; rename it over ``path`` once the block
+    completes. Any exception in the block removes the temporary file and
+    leaves an earlier file at ``path`` as it was. An OSError from making
+    the directories, opening the temporary file or the rename raises
+    ValidationError "cannot write <path>: <reason>"."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, mode, **open_kwargs) as f:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        f = open(tmp, mode, **open_kwargs)
+    except OSError as e:
+        raise _unwritable(path, e) from e
+    try:
+        with f:
             yield f
-        tmp.replace(path)
+        try:
+            tmp.replace(path)
+        except OSError as e:
+            raise _unwritable(path, e) from e
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _unwritable(path, e: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {path}: {e.strerror or e}")

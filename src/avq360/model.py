@@ -32,8 +32,8 @@ from .manifest import AudioClip, FrameSequence, downmix_mono, write_csv_table
 FUSION_MODES = ("transformer", "cat", "add")
 
 # Largest band side, patch_frames and num_mel a config may give. They size no
-# parameter, so a checkpoint's parameter count does not bound them, and
-# preprocessing allocates by them.
+# parameter, so building the model from a checkpoint's arrays does not bound
+# them, and preprocessing allocates by them.
 MAX_INPUT_SIDE = 1024
 
 
@@ -114,9 +114,13 @@ class ModelConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-def cross_attention_block_indices(n_blocks: int) -> list[int]:
+def is_cross_attention_block(index: int) -> bool:
     """Fusion blocks that carry cross-attention: indices 1, 3, 5, ... (0-based)."""
-    return [i for i in range(n_blocks) if i % 2 == 1]
+    return index % 2 == 1
+
+
+def cross_attention_block_indices(n_blocks: int) -> list[int]:
+    return [i for i in range(n_blocks) if is_cross_attention_block(i)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,8 @@ class AVQAModel:
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray] | None = None):
         """The model of ``cfg``, its parameters drawn from ``cfg.seed``; or,
         given ``params``, holding those float64 arrays themselves, with no
-        random draw (see ``nn.ParamStore``)."""
+        random draw. A name ``params`` lacks, or an array of another shape,
+        raises DataError as its layer is built (see ``nn.ParamStore``)."""
         cfg.validate()
         self.cfg = cfg
         self.store = nn.ParamStore(params)
@@ -338,12 +343,11 @@ class AVQAModel:
 
         self.fusion_blocks: list[_TransformerBlock] = []
         if cfg.fusion_mode == "transformer":
-            cross_set = set(cross_attention_block_indices(cfg.fusion_blocks))
             for i in range(cfg.fusion_blocks):
                 self.fusion_blocks.append(
                     _TransformerBlock(
                         self.store, f"fusion.block{i}", d, cfg.heads, rng,
-                        cross=(i in cross_set), ff_mult=cfg.ff_mult,
+                        cross=is_cross_attention_block(i), ff_mult=cfg.ff_mult,
                     )
                 )
             self.final_ln = nn.LayerNorm(self.store, "fusion.final_ln", d)
@@ -471,16 +475,31 @@ class AVQAModel:
 
     @classmethod
     def load(cls, path) -> "AVQAModel":
+        """The model a checkpoint holds: its config read from the ``meta/``
+        tensors and validated, then the model built from the file's arrays,
+        each checked by name and shape as its layer takes it over, so a
+        ``meta/`` value sizes nothing the file does not hold. A name no
+        layer takes is refused, and the recorded cross-attention schedule
+        is checked last. Any disagreement raises DataError."""
         tensors = nn.read_checkpoint(path)
         meta = {k: v for k, v in tensors.items() if k.startswith("meta/")}
         params = {k: v.astype(np.float64)
                   for k, v in tensors.items() if not k.startswith("meta/")}
-        cfg = _config_from_meta(meta, sum(v.size for v in params.values()), path)
-        model = cls(cfg, params)
-        try:  # the arrays are in place; this checks their names and shapes
-            model.store.load_state(params)
+        cfg = _config_from_meta(meta, path)
+        try:
+            model = cls(cfg, params)
+            unexpected = sorted(params.keys() - model.store.params.keys())
+            if unexpected:
+                raise DataError(f"unexpected parameters {unexpected}")
         except DataError as e:
             raise DataError(f"{path}: checkpoint/config mismatch: {e}") from e
+        recorded = _read_meta(meta, "cross_attention_blocks", (), path)
+        expected = _cross_attention_schedule(cfg)
+        if recorded != expected:
+            raise DataError(
+                f"{path}: recorded cross-attention schedule {recorded} does not "
+                f"match configuration {expected}"
+            )
         return model
 
 
@@ -538,28 +557,10 @@ def _read_meta(meta: dict, name: str, default, path):
     return value
 
 
-def _param_count(cfg: ModelConfig) -> int:
-    """The number of parameter floats of AVQAModel(cfg), counted without
-    building the model."""
-    d, hidden = cfg.d_model, cfg.ff_mult * cfg.d_model
-
-    def conv_stack(channels):  # 3x3 convs with biases, then the projection
-        cins = (1,) + tuple(channels[:-1])
-        return sum(o * (9 * i + 1) for i, o in zip(cins, channels)) + (channels[-1] + 1) * d
-
-    ln, mha = 2 * d, 4 * d * (d + 1)
-    block = 2 * ln + mha + (d + 1) * hidden + (hidden + 1) * d
-    n = cfg.bands * (conv_stack(cfg.band_channels) + 1) + block
-    n += conv_stack(cfg.audio_channels) + ln
-    if cfg.fusion_mode == "transformer":
-        n += cfg.fusion_blocks * block + cfg.fusion_blocks // 2 * (ln + mha) + ln
-    return n + (2 * d if cfg.fusion_mode == "cat" else d) + 1
-
-
-def _config_from_meta(meta: dict, n_params: int, path) -> ModelConfig:
-    """The ModelConfig a checkpoint's ``meta/`` tensors record. It must
-    describe a model of exactly ``n_params`` parameter floats, the number
-    the checkpoint holds; that is checked before anything is sized by it."""
+def _config_from_meta(meta: dict, path) -> ModelConfig:
+    """The validated ModelConfig a checkpoint's ``meta/`` tensors record.
+    Nothing is sized by it here: ``AVQAModel.load`` checks it against the
+    file's arrays while it builds the model."""
     cfg = ModelConfig(**{
         f.name: _read_meta(meta, f.name, f.default, path)
         for f in _stored_fields(ModelConfig)
@@ -568,19 +569,6 @@ def _config_from_meta(meta: dict, n_params: int, path) -> ModelConfig:
         cfg.validate()
     except ValidationError as e:
         raise DataError(f"{path}: invalid architecture metadata: {e}") from e
-    n_cfg = _param_count(cfg)
-    if n_cfg != n_params:
-        raise DataError(
-            f"{path}: checkpoint/config mismatch: the recorded architecture has "
-            f"{n_cfg} parameters, the checkpoint holds {n_params}"
-        )
-    recorded = _read_meta(meta, "cross_attention_blocks", (), path)
-    expected = _cross_attention_schedule(cfg)
-    if recorded != expected:
-        raise DataError(
-            f"{path}: recorded cross-attention schedule {recorded} does not "
-            f"match configuration {expected}"
-        )
     return cfg
 
 

@@ -324,13 +324,13 @@ class ParamStore:
     """Named parameters plus same-shaped gradient accumulators.
 
     Parameter arrays are owned by the store and shared by reference with
-    the layers that registered them; the optimizer updates them in place
+    the layers that created them; the optimizer updates them in place
     so those references stay valid.
 
     A store built from ``initial``, a mapping of names to float64 arrays,
-    takes those arrays over as the values of the parameters ``create``
-    makes, and calls no initializer. A name it lacks, or an array of
-    another shape, gets zeros instead; ``load_state(initial)`` reports it.
+    is strict: ``create`` takes ``initial[name]`` over by reference and
+    calls no initializer, and a name ``initial`` lacks, or an array of
+    another shape, raises DataError before anything is allocated.
     """
 
     def __init__(self, initial: dict[str, np.ndarray] | None = None):
@@ -338,23 +338,21 @@ class ParamStore:
         self.grads: dict[str, np.ndarray] = {}
         self._initial = initial
 
-    def register(self, name: str, value: np.ndarray) -> np.ndarray:
-        """Add parameter ``name`` holding a float64 copy of ``value``."""
-        return self._add(name, np.array(value, dtype=np.float64))
-
     def create(self, name: str, shape: tuple, init) -> np.ndarray:
-        """Add parameter ``name`` of ``shape``: its initial array, or
-        ``init(shape)`` for a store built without one."""
-        if self._initial is None:
-            return self.register(name, init(shape))
-        value = self._initial.get(name)
-        if value is None or value.shape != shape:
-            value = np.zeros(shape)
-        return self._add(name, np.asarray(value, dtype=np.float64))
-
-    def _add(self, name: str, arr: np.ndarray) -> np.ndarray:
+        """Add parameter ``name`` of ``shape``: its initial array, or a
+        float64 ``init(shape)`` for a store built without one."""
         if name in self.params:
             raise ValidationError(f"duplicate parameter name {name!r}")
+        if self._initial is None:
+            arr = np.array(init(shape), dtype=np.float64)
+        elif name not in self._initial:
+            raise DataError(f"checkpoint lacks parameter {name}")
+        else:
+            arr = self._initial[name]
+            if arr.shape != shape:
+                raise DataError(
+                    f"shape mismatch for {name}: checkpoint {arr.shape} vs model {shape}"
+                )
         self.params[name] = arr
         self.grads[name] = np.zeros_like(arr)
         return arr
@@ -368,22 +366,6 @@ class ParamStore:
 
     def add_grad(self, name: str, g) -> None:
         self.grads[name] += g
-
-    def load_state(self, state: dict) -> None:
-        missing = set(self.params) - set(state)
-        extra = set(state) - set(self.params)
-        if missing or extra:
-            raise DataError(
-                f"parameter set mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-            )
-        for name, p in self.params.items():
-            src = np.asarray(state[name])
-            if src.shape != p.shape:
-                raise DataError(
-                    f"shape mismatch for {name}: checkpoint {src.shape} vs model {p.shape}"
-                )
-            if src is not p:
-                p[...] = src
 
 
 @dataclass

@@ -310,8 +310,7 @@ class TestExtractFeatures:
         assert run(["extract-features", "--config", fixture / "config.txt"]) == 2
         assert "entry 0: sequence '../../evil': sequence_id must not contain" in \
             capsys.readouterr().err
-        # the one new path is the empty output directory, made before the manifest is read
-        assert sorted(tmp_path.rglob("*")) == sorted(before + [fixture / "out"])
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.fixture(scope="module")
@@ -447,7 +446,7 @@ class TestEvaluate:
             args += ["--set", f"checkpoint={out / 'model.avqc'}"]
         assert run(args) == 3
         assert f"{bad}: line 5: mos nan outside" in capsys.readouterr().err
-        assert not any((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredict:
@@ -547,6 +546,54 @@ class TestPredict:
         for o in overrides:
             args += ["--set", o]
         assert run(args) == 2
+
+
+class TestOutputPaths:
+    # each command that writes, a config key naming where, and for output_dir
+    # the file it writes there (a file key names the file itself)
+    WRITERS = [
+        ("process-scores", "mos_table", None),
+        ("siti", "output_dir", "siti.csv"),
+        ("hm-stats", "output_dir", "hm_stats.csv"),
+        ("split", "split_file", None),
+        ("extract-features", "output_dir", "features/seq00_video.avqf"),
+        ("train", "checkpoint", None),
+        ("train", "output_dir", "train_log.csv"),
+        ("evaluate", "output_dir", "metrics.csv"),
+    ]
+
+    @staticmethod
+    def args(command, corpus_dir, trained_dir, key, target, tmp_path):
+        out, overrides = trained_dir
+        settings = dict(o.split("=", 1) for o in overrides)
+        settings.update(output_dir=tmp_path / "base", mos_table=out / "mos.csv",
+                        train_steps=1)
+        if command == "evaluate":
+            settings["checkpoint"] = out / "model.avqc"
+        settings[key] = target
+        args = [command, "--config", corpus_dir / "config.txt"]
+        args += ["--on", "all"] if command == "evaluate" else []
+        for k, v in settings.items():
+            args += ["--set", f"{k}={v}"]
+        return args
+
+    @pytest.mark.parametrize("command,key,name", WRITERS)
+    def test_writes_into_a_directory_not_made_yet(self, tmp_path, corpus_dir, trained_dir,
+                                                  command, key, name):
+        new = tmp_path / "new" / "deeper"
+        target = new if name else new / "file"
+        assert run(self.args(command, corpus_dir, trained_dir, key, target, tmp_path)) == 0
+        assert (target / name if name else target).is_file()
+
+    @pytest.mark.parametrize("command,key,name", WRITERS)
+    def test_path_under_a_regular_file_exits_2(self, tmp_path, corpus_dir, trained_dir,
+                                               command, key, name, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        target = blocker / "sub" if name else blocker / "file"
+        assert run(self.args(command, corpus_dir, trained_dir, key, target, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
 class TestConfigHandling:

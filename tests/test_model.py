@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -521,13 +522,25 @@ class TestPersistence:
         with pytest.raises(DataError, match=str(path)):
             AVQAModel.load(path)
 
+    # the first tensor of the tiny model that each oversized meta/ value contradicts
+    LARGER_MODEL_MISMATCH = {
+        "d_model": "shape mismatch for video.band0.proj.w: checkpoint (3, 8) vs model (3, 8192)",
+        "fusion_blocks": "checkpoint lacks parameter fusion.block2.ln1.gamma",
+        "band_channels": "shape mismatch for video.band0.conv1.w: "
+                         "checkpoint (3, 2, 3, 3) vs model (16777216, 2, 3, 3)",
+        "bands": "checkpoint lacks parameter video.band2.conv0.w",
+        "audio_channels": "shape mismatch for audio.cnn.conv3.w: "
+                          "checkpoint (3, 2, 3, 3) vs model (16777216, 2, 3, 3)",
+    }
+
     @pytest.mark.parametrize("key,value", [
         ("d_model", np.float32(8192)),
         ("fusion_blocks", np.float32(2 ** 29)),
         ("band_channels", np.array([2, 2 ** 24], dtype=np.float32)),
+        ("bands", np.float32(2 ** 30)),
+        ("audio_channels", np.array([1, 2, 2, 2 ** 24], dtype=np.float32)),
     ])
-    def test_meta_of_a_larger_model_is_refused_before_building(self, tmp_path, monkeypatch,
-                                                              key, value):
+    def test_meta_of_a_larger_model_is_refused_before_building(self, tmp_path, key, value):
         from avq360.model import _config_to_meta
 
         m = AVQAModel(tiny_model_config())
@@ -536,20 +549,16 @@ class TestPersistence:
         tensors[f"meta/{key}"] = value
         path = tmp_path / "model.avqc"
         nn.write_checkpoint(path, tensors)
-        monkeypatch.setattr(AVQAModel, "__init__", lambda self, cfg: pytest.fail("model built"))
-        with pytest.raises(DataError, match="mismatch: the recorded architecture has"):
-            AVQAModel.load(path)
-
-    @pytest.mark.parametrize("overrides", [
-        {}, {"fusion_mode": "cat"}, {"fusion_mode": "add"},
-        {"fusion_blocks": 6, "bands": 3, "ff_mult": 3, "band_channels": (2, 3, 4)},
-    ])
-    def test_param_count_matches_built_model(self, overrides):
-        from avq360.model import _param_count
-
-        for cfg in (tiny_model_config(**overrides), ModelConfig(**overrides)):
-            built = sum(p.size for p in AVQAModel(cfg).store.params.values())
-            assert _param_count(cfg) == built
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as e:
+                AVQAModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = self.LARGER_MODEL_MISMATCH[key]
+        assert str(e.value) == f"{path}: checkpoint/config mismatch: {message}"
+        assert peak < 2 ** 20
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         cfg = tiny_model_config(train_steps=2, batch_size=1)
@@ -558,10 +567,11 @@ class TestPersistence:
         train_model(m, [feat], np.array([0.3]))
         path = tmp_path / "model.avqc"
         m.save(path)
-        # the model as it was loaded before: seeded init, then the checkpoint
+        # the model as it was loaded before: seeded init, then the checkpoint copied in
         want = AVQAModel(cfg)
-        want.store.load_state({k: v.astype(np.float64) for k, v in nn.read_checkpoint(path).items()
-                               if not k.startswith("meta/")})
+        for name, value in nn.read_checkpoint(path).items():
+            if not name.startswith("meta/"):
+                want.store.params[name][...] = value
 
         def no_draw(*args):
             raise AssertionError("random init drawn")
@@ -578,18 +588,17 @@ class TestPersistence:
         assert loaded.head.w is loaded.store.params["head.w"]
 
     def test_load_errors_keep_their_messages(self, tmp_path):
-        from avq360.model import _config_to_meta, _param_count
+        from avq360.model import _config_to_meta
 
         m = AVQAModel(tiny_model_config())
-        n, d = _param_count(m.cfg), m.cfg.d_model
+        d = m.cfg.d_model
         path = tmp_path / "model.avqc"
         cases = [
-            (lambda t: t.update({"head.x": t.pop("head.w")}),
-             "parameter set mismatch: missing ['head.w'], unexpected ['head.x']"),
+            (lambda t: t.pop("head.w"), "checkpoint lacks parameter head.w"),
+            (lambda t: t.update({"head.x": t["head.w"], "audio.extra": t["head.b"]}),
+             "unexpected parameters ['audio.extra', 'head.x']"),
             (lambda t: t.update({"head.w": t["head.w"].reshape(1, d)}),
              f"shape mismatch for head.w: checkpoint (1, {d}) vs model ({d}, 1)"),
-            (lambda t: t.pop("head.w"),
-             f"the recorded architecture has {n} parameters, the checkpoint holds {n - d}"),
         ]
         for edit, message in cases:
             tensors = dict(m.store.params)

@@ -390,7 +390,7 @@ class TestMultiHeadAttention:
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         store = nn.ParamStore()
-        store.register("w", np.array([1.0, -2.0]))
+        store.create("w", (2,), lambda _: np.array([1.0, -2.0]))
         state = nn.adam_init(store, lr=0.1)
         nn.adam_step(store, state)
         np.testing.assert_allclose(store.params["w"], [1.0, -2.0])
@@ -399,7 +399,7 @@ class TestAdam:
     def test_first_step_closed_form(self):
         # with constant gradient g the first update is -lr*g/(|g|+eps)
         store = nn.ParamStore()
-        store.register("w", np.array([0.5]))
+        store.create("w", (1,), lambda _: np.array([0.5]))
         state = nn.adam_init(store, lr=1e-3)
         g = 0.37
         store.add_grad("w", np.array([g]))
@@ -411,7 +411,7 @@ class TestAdam:
         def run():
             store = nn.ParamStore()
             rng = np.random.default_rng(0)
-            store.register("w", rng.normal(size=(4, 4)))
+            store.create("w", (4, 4), lambda shape: rng.normal(size=shape))
             state = nn.adam_init(store, lr=1e-3)
             for k in range(100):
                 store.zero_grads()
@@ -424,7 +424,7 @@ class TestAdam:
 
     def test_missing_gradient_errors(self):
         store = nn.ParamStore()
-        store.register("w", np.zeros(2))
+        store.create("w", (2,), np.zeros)
         state = nn.adam_init(store)
         del store.grads["w"]
         with pytest.raises(NumericError, match="missing gradient"):
@@ -434,21 +434,34 @@ class TestAdam:
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = nn.ParamStore()
-        store.register("w", np.zeros(2))
+        store.create("w", (2,), np.zeros)
         with pytest.raises(ValidationError, match="duplicate"):
-            store.register("w", np.zeros(2))
+            store.create("w", (2,), np.zeros)
 
-    def test_load_state_shape_mismatch(self):
-        store = nn.ParamStore()
-        store.register("w", np.zeros((2, 2)))
-        with pytest.raises(DataError, match="shape mismatch"):
-            store.load_state({"w": np.zeros(3)})
+    def test_create_from_initial_takes_the_array_over(self):
+        w = np.arange(4.0).reshape(2, 2)
+        store = nn.ParamStore({"w": w})
+        assert store.create("w", (2, 2), no_init) is w
+        assert store.params["w"] is w
+        assert store.grads["w"].shape == (2, 2) and not store.grads["w"].any()
 
-    def test_load_state_name_mismatch(self):
-        store = nn.ParamStore()
-        store.register("w", np.zeros(2))
-        with pytest.raises(DataError, match="mismatch"):
-            store.load_state({"v": np.zeros(2)})
+    def test_create_from_initial_shape_mismatch(self):
+        store = nn.ParamStore({"w": np.zeros(3)})
+        with pytest.raises(DataError) as e:
+            store.create("w", (2, 2), no_init)
+        assert str(e.value) == "shape mismatch for w: checkpoint (3,) vs model (2, 2)"
+        assert store.params == {} and store.grads == {}
+
+    def test_create_from_initial_missing_name(self):
+        store = nn.ParamStore({"v": np.zeros(2)})
+        with pytest.raises(DataError) as e:
+            store.create("w", (2,), no_init)
+        assert str(e.value) == "checkpoint lacks parameter w"
+        assert store.params == {} and store.grads == {}
+
+
+def no_init(shape):
+    raise AssertionError(f"initializer called for {shape}")
 
 
 class TestFiniteChecks:
