@@ -65,6 +65,11 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     the next power of two at or above the window. Output shape is (n_frames, nfft//2 + 1) with
     n_frames = 1 + floor((len-win)/hop); a clip shorter than one window
     yields zero frames (with a warning), not an error.
+
+    Frames are windowed and transformed PATCH_FRAMES at a time, straight
+    into the output, so besides it only one block's windowed frames and
+    spectrum are alive. ``rfft`` transforms each row on its own, so the
+    blocks give the bits of one transform over all frames.
     """
     if clip.channels != 1:
         raise ValidationError(f"stft needs a mono clip, got {clip.channels} channels")
@@ -81,10 +86,13 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
             "no frames produced"
         )
         return np.zeros((0, bins))
-    n_frames = 1 + (len(x) - win) // hop
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic Hann
-    frames = sliding_window_view(x, win)[::hop] * window
-    return np.abs(np.fft.rfft(frames, n=nfft, axis=1))
+    frames = sliding_window_view(x, win)[::hop]
+    out = np.empty((len(frames), bins))
+    for i in range(0, len(frames), PATCH_FRAMES):
+        block = slice(i, i + PATCH_FRAMES)
+        np.abs(np.fft.rfft(frames[block] * window, n=nfft, axis=1), out=out[block])
+    return out
 
 
 @lru_cache(maxsize=16)

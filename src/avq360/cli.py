@@ -22,7 +22,7 @@ import numpy as np
 
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
-from .errors import DataError, NumericError, ValidationError
+from .errors import DataError, NumericError, ValidationError, require_writable_location
 from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
                        read_csv_table, write_csv_table)
 
@@ -127,15 +127,15 @@ def cmd_process_scores(args) -> int:
 def cmd_siti(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
+    rows = []
+    for entry in entries:
+        r = siti.summarize_siti(load_y4m(_media_path(cfg, entry.sequence_id, ".y4m")))
+        rows.append([entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
+                     f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"])
+    # every row is computed before the table is opened, so a media failure
+    # leaves no output directory behind
     out = cfg.output_dir / "siti.csv"
-
-    def rows():
-        for entry in entries:
-            r = siti.summarize_siti(load_y4m(_media_path(cfg, entry.sequence_id, ".y4m")))
-            yield [entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
-                   f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"]
-
-    write_csv_table(out, ["sequence_id", "si_mean", "si_max", "ti_mean", "ti_max"], rows())
+    write_csv_table(out, ["sequence_id", "si_mean", "si_max", "ti_mean", "ti_max"], rows)
     print(f"siti table: {out} ({len(entries)} sequences)")
     return EXIT_OK
 
@@ -226,6 +226,9 @@ def _rated_entries(cfg: RunConfig, subset: str):
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    log_path = cfg.output_dir / "train_log.csv"
+    for path in (cfg.checkpoint, log_path):
+        require_writable_location(path)
     selected, mos_map = _rated_entries(cfg, args.on)
     feats = [_features(cfg, cfg.model, e.sequence_id) for e in selected]
     targets = np.array([mos_map[e.sequence_id].mos / 100.0 for e in selected])
@@ -233,7 +236,7 @@ def cmd_train(args) -> int:
     net = model.AVQAModel(cfg.model)
     result = model.train_model(net, feats, targets)
     net.save(cfg.checkpoint)
-    model.write_train_log(result.history, cfg.output_dir / "train_log.csv")
+    model.write_train_log(result.history, log_path)
     print(f"trained on {len(feats)} sequences for {len(result.history)} steps")
     if result.history:
         print(f"final batch loss: {result.final_loss:.6f}")

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the toolkit, the UTF-8 text read
-every text reader goes through, and the replace-on-success write every
-table, checkpoint and feature writer goes through."""
+every text reader goes through, the replace-on-success write every
+table, checkpoint and feature writer goes through, and the check that a
+path could be written before any work is done for it."""
 
+import errno
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -57,6 +60,20 @@ def replaced_when_written(path, mode="wb", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def require_writable_location(path) -> None:
+    """Raise the ValidationError "cannot write <path>: <reason>" that
+    ``replaced_when_written`` would raise when the nearest existing
+    ancestor of ``path`` is not a directory, or ``path`` is one, so a
+    command can fail before its work, not at its first write. Creates
+    nothing."""
+    path = Path(path)
+    if path.is_dir():
+        raise _unwritable(path, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
+    ancestor = next(p for p in path.absolute().parents if p.exists())
+    if not ancestor.is_dir():
+        raise _unwritable(path, NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR)))
 
 
 def _unwritable(path, e: OSError) -> ValidationError:

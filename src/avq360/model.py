@@ -15,6 +15,15 @@ reporting.
 All forward/backward passes run one sequence at a time; batches
 accumulate gradients in a fixed order, so training is bit-reproducible
 for a given seed.
+
+Memory: ``forward`` keeps a tape for ``backward``, every layer's cache
+with each conv's im2col columns and each pool's input, so training holds
+one sample's activations. ``predict`` keeps no tape: each conv stack runs
+over groups of at most SCORE_GROUP samples and frees a stage's buffers
+before the next, so scoring holds one group's activations however long
+the clip is, and its score equals 100 * ``forward``'s bit for bit.
+Preprocessing converts one picked video frame at a time (``video_input``)
+and one block of STFT frames at a time (``audiofe.stft_magnitude``).
 """
 
 from __future__ import annotations
@@ -35,6 +44,11 @@ FUSION_MODES = ("transformer", "cat", "add")
 # parameter, so building the model from a checkpoint's arrays does not bound
 # them, and preprocessing allocates by them.
 MAX_INPUT_SIDE = 1024
+
+# Most samples a scoring pass sends through a conv stack at once: the 8
+# frames of a band stay one group, and the audio CNN holds the activations
+# of 8 patches, not of a whole clip.
+SCORE_GROUP = 8
 
 
 @dataclass
@@ -160,22 +174,26 @@ def _overlap_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Banded, resized video tensor (T, M, bh, bw) plus the cos-latitude prior."""
+    """Banded, resized video tensor (T, M, bh, bw) plus the cos-latitude prior.
+
+    The picked frames are converted one at a time into one float64 frame
+    buffer, which, besides the output and the cached resampling matrices,
+    is all that is kept alive."""
     if seq.width != 2 * seq.height:
         raise DataError(
             f"frame {seq.width}x{seq.height} is not 2:1 ERP"
         )
     part = partition_erp(seq.height, cfg.bands)
     prior = cos_latitude_prior(part)
-    picked = seq.frames[sample_frame_indices(seq.n_frames, cfg.frames_per_clip)]
-    frames = np.divide(picked, 255.0, dtype=np.float64)
     bh, bw = cfg.band_input_hw
-    col_mat = _overlap_matrix(seq.width, bw)
+    col_t = _overlap_matrix(seq.width, bw).T
+    bands = [(a, b, _overlap_matrix(b - a, bh)) for a, b in part.band_row_ranges]
     out = np.empty((cfg.frames_per_clip, cfg.bands, bh, bw))
-    for m, (a, b) in enumerate(part.band_row_ranges):
-        row_mat = _overlap_matrix(b - a, bh)
-        for t, frame in enumerate(frames):
-            out[t, m] = row_mat @ frame[a:b] @ col_mat.T
+    frame = np.empty((seq.height, seq.width))
+    for t, i in enumerate(sample_frame_indices(seq.n_frames, cfg.frames_per_clip)):
+        np.divide(seq.frames[i], 255.0, out=frame, dtype=np.float64)
+        for m, (a, b, row_mat) in enumerate(bands):
+            out[t, m] = row_mat @ frame[a:b] @ col_t
     return out, prior
 
 
@@ -218,6 +236,13 @@ class _ConvStack:
     and a linear projection to d_model. backward accumulates parameter
     gradients only: the stack's input is data.
 
+    ``forward`` keeps every stage's cache for ``backward``: the im2col
+    columns of each conv and the input of each pool, for all N samples.
+    ``score`` keeps none of it: it runs the stages and the mean pool over
+    at most SCORE_GROUP samples at a time, so only one group's activations
+    are alive, and then projects the pooled rows once, as ``forward``
+    does, so its output equals ``forward``'s bit for bit.
+
     Each stage pools before its relu, so the relu runs on a quarter of the
     elements. That equals relu then pool, bit for bit, in both passes:
     relu and max commute, and on the way back a window whose max is <= 0
@@ -232,16 +257,29 @@ class _ConvStack:
             cin = cout
         self.proj = nn.Linear(store, f"{name}.proj", cin, d_model, rng)
 
-    def forward(self, x):
-        stage_caches = []
+    def _pooled(self, x, stage_caches=None):
+        """(N, C) global means after the stages, and the mean pool's cache;
+        each stage's caches are appended to ``stage_caches`` when it is given."""
         for conv in self.convs:
             x, cc = conv.forward(x)
             x, pc = nn.maxpool2_forward(x)
             x, rc = nn.relu_forward(x)
-            stage_caches.append((cc, pc, rc))
-        x, gap_cache = nn.global_mean_pool_forward(x)
+            if stage_caches is not None:
+                stage_caches.append((cc, pc, rc))
+            del cc, pc, rc  # with no stage_caches, the buffers go before the next stage
+        return nn.global_mean_pool_forward(x)
+
+    def forward(self, x):
+        stage_caches = []
+        x, gap_cache = self._pooled(x, stage_caches)
         y, proj_cache = self.proj.forward(x)
         return y, (stage_caches, gap_cache, proj_cache)
+
+    def score(self, x):
+        """``forward``'s y and, in place of its cache, None."""
+        pooled = np.concatenate([self._pooled(x[i : i + SCORE_GROUP])[0]
+                                 for i in range(0, len(x), SCORE_GROUP)])
+        return self.proj.forward(pooled)[0], None
 
     def backward(self, gy, cache):
         stage_caches, gap_cache, proj_cache = cache
@@ -361,8 +399,9 @@ class AVQAModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _video_tokens(self, feat: SequenceFeatures):
-        """(T, d) video tokens and their cache."""
+    def _video_tokens(self, feat: SequenceFeatures, taped: bool = True):
+        """(T, d) video tokens and their cache; untaped, the band stacks
+        keep none (``_ConvStack.score``)."""
         cfg = self.cfg
         if feat.video.shape[1] != cfg.bands:
             raise ValidationError(
@@ -370,7 +409,8 @@ class AVQAModel:
             )
         x = feat.video.astype(np.float64)
         band_feats, band_caches = zip(*(
-            enc.forward(x[:, m][:, None]) for m, enc in enumerate(self.band_encoders)
+            (enc.forward if taped else enc.score)(x[:, m][:, None])
+            for m, enc in enumerate(self.band_encoders)
         ))
         stacked = np.stack(band_feats)                       # (M, T, d)
         z = self.lat_logits + np.log(feat.lat_prior)
@@ -390,10 +430,12 @@ class AVQAModel:
         for m, (enc, c) in enumerate(zip(self.band_encoders, band_caches)):
             enc.backward(eff[m] * gtok, c)
 
-    def _audio_tokens(self, feat: SequenceFeatures):
-        """(P, d) audio tokens and their cache."""
+    def _audio_tokens(self, feat: SequenceFeatures, taped: bool = True):
+        """(P, d) audio tokens and their cache; untaped, the audio CNN
+        keeps none (``_ConvStack.score``)."""
         a = feat.audio.astype(np.float64)[:, None]           # (P, 1, F, B)
-        tokens, enc_cache = self.audio_enc.forward(a)
+        enc = self.audio_enc
+        tokens, enc_cache = (enc.forward if taped else enc.score)(a)
         tokens, ln_cache = self.audio_ln.forward(tokens)
         if self.cfg.audio_pos_enc:
             tokens = tokens + sinusoidal_positions(tokens.shape[0], self.cfg.d_model)
@@ -404,11 +446,13 @@ class AVQAModel:
         g = self.audio_ln.backward(ga, ln_cache)
         self.audio_enc.backward(g, enc_cache)
 
-    def _score(self, feat: SequenceFeatures):
-        """Score in (0, 1) for one preprocessed sequence, and its cache."""
+    def _score(self, feat: SequenceFeatures, taped: bool):
+        """Score in (0, 1) for one preprocessed sequence, and its cache;
+        untaped, the conv stacks keep no cache and the cache is not one
+        ``backward`` can use."""
         cfg = self.cfg
-        v, video_cache = self._video_tokens(feat)
-        a, audio_cache = self._audio_tokens(feat)
+        v, video_cache = self._video_tokens(feat, taped)
+        a, audio_cache = self._audio_tokens(feat, taped)
         t, p = v.shape[0], a.shape[0]
         fusion_cache = None
         if cfg.fusion_mode == "transformer":
@@ -430,7 +474,7 @@ class AVQAModel:
     def forward(self, feat: SequenceFeatures) -> float:
         """Score in (0, 1) for one preprocessed sequence; keeps the cache
         the next backward consumes."""
-        s, self._tape = self._score(feat)
+        s, self._tape = self._score(feat, taped=True)
         return s
 
     def backward(self, gscore: float) -> None:
@@ -463,8 +507,12 @@ class AVQAModel:
         self._video_tokens_backward(gv, video_cache)
 
     def predict(self, feat: SequenceFeatures) -> float:
-        """Quality score in (0, 100); the training tape is left alone."""
-        return 100.0 * self._score(feat)[0]
+        """Quality score in (0, 100), bit for bit 100 * ``forward``'s. It
+        keeps no tape: the conv stacks run cache-free, SCORE_GROUP samples
+        at a time (``_ConvStack.score``), and the few kilobytes of
+        attention and layer-norm caches go when it returns. An earlier
+        ``forward``'s tape is left to ``backward``."""
+        return 100.0 * self._score(feat, taped=False)[0]
 
     # -- persistence ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from avq360 import audiofe, nn
 from avq360.errors import DataError, ValidationError
@@ -401,6 +402,16 @@ def gathered_stft_magnitude(x, sample_rate=audiofe.SAMPLE_RATE,
     offsets = np.arange(n_frames) * hop
     frames = x[offsets[:, None] + np.arange(win)] * window
     return np.abs(np.fft.rfft(frames, n=audiofe.next_pow2(win), axis=1))
+
+
+def one_shot_stft_magnitude(x, sample_rate=audiofe.SAMPLE_RATE):
+    """|rfft| of periodic-Hann frames of the 1-D signal x, every frame in
+    one transform: strided framing, zero-padded to the next power of two."""
+    win = int(round(audiofe.FRAME_LEN_S * sample_rate))
+    hop = int(round(audiofe.HOP_S * sample_rate))
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    nfft = audiofe.next_pow2(win)
+    return np.abs(np.fft.rfft(sliding_window_view(x, win)[::hop] * window, n=nfft, axis=1))
 
 
 def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from avq360 import audiofe
 from avq360.audiofe import (
+    PATCH_FRAMES,
     frame_patches,
     hz_to_mel,
     log_mel,
@@ -20,7 +22,7 @@ from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip
 
 from oracles import (filter_center_frequencies, gathered_stft_magnitude, interp_resample,
-                     read_features)
+                     one_shot_stft_magnitude, read_features)
 
 
 def mono(x, sr=16000):
@@ -73,6 +75,26 @@ class TestSTFT:
         # frame counts at, just below and just above a hop boundary
         x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         assert np.array_equal(stft_magnitude(mono(x, sr)), gathered_stft_magnitude(x, sr))
+
+    @pytest.mark.parametrize("n_frames", [1, PATCH_FRAMES - 1, PATCH_FRAMES, PATCH_FRAMES + 1,
+                                          3 * PATCH_FRAMES + 5])
+    def test_blocks_equal_one_transform(self, n_frames):
+        # frame counts around the block of PATCH_FRAMES frames
+        x = np.random.default_rng(n_frames).uniform(-1.0, 1.0, 400 + (n_frames - 1) * 160)
+        mag = stft_magnitude(mono(x))
+        assert mag.shape[0] == n_frames
+        assert mag.tobytes() == one_shot_stft_magnitude(x).tobytes()
+
+    def test_memory_is_output_plus_one_block(self):
+        clip = mono(np.random.default_rng(34).uniform(-1.0, 1.0, 30 * 16000))
+        tracemalloc.start()
+        try:
+            mag = stft_magnitude(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one-shot transform of 30 s peaks at 28 MB
+        assert peak <= mag.nbytes + 2 * 2 ** 20
 
     def test_deterministic(self):
         x = tone(440.0)

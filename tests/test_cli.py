@@ -171,7 +171,7 @@ class TestSiti:
         (media / "seq05.y4m").rename(tmp_path / "seq05.y4m")
         assert run(args) == 3
         assert "missing media seq05.y4m" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
         # an earlier table survives a failed run byte for byte
         (tmp_path / "seq05.y4m").rename(media / "seq05.y4m")
         assert run(args) == 0
@@ -376,6 +376,42 @@ class TestTrain:
                     "--set", f"output_dir={tmp_path}", "--set", f"mos_table={out / 'mos.csv'}",
                     "--set", "train_steps=1", "--set", "seed=-1"]) == 2
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work done for an unwritable output")
+
+        monkeypatch.setattr(model, "preprocess_sequence", no_work)
+        monkeypatch.setattr(model, "train_model", no_work)
+
+    @pytest.mark.parametrize("key", ["checkpoint", "output_dir"])
+    def test_path_under_a_regular_file_fails_before_training(
+            self, tmp_path, corpus_dir, trained_dir, monkeypatch, capsys, key):
+        self.forbid_work(monkeypatch)
+        out, _ = trained_dir
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        settings = {"output_dir": tmp_path / "out", "mos_table": out / "mos.csv",
+                    "checkpoint": tmp_path / "m.avqc", key: blocker / "sub"}
+        args = ["train", "--config", corpus_dir / "config.txt"]
+        for k, v in settings.items():
+            args += ["--set", f"{k}={v}"]
+        assert run(args) == 2
+        target = blocker / "sub" / "train_log.csv" if key == "output_dir" else blocker / "sub"
+        assert f"error: cannot write {target}: Not a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    def test_directory_as_checkpoint_fails_before_training(
+            self, tmp_path, corpus_dir, trained_dir, monkeypatch, capsys):
+        self.forbid_work(monkeypatch)
+        out, _ = trained_dir
+        assert run(["train", "--config", corpus_dir / "config.txt",
+                    "--set", f"output_dir={tmp_path}", "--set", f"mos_table={out / 'mos.csv'}",
+                    "--set", f"checkpoint={tmp_path}"]) == 2
+        assert f"error: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -10,6 +10,7 @@ from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
     MAX_INPUT_SIDE,
+    SCORE_GROUP,
     AVQAModel,
     ModelConfig,
     SequenceFeatures,
@@ -234,6 +235,52 @@ class TestConvStack:
         assert y.tobytes() == want_y.tobytes()
         for k, g in store.grads.items():
             assert g.tobytes() == grads[k].tobytes(), k
+
+
+def traced_peak(fn):
+    """Peak bytes ``tracemalloc`` sees above its start while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoring:
+    @pytest.mark.parametrize("p", [1, SCORE_GROUP - 1, SCORE_GROUP, SCORE_GROUP + 1,
+                                   2 * SCORE_GROUP + 3])
+    @pytest.mark.parametrize("make_cfg", [ModelConfig, tiny_model_config])
+    def test_predict_is_100_times_forward(self, make_cfg, p):
+        cfg = make_cfg()
+        m = AVQAModel(cfg)
+        feat = tiny_features(seed=p, t=cfg.frames_per_clip, m=cfg.bands, p=p)
+        assert m.predict(feat) == 100.0 * m.forward(feat)
+
+    def test_predict_leaves_the_tape_to_backward(self):
+        cfg = tiny_model_config()
+        feat = tiny_features(seed=30)
+        want = AVQAModel(cfg)
+        want.forward(feat)
+        want.backward(1.0)
+        m = AVQAModel(cfg)
+        m.forward(feat)
+        m.predict(tiny_features(seed=31, p=SCORE_GROUP + 1))
+        m.backward(1.0)
+        for name in want.store.param_names():
+            assert m.store.grads[name].tobytes() == want.store.grads[name].tobytes(), name
+
+    def test_predict_memory_does_not_grow_with_the_clip(self):
+        # at the default model, 32 patches' training tape peaks above 100 MB
+        m = AVQAModel(ModelConfig())
+        feat = tiny_features(seed=32, t=8, m=4, p=32)
+        assert traced_peak(lambda: m.predict(feat)) < 16 * 2 ** 20
+
+    def test_video_input_converts_one_frame_at_a_time(self):
+        # 8 float64 copies of a 1024x512 frame are 33.5 MB
+        frames = np.random.default_rng(33).integers(0, 256, (32, 512, 1024), dtype=np.uint8)
+        seq = FrameSequence(frames=frames, fps=30.0)
+        assert traced_peak(lambda: video_input(seq, ModelConfig())) < 8 * 2 ** 20
 
 
 class TestAudioBranch:
