@@ -50,11 +50,13 @@ def _manifest_entries(cfg: RunConfig):
     return load_manifest(cfg.manifest)
 
 
-def _media_path(cfg: RunConfig, sequence_id: str, suffix: str) -> Path:
-    path = cfg.media_root / f"{sequence_id}{suffix}"
+def _sequence_file(root: Path, sequence_id: str, suffix: str, what: str) -> Path:
+    """``<root>/<sequence_id><suffix>``, a per-sequence input the manifest
+    names; a missing one is a data error."""
+    path = root / f"{sequence_id}{suffix}"
     if not path.is_file():
-        raise DataError(f"missing media {path.name} for sequence {sequence_id!r} "
-                        f"under {cfg.media_root}")
+        raise DataError(f"missing {what} {path.name} for sequence {sequence_id!r} "
+                        f"under {root}")
     return path
 
 
@@ -63,8 +65,8 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
     """Model input tensors of one sequence, preprocessed from its media;
     ``load_wav`` decodes the audio to the mean of its channels."""
     return model.preprocess_sequence(
-        load_y4m(_media_path(cfg, sequence_id, ".y4m")),
-        load_wav(_media_path(cfg, sequence_id, ".wav")),
+        load_y4m(_sequence_file(cfg.media_root, sequence_id, ".y4m", "media")),
+        load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media")),
         model_cfg, sequence_id,
     )
 
@@ -129,7 +131,8 @@ def cmd_siti(args) -> int:
     entries = _manifest_entries(cfg)
     rows = []
     for entry in entries:
-        r = siti.summarize_siti(load_y4m(_media_path(cfg, entry.sequence_id, ".y4m")))
+        r = siti.summarize_siti(load_y4m(
+            _sequence_file(cfg.media_root, entry.sequence_id, ".y4m", "media")))
         rows.append([entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
                      f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"])
     # every row is computed before the table is opened, so a media failure
@@ -145,8 +148,8 @@ def cmd_hm_stats(args) -> int:
     entries = _manifest_entries(cfg)
     rows = []
     for entry in entries:
-        trace_path = cfg.hm_root / f"{entry.sequence_id}.csv"
-        _require_file(trace_path, f"head-movement trace for {entry.sequence_id}")
+        trace_path = _sequence_file(cfg.hm_root, entry.sequence_id, ".csv",
+                                    "head-movement trace")
         rows.append((entry.sequence_id, hm.hm_stats(hm.load_hm(trace_path))))
     out = cfg.output_dir / "hm_stats.csv"
     hm.write_hm_stats_csv(rows, out)

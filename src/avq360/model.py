@@ -3,14 +3,15 @@
 Video branch: frames are split into latitude bands, each band is
 box-resampled to a fixed input size and encoded by its own small CNN;
 band features are aggregated with learnable latitude weights biased by
-the cos-latitude prior, then one self-attention block models temporal
-structure across the frame tokens. Audio branch: log-mel patches pass
-through a four-stage CNN into one token per patch. Fusion: a pre-norm
-transformer stack over the video tokens where every second block
-(indices 1, 3, 5, ...) inserts cross-attention with video queries and
-audio keys/values. The pooled representation maps through a linear head
-and a sigmoid to a quality score in (0, 1), rescaled to (0, 100) for
-reporting.
+the cos-latitude prior, sinusoidal position codes are added, and one
+self-attention block models temporal structure across the frame tokens.
+Audio branch: log-mel patches pass through a four-stage CNN into one
+token per patch, with no position code, so the score does not depend on
+the order of the patches. Fusion: a pre-norm transformer stack over the
+video tokens where every second block (indices 1, 3, 5, ...) inserts
+cross-attention with video queries and audio keys/values. The pooled
+representation maps through a linear head and a sigmoid to a quality
+score in (0, 1), rescaled to (0, 100) for reporting.
 
 All forward/backward passes run one sequence at a time; batches
 accumulate gradients in a fixed order, so training is bit-reproducible
@@ -65,8 +66,6 @@ class ModelConfig:
     num_mel: int = audiofe.DEFAULT_NUM_MEL
     ff_mult: int = 2
     fusion_mode: str = "transformer"
-    temporal_pos_enc: bool = True
-    audio_pos_enc: bool = False
     seed: int = 1234
     lr: float = 1e-3
     train_steps: int = 300
@@ -128,15 +127,6 @@ class ModelConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-def is_cross_attention_block(index: int) -> bool:
-    """Fusion blocks that carry cross-attention: indices 1, 3, 5, ... (0-based)."""
-    return index % 2 == 1
-
-
-def cross_attention_block_indices(n_blocks: int) -> list[int]:
-    return [i for i in range(n_blocks) if is_cross_attention_block(i)]
-
-
 # ---------------------------------------------------------------------------
 # Preprocessing: media -> model input tensors
 # ---------------------------------------------------------------------------
@@ -188,9 +178,12 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
     bh, bw = cfg.band_input_hw
     col_t = _overlap_matrix(seq.width, bw).T
     bands = [(a, b, _overlap_matrix(b - a, bh)) for a, b in part.band_row_ranges]
-    out = np.empty((cfg.frames_per_clip, cfg.bands, bh, bw))
+    # frames_per_clip sizes no parameter: pick the frames, which checks the
+    # count against the clip, before it sizes anything
+    picked = sample_frame_indices(seq.n_frames, cfg.frames_per_clip)
+    out = np.empty((len(picked), cfg.bands, bh, bw))
     frame = np.empty((seq.height, seq.width))
-    for t, i in enumerate(sample_frame_indices(seq.n_frames, cfg.frames_per_clip)):
+    for t, i in enumerate(picked):
         np.divide(seq.frames[i], 255.0, out=frame, dtype=np.float64)
         for m, (a, b, row_mat) in enumerate(bands):
             out[t, m] = row_mat @ frame[a:b] @ col_t
@@ -385,7 +378,7 @@ class AVQAModel:
                 self.fusion_blocks.append(
                     _TransformerBlock(
                         self.store, f"fusion.block{i}", d, cfg.heads, rng,
-                        cross=is_cross_attention_block(i), ff_mult=cfg.ff_mult,
+                        cross=i % 2 == 1, ff_mult=cfg.ff_mult,
                     )
                 )
             self.final_ln = nn.LayerNorm(self.store, "fusion.final_ln", d)
@@ -416,8 +409,7 @@ class AVQAModel:
         z = self.lat_logits + np.log(feat.lat_prior)
         eff = nn.softmax(z[None, :])[0]
         tokens = np.einsum("m,mtd->td", eff, stacked)
-        if cfg.temporal_pos_enc:
-            tokens = tokens + sinusoidal_positions(tokens.shape[0], cfg.d_model)
+        tokens = tokens + sinusoidal_positions(tokens.shape[0], cfg.d_model)
         tokens, temporal_cache = self.temporal.forward(tokens)
         return tokens, (band_caches, stacked, eff, temporal_cache)
 
@@ -437,8 +429,6 @@ class AVQAModel:
         enc = self.audio_enc
         tokens, enc_cache = (enc.forward if taped else enc.score)(a)
         tokens, ln_cache = self.audio_ln.forward(tokens)
-        if self.cfg.audio_pos_enc:
-            tokens = tokens + sinusoidal_positions(tokens.shape[0], self.cfg.d_model)
         return tokens, (enc_cache, ln_cache)
 
     def _audio_tokens_backward(self, ga, cache):
@@ -526,9 +516,9 @@ class AVQAModel:
         """The model a checkpoint holds: its config read from the ``meta/``
         tensors and validated, then the model built from the file's arrays,
         each checked by name and shape as its layer takes it over, so a
-        ``meta/`` value sizes nothing the file does not hold. A name no
-        layer takes is refused, and the recorded cross-attention schedule
-        is checked last. Any disagreement raises DataError."""
+        ``meta/`` value sizes nothing the file does not hold. A parameter
+        name no layer takes is refused, as is a ``meta/`` name that is no
+        stored field. Any disagreement raises DataError."""
         tensors = nn.read_checkpoint(path)
         meta = {k: v for k, v in tensors.items() if k.startswith("meta/")}
         params = {k: v.astype(np.float64)
@@ -541,13 +531,6 @@ class AVQAModel:
                 raise DataError(f"unexpected parameters {unexpected}")
         except DataError as e:
             raise DataError(f"{path}: checkpoint/config mismatch: {e}") from e
-        recorded = _read_meta(meta, "cross_attention_blocks", (), path)
-        expected = _cross_attention_schedule(cfg)
-        if recorded != expected:
-            raise DataError(
-                f"{path}: recorded cross-attention schedule {recorded} does not "
-                f"match configuration {expected}"
-            )
         return model
 
 
@@ -560,25 +543,17 @@ def _stored_fields(cls) -> list:
     return [f for f in fields(cls) if f.name not in _UNSTORED_FIELDS]
 
 
-def _cross_attention_schedule(cfg: ModelConfig) -> tuple:
-    return tuple(
-        cross_attention_block_indices(cfg.fusion_blocks)
-        if cfg.fusion_mode == "transformer" else []
-    )
-
-
 def _config_to_meta(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """The architecture as float32 tensors: a tuple field as a vector, an
-    int or bool field as a scalar, ``fusion_mode`` as its code."""
+    """The architecture as float32 tensors, one ``meta/<name>`` per stored
+    field and no other: a tuple field as a vector, an int or bool field as
+    a scalar, ``fusion_mode`` as its code. The cross-attention schedule is
+    not among them: the ``fusion.block{i}.xattn.*`` parameter names carry it."""
     meta = {}
     for f in _stored_fields(type(cfg)):
         value = getattr(cfg, f.name)
         if f.name == "fusion_mode":
             value = FUSION_MODES.index(value)
         meta[f"meta/{f.name}"] = np.asarray(value, dtype=np.float32)
-    meta["meta/cross_attention_blocks"] = np.asarray(
-        _cross_attention_schedule(cfg), dtype=np.float32
-    )
     return meta
 
 
@@ -608,11 +583,14 @@ def _read_meta(meta: dict, name: str, default, path):
 def _config_from_meta(meta: dict, path) -> ModelConfig:
     """The validated ModelConfig a checkpoint's ``meta/`` tensors record.
     Nothing is sized by it here: ``AVQAModel.load`` checks it against the
-    file's arrays while it builds the model."""
-    cfg = ModelConfig(**{
-        f.name: _read_meta(meta, f.name, f.default, path)
-        for f in _stored_fields(ModelConfig)
-    })
+    file's arrays while it builds the model. A ``meta/`` name that is no
+    stored field raises DataError, as an unknown parameter name does."""
+    stored = _stored_fields(ModelConfig)
+    unknown = sorted(meta.keys() - {f"meta/{f.name}" for f in stored})
+    if unknown:
+        raise DataError(f"{path}: unknown architecture metadata {unknown}")
+    cfg = ModelConfig(**{f.name: _read_meta(meta, f.name, f.default, path)
+                         for f in stored})
     try:
         cfg.validate()
     except ValidationError as e:

@@ -207,8 +207,6 @@ audio_channels = 8,16,32,64
 frames_per_clip = 8
 ff_mult = 2
 fusion_mode = transformer
-temporal_pos_enc = true
-audio_pos_enc = false
 seed = {seed}
 lr = 0.001
 train_steps = 300

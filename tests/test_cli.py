@@ -27,6 +27,7 @@ from avq360.manifest import load_wav, load_y4m, RatingRecord
 from avq360.synthetic import PLANTED_SUBJECT
 
 from oracles import read_features
+from test_model import OLDER_FORMAT_META
 from test_manifest import MISTYPED_VALUES, make_entry
 
 
@@ -222,6 +223,16 @@ class TestHmStats:
         assert "seq02.csv: line 10: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "out" / "hm_stats.csv").exists()
 
+
+    def test_missing_trace_is_data_error(self, tmp_path, corpus_dir, capsys):
+        hm = tmp_path / "hm"
+        shutil.copytree(corpus_dir / "hm", hm)
+        (hm / "seq02.csv").unlink()
+        assert run(["hm-stats", "--config", corpus_dir / "config.txt",
+                    "--set", f"hm_root={hm}", "--set", f"output_dir={tmp_path / 'out'}"]) == 3
+        assert (f"missing head-movement trace seq02.csv for sequence 'seq02' under {hm}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_single_sample_trace_is_data_error(self, tmp_path, corpus_dir, capsys):
         hm = tmp_path / "hm"
@@ -512,6 +523,36 @@ class TestPredict:
             args += ["--set", o]
         assert run(args) == 3
         assert "meta/bands" in capsys.readouterr().err
+
+    def test_checkpoint_of_older_format_is_data_error(
+            self, tmp_path, corpus_dir, trained_dir, capsys):
+        out, overrides = trained_dir
+        tensors = {**read_checkpoint(out / "model.avqc"), **OLDER_FORMAT_META}
+        bad = tmp_path / "older.avqc"
+        write_checkpoint(bad, tensors)
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--set", f"checkpoint={bad}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 3
+        assert (f"unknown architecture metadata {sorted(OLDER_FORMAT_META)}"
+                in capsys.readouterr().err)
+
+    def test_more_frames_than_the_clip_holds_is_validation_error(
+            self, tmp_path, corpus_dir, trained_dir, capsys):
+        # frames_per_clip sizes no parameter; 2**31 frames of the trained
+        # model's input would be 32 TiB, so the count is checked first
+        out, overrides = trained_dir
+        tensors = read_checkpoint(out / "model.avqc")
+        tensors["meta/frames_per_clip"] = np.float32(2 ** 31)
+        bad = tmp_path / "many_frames.avqc"
+        write_checkpoint(bad, tensors)
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--set", f"checkpoint={bad}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 2
+        assert "requested 2147483648 frames but only 8 available" in capsys.readouterr().err
 
     def test_rank_65_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
         _, overrides = trained_dir

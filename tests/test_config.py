@@ -121,8 +121,7 @@ def test_key_twice_in_file_rejected_even_when_overridden(tmp_path):
         load_config(path, ["split_seed=5"])
 
 
-@pytest.mark.parametrize("item", ["temporal_pos_enc=maybe", "band_channels=8,,16",
-                                  "d_model=6.5", "lr=fast"])
+@pytest.mark.parametrize("item", ["band_channels=8,,16", "d_model=6.5", "lr=fast"])
 def test_value_that_does_not_parse_names_key_and_value(tmp_path, item):
     key, value = item.split("=")
     with pytest.raises(ValidationError, match=f"^bad value for {key}: '{value}'$"):

@@ -17,7 +17,6 @@ from avq360.model import (
     _ConvStack,
     _overlap_matrix,
     audio_input,
-    cross_attention_block_indices,
     preprocess_sequence,
     sample_frame_indices,
     sinusoidal_positions,
@@ -29,6 +28,14 @@ from conftest import tiny_features, tiny_model_config
 from oracles import (LatitudeWeights, aggregate_band_features, area_resize,
                      finite_difference_store_grads, gradient_rel_err, reference_audio_input,
                      relu_pool_backward, relu_pool_forward)
+
+# the meta/ tensors of checkpoints written while the position codes were
+# settings and the cross-attention schedule was recorded
+OLDER_FORMAT_META = {
+    "meta/temporal_pos_enc": np.float32(1),
+    "meta/audio_pos_enc": np.float32(0),
+    "meta/cross_attention_blocks": np.array([1], dtype=np.float32),
+}
 
 
 class TestPreprocessing:
@@ -117,9 +124,9 @@ class TestPreprocessing:
 
 class TestConfig:
     def test_alternate_blocks_are_odd_indices(self):
-        assert cross_attention_block_indices(4) == [1, 3]
-        assert cross_attention_block_indices(2) == [1]
-        assert cross_attention_block_indices(6) == [1, 3, 5]
+        for n, cross in ((2, [1]), (4, [1, 3]), (6, [1, 3, 5])):
+            blocks = AVQAModel(tiny_model_config(fusion_blocks=n)).fusion_blocks
+            assert [i for i, blk in enumerate(blocks) if blk.cross] == cross
 
     def test_odd_block_count_rejected(self):
         with pytest.raises(ValidationError, match="even"):
@@ -155,7 +162,8 @@ class TestConfig:
 
 class TestVideoBranch:
     def test_identical_frames_give_identical_tokens_without_pos_enc(self):
-        cfg = tiny_model_config(temporal_pos_enc=False, frames_per_clip=3)
+        # the band features are the frame tokens before their position codes
+        cfg = tiny_model_config(frames_per_clip=3)
         m = AVQAModel(cfg)
         one = np.random.default_rng(4).uniform(size=(1, 2, 16, 32))
         feat = SequenceFeatures(
@@ -163,12 +171,15 @@ class TestVideoBranch:
             audio=np.zeros((1, 96, 64)),
             lat_prior=np.array([0.5, 0.5]),
         )
-        tokens, _ = m._video_tokens(feat)
+        tokens, (_, stacked, _, _) = m._video_tokens(feat)
         assert tokens.shape == (3, cfg.d_model)
-        assert np.abs(tokens - tokens[0]).max() < 1e-10
+        assert stacked.shape == (2, 3, cfg.d_model)
+        assert np.abs(stacked - stacked[:, :1]).max() < 1e-10
+        # the position codes are always added, so the tokens differ
+        assert np.abs(tokens - tokens[0]).max() > 1e-6
 
     def test_single_band_aggregation_is_identity(self):
-        cfg = tiny_model_config(bands=1, temporal_pos_enc=False)
+        cfg = tiny_model_config(bands=1)
         m = AVQAModel(cfg)
         feat = tiny_features(seed=5, m=1)
         enc_out, _ = m.band_encoders[0].forward(
@@ -326,7 +337,7 @@ class TestFusion:
         assert s_zeros != s_ones
 
     def test_audio_patch_permutation_invariance(self):
-        # audio positional encoding is off by default
+        # audio tokens carry no position code
         cfg = tiny_model_config()
         m = AVQAModel(cfg)
         feat = tiny_features(seed=11, p=4)
@@ -336,16 +347,6 @@ class TestFusion:
         )
         s2 = m.forward(perm)
         assert s1 == pytest.approx(s2, abs=1e-12)
-
-    def test_audio_pos_enc_breaks_permutation_invariance(self):
-        cfg = tiny_model_config(audio_pos_enc=True)
-        m = AVQAModel(cfg)
-        feat = tiny_features(seed=12, p=3)
-        s1 = m.forward(feat)
-        s2 = m.forward(
-            SequenceFeatures(feat.video, feat.audio[[2, 1, 0]], feat.lat_prior)
-        )
-        assert abs(s1 - s2) > 1e-9
 
     def test_score_in_unit_interval(self):
         m = AVQAModel(tiny_model_config())
@@ -554,7 +555,7 @@ class TestPersistence:
         ("bands", np.float32("nan")),
         ("band_channels", np.ones((2, 2), dtype=np.float32)),
         ("d_model", np.float32(8.7)),
-        ("temporal_pos_enc", np.float32(2)),
+        ("fusion_mode", np.float32(3)),  # codes 0-2 name the 3 modes
         ("heads", np.float32(0)),
     ])
     def test_malformed_meta_is_data_error(self, tmp_path, key, value):
@@ -655,6 +656,33 @@ class TestPersistence:
             with pytest.raises(DataError) as e:
                 AVQAModel.load(path)
             assert str(e.value) == f"{path}: checkpoint/config mismatch: {message}"
+
+    def test_unknown_meta_is_refused(self, tmp_path):
+        from avq360.model import _config_to_meta
+
+        m = AVQAModel(tiny_model_config())
+        tensors = {**m.store.params, **_config_to_meta(m.cfg), **OLDER_FORMAT_META}
+        path = tmp_path / "model.avqc"
+        nn.write_checkpoint(path, tensors)
+        with pytest.raises(DataError) as e:
+            AVQAModel.load(path)
+        assert str(e.value) == f"{path}: unknown architecture metadata {sorted(OLDER_FORMAT_META)}"
+
+    @pytest.mark.parametrize("key,value", [("fusion_blocks", 2), ("fusion_mode", 2)])
+    def test_edited_fusion_meta_is_config_mismatch(self, tmp_path, key, value):
+        # the parameter names carry the cross-attention schedule: a file
+        # whose fusion meta/ disagrees with its parameters is refused
+        from avq360.model import _config_to_meta
+
+        m = AVQAModel(tiny_model_config(fusion_blocks=4))
+        tensors = {**m.store.params, **_config_to_meta(m.cfg)}
+        tensors[f"meta/{key}"] = np.float32(value)  # 2 blocks, or the code of "add"
+        path = tmp_path / "model.avqc"
+        nn.write_checkpoint(path, tensors)
+        with pytest.raises(DataError) as e:
+            AVQAModel.load(path)
+        assert str(e.value).startswith(
+            f"{path}: checkpoint/config mismatch: unexpected parameters ['fusion.block")
 
     # SHA-256 of each parameter's name and float64 bytes, in name order,
     # taken from the seeded init before the layers drew it lazily
