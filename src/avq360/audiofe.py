@@ -2,11 +2,11 @@
 
 The front end follows the common audio-embedding convention, and its
 values are fixed constants, not parameters: 25 ms windows with 10 ms hops
-at 16 kHz, HTK-scale mel bins spanning 125-7500 Hz, and a natural log with
-a 0.01 offset. The mel bin count (64) and the patch length (96 frames)
-are the defaults of ModelConfig's num_mel and patch_frames. Energies are
-quadratic in magnitude (power), so doubling the input amplitude
-quadruples mel energies before the log. No DCT is applied; the front-end stops at the
+at 16 kHz, 64 HTK-scale mel bins spanning 125-7500 Hz, a natural log with
+a 0.01 offset, and patches of 96 frames: a 96 x 64 patch is the one input
+shape of the model's audio CNN. Energies are quadratic in magnitude
+(power), so doubling the input amplitude quadruples mel energies before
+the log. No DCT is applied; the front-end stops at the
 log-mel representation the downstream CNN consumes.
 
 Clips arrive as one float64 row, the mean of a file's channels (see
@@ -37,7 +37,7 @@ HOP_S = 0.010
 FMIN_HZ = 125.0
 FMAX_HZ = 7500.0
 LOG_OFFSET = 0.01
-DEFAULT_NUM_MEL = 64
+NUM_MEL = 64
 PATCH_FRAMES = 96
 
 
@@ -96,9 +96,9 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(num_mel: int = DEFAULT_NUM_MEL, fft_bins: int = 257) -> np.ndarray:
+def mel_filterbank(fft_bins: int = 257) -> np.ndarray:
     """Triangular mel filterbank over the bins of a SAMPLE_RATE spectrum,
-    shape (num_mel, fft_bins). Cached and shared, so it is read-only.
+    shape (NUM_MEL, fft_bins). Cached and shared, so it is read-only.
 
     Band edges are spaced uniformly on the HTK mel scale between FMIN_HZ
     and FMAX_HZ; each triangle peaks at 1.0 at its center and reaches zero
@@ -107,9 +107,9 @@ def mel_filterbank(num_mel: int = DEFAULT_NUM_MEL, fft_bins: int = 257) -> np.nd
     """
     nfft = 2 * (fft_bins - 1)
     bin_hz = np.arange(fft_bins) * SAMPLE_RATE / nfft
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), num_mel + 2))
-    fb = np.zeros((num_mel, fft_bins))
-    for m in range(num_mel):
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), NUM_MEL + 2))
+    fb = np.zeros((NUM_MEL, fft_bins))
+    for m in range(NUM_MEL):
         lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
@@ -129,20 +129,18 @@ def log_mel(stft_mag: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
     return np.log((mag * mag) @ fb.T + LOG_OFFSET)
 
 
-def frame_patches(mel: np.ndarray, patch_frames: int = PATCH_FRAMES) -> np.ndarray:
+def frame_patches(mel: np.ndarray) -> np.ndarray:
     """Cut (frames, num_mel) log-mel values into consecutive windows.
 
-    Returns the (P, patch_frames, num_mel) stack, P = ceil(frames /
-    patch_frames); the trailing partial window is zero-padded. Zero input
+    Returns the (P, PATCH_FRAMES, num_mel) stack, P = ceil(frames /
+    PATCH_FRAMES); the trailing partial window is zero-padded. Zero input
     frames give P = 0.
     """
-    if patch_frames < 1:
-        raise ValidationError("patch_frames must be >= 1")
     n, num_mel = mel.shape
-    p = -(-n // patch_frames)
-    out = np.zeros((p * patch_frames, num_mel), dtype=mel.dtype)
+    p = -(-n // PATCH_FRAMES)
+    out = np.zeros((p * PATCH_FRAMES, num_mel), dtype=mel.dtype)
     out[:n] = mel
-    return out.reshape(p, patch_frames, num_mel)
+    return out.reshape(p, PATCH_FRAMES, num_mel)
 
 
 def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:

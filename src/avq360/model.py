@@ -1,7 +1,7 @@
 """No-reference audio-visual quality model and its training loop.
 
 Video branch: frames are split into latitude bands, each band is
-box-resampled to a fixed input size and encoded by its own small CNN;
+box-resampled to BAND_INPUT_HW and encoded by its own small CNN;
 band features are aggregated with learnable latitude weights biased by
 the cos-latitude prior, sinusoidal position codes are added, and one
 self-attention block models temporal structure across the frame tokens.
@@ -41,10 +41,11 @@ from .manifest import AudioClip, FrameSequence, downmix_mono, write_csv_table
 
 FUSION_MODES = ("transformer", "cat", "add")
 
-# Largest band side, patch_frames and num_mel a config may give. They size no
-# parameter, so building the model from a checkpoint's arrays does not bound
-# them, and preprocessing allocates by them.
-MAX_INPUT_SIDE = 1024
+# Height and width each latitude band is resampled to before its CNN.
+BAND_INPUT_HW = (16, 32)
+
+# Hidden width of every transformer feed-forward, in multiples of d_model.
+FF_MULT = 2
 
 # Most samples a scoring pass sends through a conv stack at once: the 8
 # frames of a band stay one group, and the audio CNN holds the activations
@@ -56,15 +57,11 @@ SCORE_GROUP = 8
 class ModelConfig:
     bands: int = 4
     band_channels: tuple = (8, 16, 32)
-    band_input_hw: tuple = (16, 32)
     d_model: int = 64
     fusion_blocks: int = 4
     heads: int = 4
     audio_channels: tuple = (8, 16, 32, 64)
     frames_per_clip: int = 8
-    patch_frames: int = audiofe.PATCH_FRAMES
-    num_mel: int = audiofe.DEFAULT_NUM_MEL
-    ff_mult: int = 2
     fusion_mode: str = "transformer"
     seed: int = 1234
     lr: float = 1e-3
@@ -74,7 +71,7 @@ class ModelConfig:
     def validate(self) -> None:
         if self.bands < 1:
             raise ValidationError("bands must be >= 1")
-        for key in ("d_model", "heads", "ff_mult"):
+        for key in ("d_model", "heads"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("band_channels", "audio_channels"):
@@ -82,15 +79,6 @@ class ModelConfig:
                 raise ValidationError(
                     f"{key} must list channel counts >= 1, got {getattr(self, key)}"
                 )
-        if len(self.band_input_hw) != 2 or min(self.band_input_hw) < 1:
-            raise ValidationError(
-                f"band_input_hw must be two sizes >= 1, got {self.band_input_hw}"
-            )
-        if max(*self.band_input_hw, self.patch_frames, self.num_mel) > MAX_INPUT_SIDE:
-            raise ValidationError(
-                f"band_input_hw {self.band_input_hw}, patch_frames {self.patch_frames} "
-                f"and num_mel {self.num_mel} must each be <= {MAX_INPUT_SIDE}"
-            )
         if self.d_model % self.heads:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
@@ -104,7 +92,7 @@ class ModelConfig:
                 "fusion_blocks must be even and >= 2 so the alternate-block "
                 f"cross-attention rule is well formed, got {self.fusion_blocks}"
             )
-        bh, bw = self.band_input_hw
+        bh, bw = BAND_INPUT_HW
         div = 2 ** len(self.band_channels)
         if bh % div or bw % div:
             raise ValidationError(
@@ -113,10 +101,6 @@ class ModelConfig:
             )
         if len(self.audio_channels) != 4:
             raise ValidationError("audio_channels must list exactly 4 conv stages")
-        if any(v < 16 or v % 16 for v in (self.patch_frames, self.num_mel)):
-            raise ValidationError(
-                "audio patch geometry must be a positive multiple of 16 (4 pooling stages)"
-            )
         if self.frames_per_clip < 1:
             raise ValidationError("frames_per_clip must be >= 1")
         if not 0 < self.lr < float("inf"):
@@ -133,10 +117,11 @@ class ModelConfig:
 
 @dataclass
 class SequenceFeatures:
-    """Preprocessed inputs for one sequence."""
+    """Preprocessed inputs for one sequence; the model reads the float64
+    arrays as they are, without a copy."""
 
-    video: np.ndarray       # (T, M, band_h, band_w), luma in [0, 1]
-    audio: np.ndarray       # (P, patch_frames, num_mel) log-mel patches
+    video: np.ndarray       # (T, M, *BAND_INPUT_HW) float64, luma in [0, 1]
+    audio: np.ndarray       # (P, PATCH_FRAMES, NUM_MEL) float64 log-mel patches
     lat_prior: np.ndarray   # (M,) cos-latitude prior of the source partition
     sequence_id: str = ""
 
@@ -175,7 +160,7 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
         )
     part = partition_erp(seq.height, cfg.bands)
     prior = cos_latitude_prior(part)
-    bh, bw = cfg.band_input_hw
+    bh, bw = BAND_INPUT_HW
     col_t = _overlap_matrix(seq.width, bw).T
     bands = [(a, b, _overlap_matrix(b - a, bh)) for a, b in part.band_row_ranges]
     # frames_per_clip sizes no parameter: pick the frames, which checks the
@@ -190,8 +175,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
     return out, prior
 
 
-def audio_input(clip: AudioClip, cfg: ModelConfig) -> np.ndarray:
-    """Log-mel patch stack (P, patch_frames, num_mel) of a clip; a
+def audio_input(clip: AudioClip) -> np.ndarray:
+    """Log-mel patch stack (P, PATCH_FRAMES, NUM_MEL) of a clip; a
     multichannel clip (``load_wav`` gives mono) is downmixed first."""
     mono = clip if clip.channels == 1 else downmix_mono(clip)
     if mono.sample_rate != audiofe.SAMPLE_RATE:
@@ -199,15 +184,15 @@ def audio_input(clip: AudioClip, cfg: ModelConfig) -> np.ndarray:
     mag = audiofe.stft_magnitude(mono)
     if mag.shape[0] == 0:
         raise DataError("audio too short to produce a single analysis frame")
-    fb = audiofe.mel_filterbank(num_mel=cfg.num_mel, fft_bins=mag.shape[1])
-    return audiofe.frame_patches(audiofe.log_mel(mag, fb), patch_frames=cfg.patch_frames)
+    fb = audiofe.mel_filterbank(fft_bins=mag.shape[1])
+    return audiofe.frame_patches(audiofe.log_mel(mag, fb))
 
 
 def preprocess_sequence(
     seq: FrameSequence, clip: AudioClip, cfg: ModelConfig, sequence_id: str = ""
 ) -> SequenceFeatures:
     video, prior = video_input(seq, cfg)
-    audio = audio_input(clip, cfg)
+    audio = audio_input(clip)
     return SequenceFeatures(video=video, audio=audio, lat_prior=prior,
                             sequence_id=sequence_id)
 
@@ -307,7 +292,7 @@ class _TransformerBlock:
     """Pre-norm block: self-attention, optional cross-attention, feed-forward,
     each as residual sublayers. Its cache maps sublayer names to their caches."""
 
-    def __init__(self, store, name, d_model, heads, rng, cross: bool, ff_mult: int):
+    def __init__(self, store, name, d_model, heads, rng, cross: bool):
         self.cross = cross
         self.ln1 = nn.LayerNorm(store, f"{name}.ln1", d_model)
         self.attn = nn.MultiHeadAttention(store, f"{name}.attn", d_model, heads, rng)
@@ -315,7 +300,7 @@ class _TransformerBlock:
             self.lnx = nn.LayerNorm(store, f"{name}.lnx", d_model)
             self.xattn = nn.MultiHeadAttention(store, f"{name}.xattn", d_model, heads, rng)
         self.ln2 = nn.LayerNorm(store, f"{name}.ln2", d_model)
-        self.ff = _FeedForward(store, f"{name}.ff", d_model, ff_mult * d_model, rng)
+        self.ff = _FeedForward(store, f"{name}.ff", d_model, FF_MULT * d_model, rng)
 
     def forward(self, v, a=None):
         c = {}
@@ -365,22 +350,16 @@ class AVQAModel:
             for m in range(cfg.bands)
         ]
         self.lat_logits = self.store.create("video.lat_logits", (cfg.bands,), np.zeros)
-        self.temporal = _TransformerBlock(
-            self.store, "video.temporal", d, cfg.heads, rng, cross=False,
-            ff_mult=cfg.ff_mult,
-        )
+        self.temporal = _TransformerBlock(self.store, "video.temporal", d, cfg.heads, rng,
+                                          cross=False)
         self.audio_enc = _ConvStack(self.store, "audio.cnn", cfg.audio_channels, d, rng)
         self.audio_ln = nn.LayerNorm(self.store, "audio.ln", d)
 
         self.fusion_blocks: list[_TransformerBlock] = []
         if cfg.fusion_mode == "transformer":
             for i in range(cfg.fusion_blocks):
-                self.fusion_blocks.append(
-                    _TransformerBlock(
-                        self.store, f"fusion.block{i}", d, cfg.heads, rng,
-                        cross=i % 2 == 1, ff_mult=cfg.ff_mult,
-                    )
-                )
+                self.fusion_blocks.append(_TransformerBlock(
+                    self.store, f"fusion.block{i}", d, cfg.heads, rng, cross=i % 2 == 1))
             self.final_ln = nn.LayerNorm(self.store, "fusion.final_ln", d)
             head_in = d
         elif cfg.fusion_mode == "cat":
@@ -400,9 +379,8 @@ class AVQAModel:
             raise ValidationError(
                 f"features carry {feat.video.shape[1]} bands, model expects {cfg.bands}"
             )
-        x = feat.video.astype(np.float64)
         band_feats, band_caches = zip(*(
-            (enc.forward if taped else enc.score)(x[:, m][:, None])
+            (enc.forward if taped else enc.score)(feat.video[:, m][:, None])
             for m, enc in enumerate(self.band_encoders)
         ))
         stacked = np.stack(band_feats)                       # (M, T, d)
@@ -425,9 +403,8 @@ class AVQAModel:
     def _audio_tokens(self, feat: SequenceFeatures, taped: bool = True):
         """(P, d) audio tokens and their cache; untaped, the audio CNN
         keeps none (``_ConvStack.score``)."""
-        a = feat.audio.astype(np.float64)[:, None]           # (P, 1, F, B)
         enc = self.audio_enc
-        tokens, enc_cache = (enc.forward if taped else enc.score)(a)
+        tokens, enc_cache = (enc.forward if taped else enc.score)(feat.audio[:, None])
         tokens, ln_cache = self.audio_ln.forward(tokens)
         return tokens, (enc_cache, ln_cache)
 

@@ -205,7 +205,6 @@ fusion_blocks = 4
 heads = 4
 audio_channels = 8,16,32,64
 frames_per_clip = 8
-ff_mult = 2
 fusion_mode = transformer
 seed = {seed}
 lr = 0.001

@@ -28,7 +28,6 @@ def tiny_model_config(**overrides) -> ModelConfig:
     kwargs = dict(
         bands=2,
         band_channels=(2, 3),
-        band_input_hw=(16, 32),
         d_model=8,
         fusion_blocks=2,
         heads=2,

@@ -319,7 +319,7 @@ def read_features(path) -> np.ndarray:
 
 
 def filter_center_frequencies(
-    num_mel=audiofe.DEFAULT_NUM_MEL,
+    num_mel=audiofe.NUM_MEL,
     fmin_hz=audiofe.FMIN_HZ,
     fmax_hz=audiofe.FMAX_HZ,
 ):
@@ -414,7 +414,7 @@ def one_shot_stft_magnitude(x, sample_rate=audiofe.SAMPLE_RATE):
     return np.abs(np.fft.rfft(sliding_window_view(x, win)[::hop] * window, n=nfft, axis=1))
 
 
-def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):
+def reference_audio_input(pcm, sample_rate):
     """``model.audio_input`` of interleaved int16 PCM (n, channels), built
     from the reference formulations: F-order samples scaled by /32768, a
     mean over the channel axis, np.interp resampling to 16 kHz, a gathered
@@ -426,11 +426,11 @@ def reference_audio_input(pcm, sample_rate, num_mel, patch_frames):
     if sample_rate != audiofe.SAMPLE_RATE:
         mono = interp_resample(mono, sample_rate, audiofe.SAMPLE_RATE)
     mag = gathered_stft_magnitude(mono[0])
-    fb = audiofe.mel_filterbank(num_mel=num_mel, fft_bins=mag.shape[1])
+    fb = audiofe.mel_filterbank(fft_bins=mag.shape[1])
     mel = audiofe.log_mel(mag, fb)
     patches = []
-    for start in range(0, mel.shape[0], patch_frames):
-        chunk = mel[start : start + patch_frames]
-        pad = np.zeros((patch_frames - chunk.shape[0], mel.shape[1]))
+    for start in range(0, mel.shape[0], audiofe.PATCH_FRAMES):
+        chunk = mel[start : start + audiofe.PATCH_FRAMES]
+        pad = np.zeros((audiofe.PATCH_FRAMES - chunk.shape[0], mel.shape[1]))
         patches.append(np.vstack([chunk, pad]))
     return np.stack(patches)

@@ -9,7 +9,6 @@ from avq360 import nn
 from avq360.errors import DataError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
-    MAX_INPUT_SIDE,
     SCORE_GROUP,
     AVQAModel,
     ModelConfig,
@@ -29,12 +28,17 @@ from oracles import (LatitudeWeights, aggregate_band_features, area_resize,
                      finite_difference_store_grads, gradient_rel_err, reference_audio_input,
                      relu_pool_backward, relu_pool_forward)
 
-# the meta/ tensors of checkpoints written while the position codes were
-# settings and the cross-attention schedule was recorded
+# the meta/ tensors of checkpoints written while the position codes, the
+# input geometry and the feed-forward width were settings and the
+# cross-attention schedule was recorded
 OLDER_FORMAT_META = {
     "meta/temporal_pos_enc": np.float32(1),
     "meta/audio_pos_enc": np.float32(0),
     "meta/cross_attention_blocks": np.array([1], dtype=np.float32),
+    "meta/band_input_hw": np.array([16, 32], dtype=np.float32),
+    "meta/patch_frames": np.float32(96),
+    "meta/num_mel": np.float32(64),
+    "meta/ff_mult": np.float32(2),
 }
 
 
@@ -91,28 +95,26 @@ class TestPreprocessing:
             video_input(seq, cfg)
 
     def test_audio_input_patch_stack(self):
-        cfg = tiny_model_config()
         rng = np.random.default_rng(2)
         clip = AudioClip(samples=rng.uniform(-0.5, 0.5, (2, 16000)), sample_rate=16000)
-        patches = audio_input(clip, cfg)
+        patches = audio_input(clip)
         assert patches.shape == (2, 96, 64)
 
     def test_audio_input_resamples_other_rates(self):
         rng = np.random.default_rng(3)
         clip = AudioClip(samples=rng.uniform(-0.5, 0.5, (1, 48000)), sample_rate=48000)
-        patches = audio_input(clip, tiny_model_config())
+        patches = audio_input(clip)
         assert patches.shape[0] >= 1
 
     @pytest.mark.parametrize("channels, sr", [(4, 48000), (2, 16000), (1, 16000)])
     def test_audio_input_equals_reference_pipeline(self, tmp_path, channels, sr):
-        cfg = tiny_model_config()
         pcm = np.random.default_rng(channels).integers(
             -32768, 32768, size=(int(2.3 * sr), channels)).astype("<i2")
         path = tmp_path / "a.wav"
         write_wav(AudioClip(samples=pcm.T / 32768.0, sample_rate=sr), path)
-        out = audio_input(load_wav(path), cfg)
-        ref = reference_audio_input(pcm, sr, cfg.num_mel, cfg.patch_frames)
-        assert out.shape == (3, cfg.patch_frames, cfg.num_mel)
+        out = audio_input(load_wav(path))
+        ref = reference_audio_input(pcm, sr)
+        assert out.shape == (3, 96, 64)
         assert np.array_equal(out, ref)
 
     def test_sinusoidal_positions(self):
@@ -138,22 +140,11 @@ class TestConfig:
 
     def test_band_input_pool_divisibility(self):
         with pytest.raises(ValidationError, match="divisible"):
-            ModelConfig(band_channels=(4, 8, 16), band_input_hw=(12, 32)).validate()
+            ModelConfig(band_channels=(4, 8, 16, 32, 64)).validate()
 
     def test_unknown_fusion_mode(self):
         with pytest.raises(ValidationError, match="fusion_mode"):
             ModelConfig(fusion_mode="blend").validate()
-
-    @pytest.mark.parametrize("size", [dict(band_input_hw=(16, 2048)),
-                                      dict(band_input_hw=(2048, 16)),
-                                      dict(patch_frames=1040), dict(num_mel=1040)])
-    def test_input_size_above_cap_rejected(self, size):
-        assert MAX_INPUT_SIDE == 1024
-        with pytest.raises(ValidationError, match="must each be <= 1024"):
-            ModelConfig(**size).validate()
-
-    def test_input_sizes_at_cap_accepted(self):
-        ModelConfig(band_input_hw=(1024, 1024), patch_frames=1024, num_mel=1024).validate()
 
     def test_default_and_test_configs_validate(self):
         ModelConfig().validate()
