@@ -64,9 +64,13 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
               sequence_id: str) -> model.SequenceFeatures:
     """Model input tensors of one sequence, preprocessed from its media;
     ``load_wav`` decodes the audio to the mean of its channels."""
+    video = _sequence_file(cfg.media_root, sequence_id, ".y4m", "media")
+    seq = load_y4m(video)
+    if seq.n_frames < model_cfg.frames_per_clip:
+        raise DataError(f"{video}: {seq.n_frames} frames, the model takes "
+                        f"{model_cfg.frames_per_clip}")
     return model.preprocess_sequence(
-        load_y4m(_sequence_file(cfg.media_root, sequence_id, ".y4m", "media")),
-        load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media")),
+        seq, load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media")),
         model_cfg, sequence_id,
     )
 

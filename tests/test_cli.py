@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -73,8 +74,8 @@ class TestSynthFixture:
 
 
 class TestImportCost:
-    """Commands other than `evaluate` never need scipy, and the package
-    root imports nothing: checked in a fresh interpreter."""
+    """No command needs scipy, and the package root imports nothing:
+    checked in a fresh interpreter."""
 
     @staticmethod
     def loaded_after(statement):
@@ -88,6 +89,32 @@ class TestImportCost:
         loaded = self.loaded_after("import avq360.cli")
         assert "avq360.metrics" in loaded
         assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+    def test_full_evaluate_loads_no_scipy(self, corpus_dir, trained_dir):
+        out, overrides = trained_dir
+        argv = ["evaluate", "--config", str(corpus_dir / "config.txt"), "--on", "all"]
+        for o in overrides:
+            argv += ["--set", o]
+        (out / "metrics.csv").unlink(missing_ok=True)
+        loaded = self.loaded_after(
+            f"from avq360.cli import main; assert main({argv!r}) == 0")
+        assert int(read_csv_rows(out / "metrics.csv")[0]["n"]) == 8
+        assert "avq360.metrics" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    def test_no_module_imports_scipy(self):
+        found = []
+        for path in sorted(Path(avq360.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for n in names
+                          if n.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_package_import_loads_no_submodule(self):
         loaded = self.loaded_after("import avq360")
@@ -303,6 +330,22 @@ class TestExtractFeatures:
         audio = read_features(corpus_dir / "out_feat" / "features" / "seq00_audio.avqf")
         assert video.shape == (8, 4, 16, 32)
         assert audio.shape == (2, 96, 64)
+
+    def test_one_frame_clip_is_data_error(self, tmp_path, corpus_dir, capsys):
+        fixture = tmp_path / "fixture"
+        shutil.copytree(corpus_dir / "media", fixture / "media")
+        entry = load_manifest(corpus_dir / "manifest.json")[0]
+        video = fixture / "media" / f"{entry.sequence_id}.y4m"
+        seq = load_y4m(video)
+        write_y4m(FrameSequence(frames=seq.frames[:1], fps=seq.fps,
+                                fps_rational=seq.fps_rational), video)
+        (fixture / "manifest.json").write_text(json.dumps([entry.__dict__]), encoding="utf-8")
+        (fixture / "config.txt").write_text(
+            "manifest = manifest.json\nmedia_root = media\nscores = s.csv\n"
+            "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
+        assert run(["extract-features", "--config", fixture / "config.txt"]) == 3
+        assert f"{video}: 1 frames, the model takes 8" in capsys.readouterr().err
+        assert not (fixture / "out").exists()
 
     def test_path_in_sequence_id_exits_2_and_writes_nothing(self, tmp_path, corpus_dir,
                                                             capsys):
@@ -538,7 +581,7 @@ class TestPredict:
         assert (f"unknown architecture metadata {sorted(OLDER_FORMAT_META)}"
                 in capsys.readouterr().err)
 
-    def test_more_frames_than_the_clip_holds_is_validation_error(
+    def test_more_frames_than_the_clip_holds_is_data_error(
             self, tmp_path, corpus_dir, trained_dir, capsys):
         # frames_per_clip sizes no parameter; 2**31 frames of the trained
         # model's input would be 32 TiB, so the count is checked first
@@ -551,8 +594,9 @@ class TestPredict:
                 "--sequence", "seq03", "--set", f"checkpoint={bad}"]
         for o in overrides:
             args += ["--set", o]
-        assert run(args) == 2
-        assert "requested 2147483648 frames but only 8 available" in capsys.readouterr().err
+        assert run(args) == 3
+        video = corpus_dir / "media" / "seq03.y4m"
+        assert f"{video}: 8 frames, the model takes 2147483648" in capsys.readouterr().err
 
     def test_rank_65_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
         _, overrides = trained_dir
