@@ -119,14 +119,32 @@ def mel_filterbank(fft_bins: int = 257) -> np.ndarray:
 
 
 def log_mel(stft_mag: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
-    """log(power mel energy + LOG_OFFSET), natural log; shape (frames, num_mel)."""
+    """log(power mel energy + LOG_OFFSET), natural log; shape (frames, num_mel).
+
+    The spectrum is squared PATCH_FRAMES rows at a time into one work
+    block, and each block's mel product goes straight into the output, so
+    no squared copy of the whole spectrum is made. Every block has
+    PATCH_FRAMES rows (all rows, when there are fewer): the last one ends
+    at the last row and overlaps the one before it. BLAS may sum a product
+    of a few rows in another order, while a block of PATCH_FRAMES rows
+    gives each row the bits of one product over the whole spectrum
+    (``tests/test_audiofe.py`` holds the two equal)."""
     mag = np.asarray(stft_mag, dtype=np.float64)
     fb = np.asarray(filterbank, dtype=np.float64)
     if mag.ndim != 2 or fb.ndim != 2 or mag.shape[1] != fb.shape[1]:
         raise ValidationError(
             f"shape mismatch: stft {mag.shape} vs filterbank {fb.shape}"
         )
-    return np.log((mag * mag) @ fb.T + LOG_OFFSET)
+    n = mag.shape[0]
+    k = min(PATCH_FRAMES, n)
+    out = np.empty((n, fb.shape[0]))
+    power = np.empty((k, mag.shape[1]))
+    for i in range(0, n, PATCH_FRAMES):
+        i = min(i, n - k)
+        np.square(mag[i : i + k], out=power)
+        np.matmul(power, fb.T, out=out[i : i + k])
+    out += LOG_OFFSET
+    return np.log(out, out=out)
 
 
 def frame_patches(mel: np.ndarray) -> np.ndarray:

@@ -69,6 +69,9 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
     if seq.n_frames < model_cfg.frames_per_clip:
         raise DataError(f"{video}: {seq.n_frames} frames, the model takes "
                         f"{model_cfg.frames_per_clip}")
+    if seq.height < model_cfg.bands:
+        raise DataError(f"{video}: {seq.height} rows, the model takes "
+                        f"{model_cfg.bands} latitude bands")
     return model.preprocess_sequence(
         seq, load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media")),
         model_cfg, sequence_id,
@@ -135,8 +138,13 @@ def cmd_siti(args) -> int:
     entries = _manifest_entries(cfg)
     rows = []
     for entry in entries:
-        r = siti.summarize_siti(load_y4m(
-            _sequence_file(cfg.media_root, entry.sequence_id, ".y4m", "media")))
+        video = _sequence_file(cfg.media_root, entry.sequence_id, ".y4m", "media")
+        seq = load_y4m(video)
+        if seq.height < 3 or seq.width < 3:
+            raise DataError(f"{video}: {seq.width}x{seq.height} frames, SI needs at least 3x3")
+        if seq.n_frames < 2:
+            raise DataError(f"{video}: {seq.n_frames} frame, TI needs at least 2")
+        r = siti.summarize_siti(seq)
         rows.append([entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
                      f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"])
     # every row is computed before the table is opened, so a media failure

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -45,6 +46,7 @@ MOTIONS = ("static", "dynamic")
 SPLITS = ("train", "test", "unassigned")
 VALID_CHANNEL_COUNTS = (1, 2, 4)
 MIN_WAV_RATE = 8000  # Hz; upsampling to 16 kHz then at most doubles a clip
+_WAV_BLOCK_FRAMES = 1 << 16  # PCM frames that load_wav decodes at a time
 
 # Continuous rating scale. The numeric range is a toolkit convention.
 SCORE_MIN = 0.0
@@ -178,20 +180,23 @@ def write_manifest(entries, path) -> None:
 
 @dataclass
 class FrameSequence:
-    """Decoded luma planes of one video sequence.
+    """Luma planes of one video sequence.
 
-    ``frames`` has shape (n_frames, height, width). Luma is on the
-    8-bit [0, 255] scale in every dtype: a float frame holds the same
-    values as its uint8 counterpart. It is normalized only where it
-    becomes model input (``model.video_input``).
+    ``frames`` has shape (n_frames, height, width): an ndarray, or for a
+    sequence that ``load_y4m`` loaded, a ``Y4MFrames`` that reads each
+    plane from the file when it is used. Luma is on the 8-bit [0, 255]
+    scale in every dtype: a float frame holds the same values as its uint8
+    counterpart. It is normalized only where it becomes model input
+    (``model.video_input``).
     """
 
-    frames: np.ndarray
+    frames: np.ndarray | Y4MFrames
     fps: float
     fps_rational: tuple[int, int] | None = None
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames)
+        if not isinstance(self.frames, Y4MFrames):
+            self.frames = np.asarray(self.frames)
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise ValidationError("frames must be (n>=1, height, width)")
         if self.fps <= 0:
@@ -210,6 +215,61 @@ class FrameSequence:
         return self.frames.shape[2]
 
 
+class Y4MFrames:
+    """The luma planes of a YUV4MPEG2 file, read from the file when used.
+
+    ``load_y4m`` records where each plane starts. A plane is read only
+    when it is indexed or iterated over, into a fresh uint8 array, and no
+    file handle stays open between reads. The object offers the part of
+    the ndarray surface that users of ``FrameSequence.frames`` take:
+    ``len``, an integer index, a slice (an ndarray of those frames),
+    iteration, ``shape``, ``dtype``, ``ndim`` and ``np.asarray`` (which
+    reads every frame). A plane that the file no longer holds in full, or
+    a file that can no longer be read, is a DataError naming the file and
+    the frame.
+    """
+
+    dtype = np.dtype(np.uint8)
+    ndim = 3
+
+    def __init__(self, path, offsets: list[int], height: int, width: int):
+        self.path = path
+        self._offsets = offsets
+        self.shape = (len(offsets), height, width)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = range(len(self))[index]
+            out = np.empty((len(picked),) + self.shape[1:], self.dtype)
+            for plane, i in zip(out, picked):
+                self._read_into(i, plane)
+            return out
+        # an integer, counted from the end when negative; IndexError past it
+        i = range(len(self))[index]
+        return self._read_into(i, np.empty(self.shape[1:], self.dtype))
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype=dtype)
+
+    def _read_into(self, i: int, plane: np.ndarray) -> np.ndarray:
+        try:
+            with open(self.path, "rb") as f:
+                f.seek(self._offsets[i])
+                n = f.readinto(plane)
+        except OSError as e:
+            raise DataError(f"{self.path}: frame {i}: cannot read: {e.strerror or e}") from e
+        if n != plane.nbytes:
+            raise DataError(f"{self.path}: frame {i}: truncated payload")
+        return plane
+
+
 _Y4M_MAGIC = b"YUV4MPEG2"
 _Y4M_420_TAGS = {b"420", b"420jpeg", b"420mpeg2", b"420paldv"}
 
@@ -219,65 +279,72 @@ def load_y4m(path) -> FrameSequence:
 
     Supports 4:2:0 planar (chroma discarded) and mono. Header must
     declare W, H and F; interlace/aspect/extension tags are ignored.
+
+    Only the header and the FRAME lines are read here: the walk from one
+    FRAME line to the next checks every frame against the file size and
+    records where its luma plane starts, and the planes are read when the
+    frames are used (``Y4MFrames``).
     """
-    data = Path(path).read_bytes()
-    nl = data.find(b"\n")
-    if nl < 0 or not data.startswith(_Y4M_MAGIC + b" "):
-        if data[: len(_Y4M_MAGIC)] != _Y4M_MAGIC:
-            raise DataError(f"{path}: bad magic, not a YUV4MPEG2 stream")
-        raise DataError(f"{path}: malformed YUV4MPEG2 header")
-    width = height = 0
-    fps_num = fps_den = 0
-    chroma = b"420"
-    for token in data[len(_Y4M_MAGIC) + 1 : nl].split(b" "):
-        if not token:
-            continue
-        key, val = token[:1], token[1:]
-        try:
-            if key == b"W":
-                width = int(val)
-            elif key == b"H":
-                height = int(val)
-            elif key == b"F":
-                num, den = val.split(b":")
-                fps_num, fps_den = int(num), int(den)
-            elif key == b"C":
-                chroma = val
-            # I, A, X tags carry no information we use
-        except ValueError as e:
-            raise DataError(f"{path}: bad header token {token!r}") from e
-    if width <= 0 or height <= 0:
-        raise DataError(f"{path}: header missing valid W/H")
-    if fps_num <= 0 or fps_den <= 0:
-        raise DataError(f"{path}: header missing valid frame rate")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.readline()
+        if not header.endswith(b"\n") or not header.startswith(_Y4M_MAGIC + b" "):
+            if header[: len(_Y4M_MAGIC)] != _Y4M_MAGIC:
+                raise DataError(f"{path}: bad magic, not a YUV4MPEG2 stream")
+            raise DataError(f"{path}: malformed YUV4MPEG2 header")
+        width = height = 0
+        fps_num = fps_den = 0
+        chroma = b"420"
+        for token in header[len(_Y4M_MAGIC) + 1 : -1].split(b" "):
+            if not token:
+                continue
+            key, val = token[:1], token[1:]
+            try:
+                if key == b"W":
+                    width = int(val)
+                elif key == b"H":
+                    height = int(val)
+                elif key == b"F":
+                    num, den = val.split(b":")
+                    fps_num, fps_den = int(num), int(den)
+                elif key == b"C":
+                    chroma = val
+                # I, A, X tags carry no information we use
+            except ValueError as e:
+                raise DataError(f"{path}: bad header token {token!r}") from e
+        if width <= 0 or height <= 0:
+            raise DataError(f"{path}: header missing valid W/H")
+        if fps_num <= 0 or fps_den <= 0:
+            raise DataError(f"{path}: header missing valid frame rate")
 
-    if chroma in _Y4M_420_TAGS:
-        if width % 2 or height % 2:
-            raise DataError(f"{path}: odd dimensions with 4:2:0 chroma")
-        chroma_bytes = 2 * (width // 2) * (height // 2)
-    elif chroma == b"mono":
-        chroma_bytes = 0
-    else:
-        raise DataError(f"{path}: unsupported chroma tag C{chroma.decode(errors='replace')}")
+        if chroma in _Y4M_420_TAGS:
+            if width % 2 or height % 2:
+                raise DataError(f"{path}: odd dimensions with 4:2:0 chroma")
+            chroma_bytes = 2 * (width // 2) * (height // 2)
+        elif chroma == b"mono":
+            chroma_bytes = 0
+        else:
+            raise DataError(f"{path}: unsupported chroma tag C{chroma.decode(errors='replace')}")
 
-    luma_bytes = width * height
-    frames = []
-    pos = nl + 1
-    while pos < len(data):
-        fnl = data.find(b"\n", pos)
-        if fnl < 0 or data[pos : pos + 5] != b"FRAME":
-            raise DataError(f"{path}: frame {len(frames)}: missing FRAME marker")
-        pos = fnl + 1
-        end = pos + luma_bytes + chroma_bytes
-        if end > len(data):
-            raise DataError(f"{path}: frame {len(frames)}: truncated payload")
-        luma = np.frombuffer(data, np.uint8, count=luma_bytes, offset=pos)
-        frames.append(luma.reshape(height, width))
-        pos = end
-    if not frames:
+        frame_bytes = width * height + chroma_bytes
+        offsets = []
+        pos = len(header)
+        while pos < size:
+            f.seek(pos)
+            marker = f.read(5)
+            if marker == b"FRAME":
+                marker += f.readline()  # the FRAME line's parameters, if any
+            if marker[:5] != b"FRAME" or marker[-1:] != b"\n":
+                raise DataError(f"{path}: frame {len(offsets)}: missing FRAME marker")
+            pos += len(marker)
+            if pos + frame_bytes > size:
+                raise DataError(f"{path}: frame {len(offsets)}: truncated payload")
+            offsets.append(pos)
+            pos += frame_bytes
+    if not offsets:
         raise DataError(f"{path}: stream contains no frames")
     return FrameSequence(
-        frames=np.stack(frames),
+        frames=Y4MFrames(path, offsets, height, width),
         fps=fps_num / fps_den,
         fps_rational=(fps_num, fps_den),
     )
@@ -340,48 +407,66 @@ def load_wav(path) -> AudioClip:
     to -1.0 exactly, and the row equals the float mean of the channels
     scaled by 2**-15, bit for bit: a float sum of at most 4 such values
     is exact, and so is a division by 1, 2 or 4.
+
+    The chunks are walked by their 8-byte headers against the file size,
+    and the data chunk is decoded _WAV_BLOCK_FRAMES frames at a time
+    straight into the preallocated row. Each output sample depends only on
+    its own frame, so the blocks give the bits of one whole-chunk decode,
+    and besides the row only one block is alive.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise DataError(f"{path}: not a RIFF/WAVE file")
-    fmt = None
-    payload = None  # (offset, size) of the data chunk body
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        if pos + 8 + size > len(data):
-            raise DataError(f"{path}: truncated {chunk_id!r} chunk")
-        if chunk_id == b"fmt ":
-            if size < 16:
-                raise DataError(f"{path}: malformed fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", data, pos + 8)
-        elif chunk_id == b"data":
-            payload = (pos + 8, size)
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-    if fmt is None or payload is None:
-        raise DataError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
-        raise DataError(f"{path}: non-PCM codec (format tag {audio_format})")
-    if bits != 16:
-        raise DataError(f"{path}: only PCM 16-bit supported, got {bits}-bit")
-    if channels not in VALID_CHANNEL_COUNTS:
-        raise DataError(
-            f"{path}: channel count {channels} not in {VALID_CHANNEL_COUNTS}"
-        )
-    if sample_rate < MIN_WAV_RATE:
-        raise DataError(
-            f"{path}: sample rate {sample_rate} in fmt chunk, below {MIN_WAV_RATE} Hz"
-        )
-    offset, size = payload
-    if size % (2 * channels):
-        raise DataError(f"{path}: data chunk size not a multiple of frame size")
-    pcm = np.frombuffer(data, dtype="<i2", count=size // 2, offset=offset).reshape(-1, channels)
-    total = pcm[:, 0].astype(np.int32)
-    for c in range(1, channels):
-        total += pcm[:, c]
-    mono = total * (2.0 ** -15 / channels)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        riff = f.read(12)
+        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+            raise DataError(f"{path}: not a RIFF/WAVE file")
+        fmt = None
+        payload = None  # (offset, size) of the data chunk body
+        pos = 12
+        while pos + 8 <= size:
+            f.seek(pos)
+            chunk_id, chunk_size = struct.unpack("<4sI", f.read(8))
+            if pos + 8 + chunk_size > size:
+                raise DataError(f"{path}: truncated {chunk_id!r} chunk")
+            if chunk_id == b"fmt ":
+                if chunk_size < 16:
+                    raise DataError(f"{path}: malformed fmt chunk")
+                fmt = struct.unpack("<HHIIHH", f.read(16))
+            elif chunk_id == b"data":
+                payload = (pos + 8, chunk_size)
+            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+        if fmt is None or payload is None:
+            raise DataError(f"{path}: missing fmt or data chunk")
+        audio_format, channels, sample_rate, _, _, bits = fmt
+        if audio_format != 1:
+            raise DataError(f"{path}: non-PCM codec (format tag {audio_format})")
+        if bits != 16:
+            raise DataError(f"{path}: only PCM 16-bit supported, got {bits}-bit")
+        if channels not in VALID_CHANNEL_COUNTS:
+            raise DataError(
+                f"{path}: channel count {channels} not in {VALID_CHANNEL_COUNTS}"
+            )
+        if sample_rate < MIN_WAV_RATE:
+            raise DataError(
+                f"{path}: sample rate {sample_rate} in fmt chunk, below {MIN_WAV_RATE} Hz"
+            )
+        offset, nbytes = payload
+        if nbytes % (2 * channels):
+            raise DataError(f"{path}: data chunk size not a multiple of frame size")
+        n = nbytes // (2 * channels)
+        mono = np.empty(n)
+        pcm = np.empty((min(n, _WAV_BLOCK_FRAMES), channels), "<i2")
+        total = np.empty(len(pcm), np.int32)
+        scale = 2.0 ** -15 / channels
+        f.seek(offset)
+        for i in range(0, n, _WAV_BLOCK_FRAMES):
+            block = pcm[: n - i]
+            if f.readinto(block) != block.nbytes:
+                raise DataError(f"{path}: truncated b'data' chunk")
+            acc = total[: len(block)]
+            np.copyto(acc, block[:, 0])
+            for c in range(1, channels):
+                acc += block[:, c]
+            np.multiply(acc, scale, out=mono[i : i + len(block)])
     return AudioClip(samples=mono[None], sample_rate=sample_rate)
 
 

@@ -153,7 +153,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
 
     The picked frames are converted one at a time into one float64 frame
     buffer, which, besides the output and the cached resampling matrices,
-    is all that is kept alive."""
+    is all that is kept alive; a sequence from ``load_y4m`` reads only the
+    picked frames from its file."""
     if seq.width != 2 * seq.height:
         raise DataError(
             f"frame {seq.width}x{seq.height} is not 2:1 ERP"

@@ -183,6 +183,20 @@ class TestLogMel:
         with pytest.raises(ValidationError, match="mismatch"):
             log_mel(np.zeros((3, 100)), mel_filterbank(fft_bins=257))
 
+    @pytest.mark.parametrize("n_frames", [0, 1, 18, PATCH_FRAMES - 1, PATCH_FRAMES,
+                                          PATCH_FRAMES + 1, 3 * PATCH_FRAMES + 5])
+    def test_blocks_equal_one_product(self, n_frames):
+        # frame counts around the block of PATCH_FRAMES rows, and a tail of one row
+        mag = np.random.default_rng(n_frames).uniform(0.0, 8.0, (n_frames, 257))
+        fb = mel_filterbank(fft_bins=257)
+        assert log_mel(mag, fb).tobytes() == np.log((mag * mag) @ fb.T + 0.01).tobytes()
+
+    def test_blocks_equal_one_product_on_a_30_s_clip(self):
+        mag = stft_magnitude(mono(np.random.default_rng(36).uniform(-1.0, 1.0, 30 * 16000)))
+        fb = mel_filterbank(fft_bins=mag.shape[1])
+        assert mag.shape[0] % PATCH_FRAMES != 0
+        assert log_mel(mag, fb).tobytes() == np.log((mag * mag) @ fb.T + 0.01).tobytes()
+
 
 class TestPatches:
     def make_mel(self, n_frames):

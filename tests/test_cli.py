@@ -17,10 +17,12 @@ from avq360.cli import _features, main
 from avq360.config import load_config
 from avq360.nn import read_checkpoint, write_checkpoint
 from avq360.manifest import (
+    AudioClip,
     FrameSequence,
     load_manifest,
     write_manifest,
     write_scores_csv,
+    write_wav,
     write_y4m,
 )
 from avq360.siti import summarize_siti
@@ -49,6 +51,22 @@ def copy_with_field(src, dst, line, column, value):
     fields[column] = value
     lines[line - 1] = ",".join(fields) + lines[line - 1][len(body):]
     dst.write_text("".join(lines), encoding="utf-8", newline="")
+
+
+def one_video_fixture(root, frames):
+    """A one-sequence fixture under ``root`` whose video holds ``frames``,
+    with the corpus' default model config; returns the video's path."""
+    entry = make_entry(0)
+    write_manifest([entry], root / "manifest.json")
+    video = root / "media" / f"{entry.sequence_id}.y4m"
+    video.parent.mkdir()
+    write_y4m(FrameSequence(frames=frames, fps=8.0, fps_rational=(8, 1)), video)
+    write_wav(AudioClip(samples=np.zeros((1, 16000)), sample_rate=16000),
+              root / "media" / f"{entry.sequence_id}.wav")
+    (root / "config.txt").write_text(
+        "manifest = manifest.json\nmedia_root = media\nscores = s.csv\n"
+        "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
+    return video
 
 
 class TestSynthFixture:
@@ -219,6 +237,17 @@ class TestSiti:
             assert float(got["si_mean"]) == pytest.approx(expect.si_mean, abs=1e-6)
             assert float(got["ti_mean"]) == pytest.approx(expect.ti_mean, abs=1e-6)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((8, 2, 4), "4x2 frames, SI needs at least 3x3"),
+        ((1, 32, 64), "1 frame, TI needs at least 2"),
+    ])
+    def test_video_too_small_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                           shape, message):
+        video = one_video_fixture(tmp_path, np.zeros(shape, dtype=np.uint8))
+        assert run(["siti", "--config", tmp_path / "config.txt"]) == 3
+        assert f"data error: {video}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field, value", MISTYPED_VALUES)
     def test_mistyped_manifest_value_exits_3(self, tmp_path, capsys, field, value):
         (tmp_path / "manifest.json").write_text(
@@ -346,6 +375,14 @@ class TestExtractFeatures:
         assert run(["extract-features", "--config", fixture / "config.txt"]) == 3
         assert f"{video}: 1 frames, the model takes 8" in capsys.readouterr().err
         assert not (fixture / "out").exists()
+
+    def test_fewer_rows_than_bands_is_data_error_naming_the_file(self, tmp_path, capsys):
+        # 8 frames of 4x2: enough frames for the model, but 2 rows for its 4 bands
+        video = one_video_fixture(tmp_path, np.zeros((8, 2, 4), dtype=np.uint8))
+        assert run(["extract-features", "--config", tmp_path / "config.txt"]) == 3
+        assert f"data error: {video}: 2 rows, the model takes 4 latitude bands" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_path_in_sequence_id_exits_2_and_writes_nothing(self, tmp_path, corpus_dir,
                                                             capsys):

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,75 @@ class TestY4M:
             load_y4m(path)
 
 
+class TestLazyY4M:
+    """load_y4m reads the header and the FRAME lines; each luma plane is
+    read from the file when a frame is used."""
+
+    def write(self, path, n=5, h=4, w=8):
+        frames = np.arange(n * h * w, dtype=np.uint8).reshape(n, h, w)
+        write_y4m(FrameSequence(frames=frames, fps=8.0), path)
+        return frames
+
+    def test_frames_offer_the_array_surface_callers_use(self, tmp_path):
+        path = tmp_path / "v.y4m"
+        frames = self.write(path)
+        got = load_y4m(path).frames
+        assert (len(got), got.shape, got.dtype, got.ndim) == (5, (5, 4, 8), np.uint8, 3)
+        assert np.array_equal(got[0], frames[0]) and np.array_equal(got[-1], frames[4])
+        assert np.array_equal(got[np.int64(2)], frames[2])
+        assert np.array_equal(got[1:4], frames[1:4]) and got[5:].shape == (0, 4, 8)
+        assert all(np.array_equal(a, b) for a, b in zip(got, frames, strict=True))
+        assert np.array_equal(np.asarray(got), frames)
+        assert np.asarray(got, dtype=np.float64).dtype == np.float64
+        with pytest.raises(IndexError):
+            got[5]
+
+    def test_each_read_is_a_fresh_array(self, tmp_path):
+        path = tmp_path / "v.y4m"
+        frames = self.write(path)
+        got = load_y4m(path).frames
+        first = got[0]
+        first[:] = 0
+        assert np.array_equal(got[0], frames[0])
+
+    def test_file_shortened_after_loading_is_data_error_naming_frame(self, tmp_path):
+        path = tmp_path / "v.y4m"
+        frames = self.write(path)
+        seq = load_y4m(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert np.array_equal(seq.frames[3], frames[3])
+        with pytest.raises(DataError, match=re.escape(f"{path}: frame 4: truncated payload")):
+            seq.frames[4]
+        with pytest.raises(DataError, match="frame 4: truncated"):
+            np.asarray(seq.frames)
+
+    def test_file_removed_after_loading_is_data_error_naming_frame(self, tmp_path):
+        path = tmp_path / "v.y4m"
+        self.write(path)
+        seq = load_y4m(path)
+        path.unlink()
+        with pytest.raises(DataError, match=re.escape(f"{path}: frame 0: cannot read")):
+            list(seq.frames)
+
+    def test_loading_reads_no_luma(self, tmp_path):
+        # 32 frames of 1024x512: 16.8 MB of luma, none of it held by the load
+        path = tmp_path / "big.y4m"
+        plane = np.arange(512 * 1024, dtype=np.uint32).astype(np.uint8).reshape(512, 1024)
+        with open(path, "wb") as f:
+            f.write(b"YUV4MPEG2 W1024 H512 F8:1 Cmono\n")
+            for _ in range(32):
+                f.write(b"FRAME\n" + plane.tobytes())
+        tracemalloc.start()
+        try:
+            seq = load_y4m(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.n_frames == 32
+        assert peak < 1_000_000
+        assert np.array_equal(seq.frames[31], plane)
+
+
 def wav_bytes(channels, sample_rate, frames, extra=b""):
     """A PCM16 RIFF/WAVE file: fmt chunk, then ``extra`` chunks, then data."""
     fmt = struct.pack("<IHHIIHH", 16, 1, channels, sample_rate,
@@ -284,6 +354,39 @@ class TestWAV:
         assert (got.samples.dtype, got.samples.shape) == (np.float64, (1, 1001))
         assert got.samples.tobytes() == (pcm.T / 32768.0).mean(axis=0, keepdims=True).tobytes()
         assert got.samples[0, 0] == -1.0
+
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_block_decode_equals_whole_chunk_decode_bitwise(self, tmp_path, channels):
+        # a data chunk of two full 64 Ki-frame blocks and part of a third
+        block = 2 ** 16
+        n = 2 * block + 1001
+        pcm = np.random.default_rng(channels).integers(
+            -32768, 32768, size=(n, channels)).astype("<i2")
+        pcm[[0, block, n - 1]] = -32768
+        pcm[block - 1] = 32767
+        path = tmp_path / "long.wav"
+        path.write_bytes(wav_bytes(channels, 48000, pcm.tobytes()))
+        got = load_wav(path)
+        assert got.samples.shape == (1, n)
+        assert got.samples.tobytes() == (pcm.T / 32768.0).mean(axis=0, keepdims=True).tobytes()
+        if channels == 1:
+            assert got.samples[0, block] == -1.0
+
+    def test_peak_memory_near_the_decoded_row(self, tmp_path):
+        # 30 s of 4-channel 48 kHz audio: an 11.5 MB file and an 11.5 MB row
+        n = 30 * 48000
+        pcm = np.random.default_rng(0).integers(-32768, 32768, size=(n, 4)).astype("<i2")
+        path = tmp_path / "long.wav"
+        path.write_bytes(wav_bytes(4, 48000, pcm.tobytes()))
+        del pcm
+        tracemalloc.start()
+        try:
+            clip = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clip.samples.nbytes == 8 * n
+        assert peak < 1.25 * clip.samples.nbytes
 
     def test_zero_sample_rate_is_data_error(self, tmp_path):
         path = tmp_path / "zero.wav"

@@ -284,6 +284,19 @@ class TestScoring:
         seq = FrameSequence(frames=frames, fps=30.0)
         assert traced_peak(lambda: video_input(seq, ModelConfig())) < 8 * 2 ** 20
 
+    def test_audio_input_squares_no_whole_spectrum(self):
+        # a 30 s 48 kHz clip: the bound is the 16 kHz row, the 6.2 MB
+        # spectrum, the log-mel and its patch stack, plus 1 MB; a squared
+        # copy of the spectrum put the peak near 18 MB
+        clip = AudioClip(samples=np.random.default_rng(35).uniform(-0.9, 0.9, (1, 30 * 48000)),
+                         sample_rate=48000)
+        row = 30 * 16000 * 8
+        frames = 1 + (30 * 16000 - 400) // 160
+        spectrum, mel = frames * 257 * 8, frames * 64 * 8
+        patches = -(-frames // 96) * 96 * 64 * 8
+        peak = traced_peak(lambda: audio_input(clip))
+        assert peak < row + spectrum + mel + patches + 2 ** 20
+
 
 class TestAudioBranch:
     def test_identical_patches_identical_tokens(self):

@@ -31,6 +31,12 @@ def _y4m(path):
     write_y4m(FrameSequence(frames=frames, fps=8.0), path)
 
 
+def _read_y4m(path):
+    """load_y4m, then a read of every frame: the luma planes are read from
+    the file only when the frames are used."""
+    np.asarray(load_y4m(path).frames)
+
+
 def _wav(path):
     rng = np.random.default_rng(0)
     write_wav(AudioClip(samples=rng.uniform(-0.5, 0.5, (2, 24)), sample_rate=16000), path)
@@ -57,7 +63,7 @@ def _config(path):
 
 # reader, writer of one valid file
 READERS = {
-    "y4m": (load_y4m, _y4m),
+    "y4m": (_read_y4m, _y4m),
     "wav": (load_wav, _wav),
     "avqc": (AVQAModel.load, _avqc),
     "avqf": (read_features, _avqf),
