@@ -21,7 +21,6 @@ features, not for listening.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -64,7 +63,7 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     with a periodic Hann of length round(FRAME_LEN_S*sr); the FFT size is
     the next power of two at or above the window. Output shape is (n_frames, nfft//2 + 1) with
     n_frames = 1 + floor((len-win)/hop); a clip shorter than one window
-    yields zero frames (with a warning), not an error.
+    yields zero frames, not an error (``model.audio_input`` makes it one).
 
     Frames are windowed and transformed PATCH_FRAMES at a time, straight
     into the output, so besides it only one block's windowed frames and
@@ -81,10 +80,6 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     nfft = next_pow2(win)
     bins = nfft // 2 + 1
     if len(x) < win:
-        warnings.warn(
-            f"clip of {len(x)} samples is shorter than one {win}-sample window; "
-            "no frames produced"
-        )
         return np.zeros((0, bins))
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic Hann
     frames = sliding_window_view(x, win)[::hop]

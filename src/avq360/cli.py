@@ -9,7 +9,10 @@ seed. A file's parent directories are created when it is written; a path
 that cannot be written is a validation error.
 
 Exit codes: 0 success, 2 validation error, 3 data error, 4 numeric
-failure.
+failure. Only the commands report: a condition worth knowing is a
+``warning:`` line on stdout, and a failure is one ``error:``, ``data
+error:`` or ``numeric error:`` line on stderr. The library functions
+return what they found or raise, and emit no Python warnings.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ def _sequence_file(root: Path, sequence_id: str, suffix: str, what: str) -> Path
 def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
               sequence_id: str) -> model.SequenceFeatures:
     """Model input tensors of one sequence, preprocessed from its media;
-    ``load_wav`` decodes the audio to the mean of its channels."""
+    ``load_wav`` decodes the audio to the mean of its channels. A data
+    error from preprocessing is prefixed with the sequence it concerns."""
     video = _sequence_file(cfg.media_root, sequence_id, ".y4m", "media")
     seq = load_y4m(video)
     if seq.n_frames < model_cfg.frames_per_clip:
@@ -72,10 +76,11 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
     if seq.height < model_cfg.bands:
         raise DataError(f"{video}: {seq.height} rows, the model takes "
                         f"{model_cfg.bands} latitude bands")
-    return model.preprocess_sequence(
-        seq, load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media")),
-        model_cfg, sequence_id,
-    )
+    clip = load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media"))
+    try:
+        return model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
+    except DataError as e:
+        raise DataError(f"sequence {sequence_id!r}: {e}") from e
 
 
 _SPLIT_HEADER = ["sequence_id", "split"]
@@ -273,6 +278,8 @@ def cmd_evaluate(args) -> int:
         f"n={report.n} plcc={report.plcc:.4f} srocc={report.srocc:.4f} "
         f"krocc={report.krocc:.4f} rmse={report.rmse:.4f}"
     )
+    if report.degenerate:
+        print("warning: logistic fit degenerated to the identity mapping")
     print(f"report: {out}")
     return EXIT_OK
 
@@ -358,7 +365,3 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the toolkit, the UTF-8 text read
-every text reader goes through, the replace-on-success write every
+"""Exception hierarchy shared across the toolkit, the UTF-8 check every
+text reader reports through, the replace-on-success write every
 table, checkpoint and feature writer goes through, and the check that a
 path could be written before any work is done for it."""
 
@@ -27,13 +27,27 @@ class NumericError(Avq360Error):
 
 def read_text_utf8(path) -> str:
     """The whole file as text, line endings as they are; bytes that are
-    not UTF-8 raise DataError."""
-    with open(path, "rb") as f:
-        data = f.read()
+    not UTF-8 raise ``not_utf8``'s DataError."""
+    with open(path, encoding="utf-8", newline="") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
+def not_utf8(path) -> DataError:
+    """The DataError "<path>: line N: not valid UTF-8 text at byte B" for
+    the first byte of the file that is not UTF-8, which a text read found;
+    lines end at \\n, \\r\\n or \\r, as a text read splits them."""
+    data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8 text at byte {e.start}") from e
+        at = e.start
+        line = (1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at)
+                - data.count(b"\r\n", 0, at))
+        return DataError(f"{path}: line {line}: not valid UTF-8 text at byte {at}")
+    return DataError(f"{path}: not valid UTF-8 text")  # rewritten since its read failed
 
 
 @contextmanager

@@ -13,7 +13,6 @@ JSON types for the manifest).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -25,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, read_text_utf8, replaced_when_written
+from .errors import (DataError, ValidationError, not_utf8, read_text_utf8,
+                     replaced_when_written)
 
 # The ten scene categories covered by the dataset design.
 SCENES = (
@@ -502,29 +502,33 @@ def downmix_mono(clip: AudioClip) -> AudioClip:
 def read_csv_table(path, header):
     """Yield ``(line number, fields)`` for each data row of a CSV table.
 
-    The file is decoded as UTF-8, its first row must equal the list
-    ``header`` and blank rows are skipped. Rows are produced lazily, as
-    the caller consumes them. An empty file, another header, a row whose
-    field count is not ``len(header)`` or a row the CSV parser rejects is
-    a DataError naming the path (and the line, for a row).
+    The file is read as UTF-8 text, one row at a time as the caller
+    consumes them, so no copy of the whole text is held. Its first row
+    must equal the list ``header`` and blank rows are skipped. An empty
+    file, another header, a row whose field count is not ``len(header)``,
+    a row the CSV parser rejects or a byte that is not UTF-8 is a
+    DataError naming the path (and the line, for a row or a byte).
     """
-    rows = csv.reader(io.StringIO(read_text_utf8(path), newline=""))
-    try:
-        found = next(rows, None)
-        if found is None:
-            raise DataError(f"{path}: empty file")
-        if found != header:
-            raise DataError(f"{path}: bad header {found}, expected {header}")
-        n = len(header)
-        for row in rows:
-            if len(row) != n:
-                if not row:
-                    continue
-                raise DataError(f"{path}: line {rows.line_num}: expected "
-                                f"{n} fields, got {len(row)}")
-            yield rows.line_num, row
-    except csv.Error as e:
-        raise DataError(f"{path}: line {rows.line_num}: {e}") from e
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = csv.reader(f)
+        try:
+            found = next(rows, None)
+            if found is None:
+                raise DataError(f"{path}: empty file")
+            if found != header:
+                raise DataError(f"{path}: bad header {found}, expected {header}")
+            n = len(header)
+            for row in rows:
+                if len(row) != n:
+                    if not row:
+                        continue
+                    raise DataError(f"{path}: line {rows.line_num}: expected "
+                                    f"{n} fields, got {len(row)}")
+                yield rows.line_num, row
+        except csv.Error as e:
+            raise DataError(f"{path}: line {rows.line_num}: {e}") from e
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 def write_csv_table(path, header, rows) -> None:
@@ -594,7 +598,7 @@ def read_records(path, cls):
 # Subjective scores: CSV
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RatingRecord:
     """One subject's score for one sequence within one session."""
 

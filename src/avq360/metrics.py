@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +62,17 @@ class LogisticFit:
 
 @dataclass
 class MetricReport:
+    """The four criteria, the logistic parameters and the sample count;
+    ``degenerate`` is the fit's flag (see ``logistic_fit``), which
+    ``write_report_csv`` does not write and the caller reports."""
+
     plcc: float
     srocc: float
     krocc: float
     rmse: float
     beta: tuple[float, float, float, float]
     n: int
+    degenerate: bool = False
 
 
 def logistic4(x, b1, b2, b3, b4):
@@ -97,9 +101,10 @@ def logistic_fit(pred, mos) -> LogisticFit:
     b4=std(pred)/4; at most 2000 iterations or 4000 evaluations, stopping
     once the simplex spans at most 1e-10 in every parameter and 1e-12 in
     the sum of squares.
-    Two cases are degenerate and return the identity mapping with a
-    warning: a constant mos, and a fit that collapses to a constant curve
-    (scores only weakly related to the mos can drive b3 out of range).
+    Two cases are degenerate and return the identity mapping with
+    ``degenerate`` set: a constant mos, and a fit that collapses to a
+    constant curve (scores only weakly related to the mos can drive b3 out
+    of range).
     """
     pred = _finite("pred", pred)
     mos = _finite("mos", mos)
@@ -109,8 +114,7 @@ def logistic_fit(pred, mos) -> LogisticFit:
         raise ValidationError(f"logistic fit needs n >= 5, got {len(pred)}")
     if np.ptp(mos) == 0:
         c = float(mos[0])
-        return _identity_fit(pred, mos, (c, c, float(np.median(pred)), 1.0),
-                             "constant ground truth")
+        return _identity_fit(pred, mos, (c, c, float(np.median(pred)), 1.0))
 
     x0 = np.array([
         mos.max(),
@@ -127,7 +131,7 @@ def logistic_fit(pred, mos) -> LogisticFit:
     beta = tuple(float(b) for b in x)
     mapped = logistic4(pred, *x)
     if np.ptp(mapped) == 0:
-        return _identity_fit(pred, mos, beta, "fitted curve is constant")
+        return _identity_fit(pred, mos, beta)
     return LogisticFit(beta=beta, mapped=mapped, sse=float(fun))
 
 
@@ -204,8 +208,7 @@ def _nelder_mead(f, x0, maxiter: int, maxfev: int, xatol: float, fatol: float):
     return sim[0], np.min(fsim)
 
 
-def _identity_fit(pred, mos, beta, reason: str) -> LogisticFit:
-    warnings.warn(f"{reason}: logistic fit degenerates to identity")
+def _identity_fit(pred, mos, beta) -> LogisticFit:
     return LogisticFit(beta=beta, mapped=pred.copy(),
                        sse=float(((pred - mos) ** 2).sum()), degenerate=True)
 
@@ -320,6 +323,7 @@ def evaluate_predictions(pred, mos) -> MetricReport:
         rmse=rmse(fit.mapped, mos),
         beta=fit.beta,
         n=len(pred),
+        degenerate=fit.degenerate,
     )
 
 

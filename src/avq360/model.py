@@ -178,13 +178,18 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
 
 def audio_input(clip: AudioClip) -> np.ndarray:
     """Log-mel patch stack (P, PATCH_FRAMES, NUM_MEL) of a clip; a
-    multichannel clip (``load_wav`` gives mono) is downmixed first."""
+    multichannel clip (``load_wav`` gives mono) is downmixed first. A clip
+    too short for one analysis frame is a DataError naming its sample
+    count and rate."""
     mono = clip if clip.channels == 1 else downmix_mono(clip)
     if mono.sample_rate != audiofe.SAMPLE_RATE:
         mono = audiofe.resample_linear(mono, audiofe.SAMPLE_RATE)
     mag = audiofe.stft_magnitude(mono)
     if mag.shape[0] == 0:
-        raise DataError("audio too short to produce a single analysis frame")
+        raise DataError(
+            f"audio of {clip.n_samples} samples at {clip.sample_rate} Hz is shorter "
+            f"than one {audiofe.FRAME_LEN_S * 1000:g} ms analysis frame"
+        )
     fb = audiofe.mel_filterbank(fft_bins=mag.shape[1])
     return audiofe.frame_patches(audiofe.log_mel(mag, fb))
 
@@ -523,8 +528,8 @@ def _stored_fields(cls) -> list:
 
 def _config_to_meta(cfg: ModelConfig) -> dict[str, np.ndarray]:
     """The architecture as float32 tensors, one ``meta/<name>`` per stored
-    field and no other: a tuple field as a vector, an int or bool field as
-    a scalar, ``fusion_mode`` as its code. The cross-attention schedule is
+    field and no other: a tuple field as a vector, an int field as a
+    scalar, ``fusion_mode`` as its code. The cross-attention schedule is
     not among them: the ``fusion.block{i}.xattn.*`` parameter names carry it."""
     meta = {}
     for f in _stored_fields(type(cfg)):
@@ -550,11 +555,10 @@ def _read_meta(meta: dict, name: str, default, path):
     if rank:
         return tuple(int(x) for x in t)
     value = int(t)
-    if name == "fusion_mode" or isinstance(default, bool):
-        choices = FUSION_MODES if name == "fusion_mode" else (False, True)
-        if value not in range(len(choices)):
+    if name == "fusion_mode":
+        if value not in range(len(FUSION_MODES)):
             raise DataError(f"{path}: {key} code {value} is out of range")
-        return choices[value]
+        return FUSION_MODES[value]
     return value
 
 

@@ -11,7 +11,6 @@ parameters. A single pass is applied; re-screening is left to the caller.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -80,11 +79,9 @@ class MOSRecord:
 
 
 def exclude_ssq(records: list[RatingRecord]) -> list[RatingRecord]:
-    """Drop every record whose session was SSQ-flagged, preserving order."""
-    kept = [r for r in records if not r.ssq_flag]
-    if records and not kept:
-        warnings.warn("all rating records are SSQ-flagged; nothing left to score")
-    return kept
+    """The records whose session was not SSQ-flagged, in order; empty when
+    every record is flagged, which the caller reports."""
+    return [r for r in records if not r.ssq_flag]
 
 
 def sequence_score_stats(records: list[RatingRecord]) -> dict[str, SequenceScoreStats]:
@@ -175,8 +172,8 @@ def compute_mos(records: list[RatingRecord]) -> list[MOSRecord]:
     """Per-sequence MOS, sample std and 1.96*std/sqrt(n) CI half-width.
 
     Sequences are emitted in first-appearance order. Sequences with
-    fewer than MIN_VALID_RATINGS valid scores are kept but flagged with
-    a warning, not dropped.
+    fewer than MIN_VALID_RATINGS valid scores are kept, not dropped; their
+    ``MOSRecord.meets_minimum()`` is False, which the caller reports.
     """
     by_seq: dict[str, list[float]] = {}
     for r in records:
@@ -184,26 +181,17 @@ def compute_mos(records: list[RatingRecord]) -> list[MOSRecord]:
     if not by_seq:
         raise DataError("no rating records to aggregate")
     out = []
-    low = []
     for seq, scores in by_seq.items():
         x = np.asarray(scores, dtype=np.float64)
         n = len(x)
         std = float(x.std(ddof=1)) if n > 1 else 0.0
-        rec = MOSRecord(
+        out.append(MOSRecord(
             sequence_id=seq,
             mos=float(x.mean()),
             std=std,
             n_valid=n,
             ci95_half_width=1.96 * std / math.sqrt(n),
-        )
-        if not rec.meets_minimum():
-            low.append(seq)
-        out.append(rec)
-    if low:
-        warnings.warn(
-            f"{len(low)} sequence(s) have fewer than {MIN_VALID_RATINGS} "
-            f"valid ratings: {low[:5]}{'...' if len(low) > 5 else ''}"
-        )
+        ))
     return out
 
 

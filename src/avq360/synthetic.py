@@ -17,10 +17,12 @@ byte-reproducible and safe to regenerate inside tests.
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError, ValidationError
 from .manifest import (
     SCENES,
@@ -34,6 +36,7 @@ from .manifest import (
     write_wav,
     write_y4m,
 )
+from .model import ModelConfig
 
 DEFAULT_SEED = 7
 
@@ -186,31 +189,29 @@ def fixture_sequence_targets() -> dict[str, float]:
     return targets
 
 
-_CONFIG_TEMPLATE = """\
+_CONFIG_PATHS = """\
 # avq360 run configuration (paths resolve relative to this file)
 manifest = manifest.json
 media_root = media
 scores = scores.csv
 hm_root = hm
 output_dir = out
-
-split_seed = 7
-split_ratio = 0.8
-
-# model
-bands = 4
-band_channels = 8,16,32
-d_model = 64
-fusion_blocks = 4
-heads = 4
-audio_channels = 8,16,32,64
-frames_per_clip = 8
-fusion_mode = transformer
-seed = {seed}
-lr = 0.001
-train_steps = 300
-batch_size = 8
 """
+
+
+def _config_text(seed: int) -> str:
+    """The corpus's config.txt: its paths, then every ``RunConfig`` field
+    with a plain default (the ``split_*`` settings) and every
+    ``ModelConfig`` field, each at its default but the model seed, which
+    is the corpus seed."""
+    def line(name, value):
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        return f"{name} = {text}\n"
+
+    split = [line(f.name, f.default) for f in fields(RunConfig) if f.default is not MISSING]
+    model_cfg = ModelConfig(seed=seed)
+    model_lines = [line(f.name, getattr(model_cfg, f.name)) for f in fields(ModelConfig)]
+    return "".join([_CONFIG_PATHS, "\n", *split, "\n# model\n", *model_lines])
 
 
 def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[SequenceManifestEntry]:
@@ -265,9 +266,7 @@ def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[SequenceManifestEn
     write_scores_csv(records, outdir / "scores.csv")
     _verify_screening(records)
 
-    (outdir / "config.txt").write_text(
-        _CONFIG_TEMPLATE.format(seed=seed), encoding="utf-8"
-    )
+    (outdir / "config.txt").write_text(_config_text(seed), encoding="utf-8")
     return entries
 
 

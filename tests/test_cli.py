@@ -27,6 +27,7 @@ from avq360.manifest import (
 )
 from avq360.siti import summarize_siti
 from avq360.manifest import load_wav, load_y4m, RatingRecord
+from avq360.subjective import MOSRecord, write_mos_csv
 from avq360.synthetic import PLANTED_SUBJECT
 
 from oracles import read_features
@@ -41,6 +42,15 @@ def read_csv_rows(path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_process(args):
+    """The CLI run as ``python -m avq360`` in a fresh interpreter with
+    Python's default warning filters, so its stderr is what a user sees."""
+    src = str(Path(avq360.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "avq360", *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
 
 
 def copy_with_field(src, dst, line, column, value):
@@ -134,6 +144,21 @@ class TestImportCost:
                           if n.split(".")[0] == "scipy"]
         assert found == []
 
+    def test_no_module_imports_warnings(self):
+        # the library returns what it found or raises; only the commands report
+        found = []
+        for path in sorted(Path(avq360.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for n in names
+                          if n.split(".")[0] == "warnings"]
+        assert found == []
+
     def test_package_import_loads_no_submodule(self):
         loaded = self.loaded_after("import avq360")
         assert [m for m in loaded if m.startswith("avq360.")] == []
@@ -169,6 +194,18 @@ class TestProcessScores:
             "hm_root = hm\noutput_dir = out\n"
         )
         assert run(["process-scores", "--config", fixture / "config.txt"]) == 3
+
+    def test_all_ssq_flagged_reports_one_data_error_line(self, tmp_path):
+        write_manifest([make_entry(0)], tmp_path / "manifest.json")
+        write_scores_csv([RatingRecord(f"s{i}", "seq000", "x", 50.0, ssq_flag=True)
+                          for i in range(4)], tmp_path / "scores.csv")
+        (tmp_path / "config.txt").write_text(
+            "manifest = manifest.json\nmedia_root = media\nscores = scores.csv\n"
+            "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
+        done = run_process(["process-scores", "--config", tmp_path / "config.txt"])
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [
+            "data error: all rating records are SSQ-flagged; no scores left"]
 
     def test_non_utf8_scores_is_data_error(self, tmp_path, corpus_dir, capsys):
         scores = tmp_path / "scores.csv"
@@ -558,6 +595,38 @@ class TestEvaluate:
         assert run(args) == 0
         assert (out / "metrics.csv").read_bytes() == expected
 
+    def test_degenerate_fit_is_reported_on_stdout(self, tmp_path, corpus_dir, trained_dir,
+                                                  capsys, monkeypatch):
+        # the first 8 points of test_metrics' collapsed-fit case: the fitted
+        # curve goes flat, so the report holds the identity mapping
+        pred = [84.6088, 85.2264, 87.6288, 87.1802, 88.1632, 85.5861, 89.9623, 88.8313]
+        mos = [84.4166, 80.94, 73.6788, 67.4811, 63.2739, 56.4764, 53.5722, 45.7547]
+        out, overrides = trained_dir
+        table = tmp_path / "mos.csv"
+        write_mos_csv([MOSRecord(f"seq{i:02d}", m, 0.0, 19, 0.0) for i, m in enumerate(mos)],
+                      table)
+        monkeypatch.setattr(model.AVQAModel, "predict",
+                            lambda self, feat: pred[int(feat.sequence_id[3:])])
+        args = ["evaluate", "--config", corpus_dir / "config.txt", "--on", "all",
+                "--set", f"mos_table={table}", "--set", f"output_dir={tmp_path / 'out'}",
+                "--set", f"checkpoint={out / 'model.avqc'}"]
+        for o in overrides:
+            if not o.startswith("output_dir="):
+                args += ["--set", o]
+        assert run(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-3:] == [
+            "n=8 plcc=-0.7237 srocc=-0.8095 krocc=-0.6429 rmse=25.6119",
+            "warning: logistic fit degenerated to the identity mapping",
+            f"report: {tmp_path / 'out' / 'metrics.csv'}",
+        ]
+        assert captured.err == ""
+        # the flag is reported, not written: the table is the one it always was
+        assert (tmp_path / "out" / "metrics.csv").read_bytes() == (
+            b"plcc,srocc,krocc,rmse,n,b1,b2,b3,b4\r\n"
+            b"-0.723730,-0.809524,-0.642857,25.611892,8,"
+            b"37.510751,65.699213,112.295673,0.465068\r\n")
+
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_nan_mos_is_data_error(self, tmp_path, corpus_dir, trained_dir, command, capsys):
@@ -699,6 +768,40 @@ class TestPredict:
             args += ["--set", o]
         assert run(args) == 3
         assert "seq03.wav: sample rate 50" in capsys.readouterr().err
+
+    @staticmethod
+    def predict_with_media(corpus_dir, trained_dir, media):
+        """Predict seq03 from ``media``; returns the command line."""
+        _, overrides = trained_dir
+        args = ["predict", "--config", corpus_dir / "config.txt",
+                "--sequence", "seq03", "--set", f"media_root={media}"]
+        for o in overrides:
+            args += ["--set", o]
+        return args
+
+    def test_frame_not_2_to_1_is_data_error_naming_the_sequence(self, tmp_path, corpus_dir,
+                                                                trained_dir, capsys):
+        # the manifest says 64x32; the file's own header says 66x32
+        media = tmp_path / "media"
+        shutil.copytree(corpus_dir / "media", media)
+        write_y4m(FrameSequence(frames=np.zeros((8, 32, 66), dtype=np.uint8), fps=8.0,
+                                fps_rational=(8, 1)), media / "seq03.y4m")
+        assert run(self.predict_with_media(corpus_dir, trained_dir, media)) == 3
+        assert capsys.readouterr().err == (
+            "data error: sequence 'seq03': frame 66x32 is not 2:1 ERP\n")
+
+    def test_short_wav_prints_one_line_naming_the_sequence(self, tmp_path, corpus_dir,
+                                                           trained_dir):
+        media = tmp_path / "media"
+        shutil.copytree(corpus_dir / "media", media)
+        write_wav(AudioClip(samples=np.zeros((1, 100)), sample_rate=16000),
+                  media / "seq03.wav")
+        done = run_process(self.predict_with_media(corpus_dir, trained_dir, media))
+        assert done.returncode == 3
+        # one line, and no Python warning ahead of it
+        assert done.stderr.splitlines() == [
+            "data error: sequence 'seq03': audio of 100 samples at 16000 Hz "
+            "is shorter than one 25 ms analysis frame"]
 
     def test_unknown_sequence_is_validation_error(self, corpus_dir, trained_dir):
         _, overrides = trained_dir

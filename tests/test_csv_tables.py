@@ -71,6 +71,18 @@ def test_malformed_table_is_data_error_naming_path_and_line(tmp_path, name, case
         reader(path)
 
 
+@pytest.mark.parametrize("name", TABLES)
+def test_byte_not_utf8_is_data_error_naming_line_and_offset(tmp_path, name):
+    reader, header, rows = TABLES[name]
+    raw = table_text(header, [rows[0], "", rows[1]]).encode()
+    at = len(raw) - 3  # the last character of line 4
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+    with pytest.raises(DataError, match="^" + re.escape(
+            f"{path}: line 4: not valid UTF-8 text at byte {at}")):
+        reader(path)
+
+
 # Bytes that steer the CSV parser (quote, separator, line ends, NUL) or
 # are not UTF-8 on their own, drawn as often as any other byte value.
 _STRUCTURAL = st.sampled_from(b'",\r\n\x00\xff')

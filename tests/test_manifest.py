@@ -24,6 +24,7 @@ from avq360.manifest import (
     write_wav,
     write_y4m,
 )
+from avq360.synthetic import make_rating_table
 
 
 # (field, JSON value of another type than the field takes): each is a
@@ -471,6 +472,24 @@ class TestScoresCSV:
         path.write_text("subject_id,sequence_id,session_id,score,ssq_flag\n")
         with pytest.raises(DataError, match="no rating records"):
             load_scores_csv(path)
+
+    def test_large_table_is_read_without_a_copy_of_its_text(self, tmp_path):
+        # a 1.37 MB table of 36 000 records (600 sequences, 60 subjects): the
+        # slotted records take about 9.8 MB at the peak, and a decoded copy of
+        # the whole text would add 4 bytes a character (16.7 MB)
+        rng = np.random.default_rng(1)
+        targets = {f"rated{j:04d}": float(rng.uniform(15.0, 85.0)) for j in range(600)}
+        path = tmp_path / "scores.csv"
+        write_scores_csv(make_rating_table(targets, n_consistent=58, planted_subject="planted",
+                                           ssq_subject="ssq", seed=1), path)
+        tracemalloc.start()
+        try:
+            records = load_scores_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 36_000 and records[-1].ssq_flag
+        assert peak < 11_000_000
 
     def test_out_of_range_score(self, tmp_path):
         path = tmp_path / "oor.csv"

@@ -140,27 +140,29 @@ class TestLogisticFit:
         diffs = np.diff(fit.mapped[order])
         assert np.all(diffs >= -1e-9) or np.all(diffs <= 1e-9)
 
-    def test_constant_mos_degenerates_with_warning(self):
+    def test_constant_mos_degenerates_without_warning(self):
         pred = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         mos = np.full(5, 50.0)
-        with pytest.warns(UserWarning, match="identity"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = logistic_fit(pred, mos)
         assert fit.degenerate
         np.testing.assert_array_equal(fit.mapped, pred)
 
-    def test_collapsed_fit_degenerates_with_warning(self):
+    def test_collapsed_fit_degenerates_without_warning(self):
         # an untrained model's scores against MOS it barely follows: the
         # fit drives b3 out of range and the curve goes flat
         pred = np.array([84.6088, 85.2264, 87.6288, 87.1802, 88.1632, 85.5861,
                          89.9623, 88.8313, 85.9259, 87.4318, 90.0338, 88.4862])
         mos = np.array([84.4166, 80.94, 73.6788, 67.4811, 63.2739, 56.4764,
                         53.5722, 45.7547, 42.2042, 36.0894, 31.5796, 29.3677])
-        with pytest.warns(UserWarning, match="identity"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = logistic_fit(pred, mos)
+            report = evaluate_predictions(pred, mos)
         assert fit.degenerate
         np.testing.assert_array_equal(fit.mapped, pred)
-        with pytest.warns(UserWarning, match="identity"):
-            report = evaluate_predictions(pred, mos)
+        assert report.degenerate
         assert -1.0 <= report.plcc <= 1.0
 
     def test_too_few_points(self):
@@ -210,7 +212,7 @@ def scipy_report(pred, mos):
         srocc=float(spearmanr(pred, mos).correlation),
         krocc=float(kendalltau(pred, mos, variant="b").correlation),
         rmse=float(np.sqrt(np.mean((fit.mapped - mos) ** 2))),
-        beta=beta, n=len(pred))
+        beta=beta, n=len(pred), degenerate=fit.degenerate)
     return res, fit, report
 
 
@@ -252,7 +254,7 @@ class TestScipyBitIdentity:
         def check(pred, mos):
             res, want_fit, want = scipy_report(pred, mos)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 report = evaluate_predictions(pred, mos)
             fit = fits.pop()
             assert fit.beta == want_fit.beta
@@ -301,7 +303,8 @@ class TestScipyBitIdentity:
     def test_constant_mos(self):
         pred = np.array([0.3, 0.1, 0.4, 0.1, 0.5, 0.9])
         mos = np.full(6, 3.2)
-        with pytest.warns(UserWarning, match="identity"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = logistic_fit(pred, mos)
         assert fit.degenerate
         assert fit.beta == (3.2, 3.2, float(np.median(pred)), 1.0)

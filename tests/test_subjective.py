@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,9 +47,10 @@ class TestExcludeSSQ:
         records = [RatingRecord(f"s{i}", "a", "x", 50.0) for i in range(5)]
         assert exclude_ssq(records) == records
 
-    def test_all_flagged_warns_and_empties(self):
+    def test_all_flagged_empties_without_warning(self):
         records = [RatingRecord("s0", "a", "x", 50.0, ssq_flag=True)]
-        with pytest.warns(UserWarning, match="SSQ"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert exclude_ssq(records) == []
 
 
@@ -170,8 +172,10 @@ class TestComputeMOS:
 
     def test_two_scores_hand_computed(self):
         records = [RatingRecord("s0", "a", "x", 40.0), RatingRecord("s1", "a", "x", 60.0)]
-        with pytest.warns(UserWarning):  # n < 15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             (rec,) = compute_mos(records)
+        assert not rec.meets_minimum()  # n < 15
         assert rec.mos == 50.0
         assert rec.std == pytest.approx(math.sqrt(200.0), abs=1e-12)  # 14.1421...
         assert rec.ci95_half_width == pytest.approx(19.6, abs=1e-12)
