@@ -9,10 +9,18 @@ seed. A file's parent directories are created when it is written; a path
 that cannot be written is a validation error.
 
 Exit codes: 0 success, 2 validation error, 3 data error, 4 numeric
-failure. Only the commands report: a condition worth knowing is a
-``warning:`` line on stdout, and a failure is one ``error:``, ``data
-error:`` or ``numeric error:`` line on stderr. The library functions
-return what they found or raise, and emit no Python warnings.
+failure. A fault in the content of an input file (the manifest, the
+media, the scores, MOS and split tables, a head-movement trace, the
+checkpoint), or a per-sequence file that ``media_root`` or ``hm_root``
+lacks, is a data error naming the file, decided where the file is read.
+A fault in the command line or the config file, or a configured path
+that names no file or a directory, is a validation error. A command that
+fails on its inputs writes nothing.
+
+Only the commands report: a condition worth knowing is a ``warning:``
+line on stdout, and a failure is one ``error:``, ``data error:`` or
+``numeric error:`` line on stderr. The library functions return what
+they found or raise, and emit no Python warnings.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ import numpy as np
 
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
-from .errors import DataError, NumericError, ValidationError, require_writable_location
+from .errors import (DataError, NumericError, ValidationError, require_file,
+                     require_writable_location)
 from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
                        read_csv_table, write_csv_table)
 
@@ -42,25 +51,15 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _require_file(path: Path, what: str) -> Path:
-    if not Path(path).is_file():
-        raise ValidationError(f"{what} not found: {path}")
-    return Path(path)
-
-
 def _manifest_entries(cfg: RunConfig):
-    _require_file(cfg.manifest, "manifest")
-    return load_manifest(cfg.manifest)
+    return load_manifest(require_file(cfg.manifest, "manifest"))
 
 
 def _sequence_file(root: Path, sequence_id: str, suffix: str, what: str) -> Path:
     """``<root>/<sequence_id><suffix>``, a per-sequence input the manifest
-    names; a missing one is a data error."""
-    path = root / f"{sequence_id}{suffix}"
-    if not path.is_file():
-        raise DataError(f"missing {what} {path.name} for sequence {sequence_id!r} "
-                        f"under {root}")
-    return path
+    names; one that is missing or a directory is a data error."""
+    return require_file(root / f"{sequence_id}{suffix}",
+                        f"{what} of sequence {sequence_id!r}", DataError)
 
 
 def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
@@ -87,7 +86,7 @@ _SPLIT_HEADER = ["sequence_id", "split"]
 
 
 def _load_split(path: Path) -> dict[str, str]:
-    _require_file(path, "split file")
+    require_file(path, "split file")
     assignment: dict[str, str] = {}
     for lineno, (seq, split) in read_csv_table(path, _SPLIT_HEADER):
         if split not in ("train", "test"):
@@ -117,15 +116,18 @@ def cmd_synth_fixture(args) -> int:
 
 def cmd_process_scores(args) -> int:
     cfg = _config_from_args(args)
-    _require_file(cfg.scores, "scores file")
-    records = load_scores_csv(cfg.scores)
+    records = load_scores_csv(require_file(cfg.scores, "scores file"))
     kept = subjective.exclude_ssq(records)
     n_flagged = len(records) - len(kept)
     if not kept:
-        raise DataError("all rating records are SSQ-flagged; no scores left")
-    results, filtered = subjective.screen_subjects(kept)
+        raise DataError(f"{cfg.scores}: all rating records are SSQ-flagged; no scores left")
+    try:
+        # ratings that screening or the MOS cannot use are a fault of the table
+        results, filtered = subjective.screen_subjects(kept)
+        mos_records = subjective.compute_mos(filtered)
+    except (ValidationError, DataError) as e:
+        raise DataError(f"{cfg.scores}: {e}") from e
     rejected = [r for r in results if r.rejected]
-    mos_records = subjective.compute_mos(filtered)
     out = cfg.mos_table
     subjective.write_mos_csv(mos_records, out)
     print(f"records: {len(records)} total, {n_flagged} SSQ-excluded")
@@ -133,7 +135,8 @@ def cmd_process_scores(args) -> int:
           + (f" ({', '.join(r.subject_id for r in rejected)})" if rejected else ""))
     low = [m.sequence_id for m in mos_records if not m.meets_minimum()]
     if low:
-        print(f"warning: {len(low)} sequence(s) below {subjective.MIN_VALID_RATINGS} valid ratings")
+        print(f"warning: {len(low)} sequence(s) below {subjective.MIN_VALID_RATINGS} "
+              f"valid ratings: {', '.join(low[:5])}{', ...' if len(low) > 5 else ''}")
     print(f"mos table: {out} ({len(mos_records)} sequences)")
     return EXIT_OK
 
@@ -199,33 +202,29 @@ def cmd_split(args) -> int:
 def cmd_extract_features(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
+    # every sequence is preprocessed before the first dump is written, so a
+    # media failure leaves no output directory behind
+    feats = [_features(cfg, cfg.model, entry.sequence_id) for entry in entries]
     feat_dir = cfg.output_dir / "features"
-    for entry in entries:
-        feat = _features(cfg, cfg.model, entry.sequence_id)
-        audiofe.write_features(feat_dir / f"{entry.sequence_id}_video.avqf", feat.video)
-        audiofe.write_features(feat_dir / f"{entry.sequence_id}_audio.avqf", feat.audio)
+    for feat in feats:
+        audiofe.write_features(feat_dir / f"{feat.sequence_id}_video.avqf", feat.video)
+        audiofe.write_features(feat_dir / f"{feat.sequence_id}_audio.avqf", feat.audio)
     print(f"features: {feat_dir} ({len(entries)} sequences)")
     return EXIT_OK
 
 
 def _select_entries(cfg: RunConfig, entries, subset: str):
-    """Resolve train/test/all membership from the split file (or manifest
-    split column when no split file exists yet)."""
+    """Resolve train/test/all membership from the split file, or from the
+    manifest split column when nothing exists at the split file's path."""
     if subset == "all":
         return entries
-    if cfg.split_file.is_file():
+    if cfg.split_file.exists():
         assignment = _load_split(cfg.split_file)
         unknown = [e.sequence_id for e in entries if e.sequence_id not in assignment]
         if unknown:
-            raise DataError(f"split file lacks assignments for {unknown}")
+            raise DataError(f"{cfg.split_file}: lacks assignments for {unknown}")
         return [e for e in entries if assignment[e.sequence_id] == subset]
-    labelled = [e for e in entries if e.split == subset]
-    if not labelled:
-        raise ValidationError(
-            f"no sequences in subset {subset!r}: run the split command or "
-            "set the manifest split column"
-        )
-    return labelled
+    return [e for e in entries if e.split == subset]
 
 
 def _rated_entries(cfg: RunConfig, subset: str):
@@ -233,14 +232,15 @@ def _rated_entries(cfg: RunConfig, subset: str):
     MOS table; an empty subset or one the table does not rate in full is
     an error."""
     entries = _manifest_entries(cfg)
-    _require_file(cfg.mos_table, "MOS table (run process-scores first)")
-    mos_map = subjective.read_mos_csv(cfg.mos_table)
+    mos_map = subjective.read_mos_csv(
+        require_file(cfg.mos_table, "MOS table (run process-scores first)"))
     selected = _select_entries(cfg, entries, subset)
     if not selected:
-        raise ValidationError(f"subset {subset!r} is empty")
+        raise ValidationError(f"subset {subset!r} is empty: run the split command "
+                              "or set the manifest split column")
     missing = [e.sequence_id for e in selected if e.sequence_id not in mos_map]
     if missing:
-        raise DataError(f"MOS table lacks sequences {missing}")
+        raise DataError(f"{cfg.mos_table}: lacks sequences {missing}")
     return selected, mos_map
 
 
@@ -266,11 +266,18 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    _require_file(cfg.checkpoint, "checkpoint")
+    require_file(cfg.checkpoint, "checkpoint")
     selected, mos_map = _rated_entries(cfg, args.on)
+    # correlation is undefined over a constant MOS or a constant prediction
+    mos = np.array([mos_map[e.sequence_id].mos for e in selected])
+    if len(mos) > 1 and np.ptp(mos) == 0:
+        raise DataError(f"{cfg.mos_table}: every sequence of subset {args.on!r} "
+                        f"has MOS {mos[0]:.6f}")
     net = model.AVQAModel.load(cfg.checkpoint)
     preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id)) for e in selected])
-    mos = np.array([mos_map[e.sequence_id].mos for e in selected])
+    if len(preds) > 1 and np.ptp(preds) == 0:
+        raise DataError(f"{cfg.checkpoint}: predicts {preds[0]:.4f} for every sequence "
+                        f"of subset {args.on!r}")
     report = metrics.evaluate_predictions(preds, mos)
     out = cfg.output_dir / "metrics.csv"
     metrics.write_report_csv(report, out)
@@ -290,7 +297,7 @@ def cmd_predict(args) -> int:
     by_id = {e.sequence_id: e for e in entries}
     if args.sequence not in by_id:
         raise ValidationError(f"sequence {args.sequence!r} not in manifest")
-    _require_file(cfg.checkpoint, "checkpoint")
+    require_file(cfg.checkpoint, "checkpoint")
     net = model.AVQAModel.load(cfg.checkpoint)
     score = net.predict(_features(cfg, net.cfg, args.sequence))
     print(f"{args.sequence}: {score:.4f}")

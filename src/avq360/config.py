@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError, read_text_utf8
+from .errors import DataError, ValidationError, read_text_utf8, require_file
 from .manifest import text_parsers
 from .model import ModelConfig
 
@@ -105,12 +105,14 @@ def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, li
     An override replaces the file's value of its key; each key may be
     given once in the file and once among the overrides. Returns the
     config plus human-readable lines describing each applied override
-    (echoed to the run log by the CLI).
+    (echoed to the run log by the CLI). Every fault of the file, bytes
+    that are not UTF-8 included, is a ValidationError.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
-    lines = read_text_utf8(path).splitlines()
+    path = require_file(path, "config file")
+    try:
+        lines = read_text_utf8(path).splitlines()
+    except DataError as e:
+        raise ValidationError(str(e)) from None
     raw = _parse_lines((f"config line {n}", line) for n, line in enumerate(lines, start=1))
     sets = _parse_lines((f"--set {item!r}", item) for item in overrides or [])
     raw.update(sets)

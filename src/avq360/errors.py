@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit, the UTF-8 check every
-text reader reports through, the replace-on-success write every
-table, checkpoint and feature writer goes through, and the check that a
-path could be written before any work is done for it."""
+text reader reports through, the check that an input path names a file,
+the replace-on-success write every table, checkpoint and feature writer
+goes through, and the check that a path could be written before any work
+is done for it."""
 
 import errno
 import os
@@ -48,6 +49,17 @@ def not_utf8(path) -> DataError:
                 - data.count(b"\r\n", 0, at))
         return DataError(f"{path}: line {line}: not valid UTF-8 text at byte {at}")
     return DataError(f"{path}: not valid UTF-8 text")  # rewritten since its read failed
+
+
+def require_file(path, what: str, error=ValidationError) -> Path:
+    """``path`` as a Path when it names a regular file; otherwise raise
+    ``error`` "<what> is a directory: <path>" or "<what> not found: <path>"."""
+    path = Path(path)
+    if path.is_dir():
+        raise error(f"{what} is a directory: {path}")
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    return path
 
 
 @contextmanager

@@ -114,10 +114,11 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 def load_manifest(path) -> list[SequenceManifestEntry]:
     """Load and validate a manifest (UTF-8 JSON array of sequence objects).
 
-    Entries are returned in file order. Raises DataError on malformed
-    JSON, wrong field sets or a value of another JSON type than its field
-    takes (``_JSON_TYPES``), ValidationError on invariant violations
-    (including duplicate sequence ids).
+    Entries are returned in file order. Every fault of the file is a
+    DataError naming it: malformed JSON, wrong field sets, a value of
+    another JSON type than its field takes (``_JSON_TYPES``), an entry
+    that ``SequenceManifestEntry.validate`` rejects and a duplicate
+    sequence id.
     """
     text = read_text_utf8(path)
     if not text.strip():
@@ -157,9 +158,9 @@ def load_manifest(path) -> list[SequenceManifestEntry]:
         try:
             entry.validate()
         except ValidationError as e:
-            raise ValidationError(f"{path}: entry {i}: {e}") from e
+            raise DataError(f"{path}: entry {i}: {e}") from e
         if entry.sequence_id in seen:
-            raise ValidationError(
+            raise DataError(
                 f"{path}: duplicate sequence_id {entry.sequence_id!r}"
             )
         seen.add(entry.sequence_id)
@@ -408,11 +409,13 @@ def load_wav(path) -> AudioClip:
     scaled by 2**-15, bit for bit: a float sum of at most 4 such values
     is exact, and so is a division by 1, 2 or 4.
 
-    The chunks are walked by their 8-byte headers against the file size,
-    and the data chunk is decoded _WAV_BLOCK_FRAMES frames at a time
-    straight into the preallocated row. Each output sample depends only on
-    its own frame, so the blocks give the bits of one whole-chunk decode,
-    and besides the row only one block is alive.
+    The chunks are walked by their 8-byte headers against the file size;
+    a second fmt or data chunk is a DataError, not a replacement of the
+    first, and so is a RIFF size other than the file size less 8. The
+    data chunk is decoded _WAV_BLOCK_FRAMES frames at a time straight into
+    the preallocated row. Each output sample depends only on its own
+    frame, so the blocks give the bits of one whole-chunk decode, and
+    besides the row only one block is alive.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -427,6 +430,9 @@ def load_wav(path) -> AudioClip:
             chunk_id, chunk_size = struct.unpack("<4sI", f.read(8))
             if pos + 8 + chunk_size > size:
                 raise DataError(f"{path}: truncated {chunk_id!r} chunk")
+            earlier = {b"fmt ": fmt, b"data": payload}.get(chunk_id)
+            if earlier is not None:
+                raise DataError(f"{path}: second {chunk_id!r} chunk")
             if chunk_id == b"fmt ":
                 if chunk_size < 16:
                     raise DataError(f"{path}: malformed fmt chunk")
@@ -434,6 +440,9 @@ def load_wav(path) -> AudioClip:
             elif chunk_id == b"data":
                 payload = (pos + 8, chunk_size)
             pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+        riff_size = struct.unpack("<I", riff[4:8])[0]
+        if 8 + riff_size != size:
+            raise DataError(f"{path}: RIFF size {riff_size} + 8 is not the file size {size}")
         if fmt is None or payload is None:
             raise DataError(f"{path}: missing fmt or data chunk")
         audio_format, channels, sample_rate, _, _, bits = fmt

@@ -205,7 +205,18 @@ class TestProcessScores:
         done = run_process(["process-scores", "--config", tmp_path / "config.txt"])
         assert done.returncode == 3
         assert done.stderr.splitlines() == [
-            "data error: all rating records are SSQ-flagged; no scores left"]
+            f"data error: {tmp_path / 'scores.csv'}: all rating records are SSQ-flagged; "
+            "no scores left"]
+
+    def test_warning_names_the_first_five_low_sequences(self, tmp_path, capsys):
+        write_scores_csv([RatingRecord(f"s{i}", f"seq{j:03d}", "x", 40.0 + i + j)
+                          for i in range(3) for j in range(7)], tmp_path / "scores.csv")
+        (tmp_path / "config.txt").write_text(
+            "manifest = manifest.json\nmedia_root = media\nscores = scores.csv\n"
+            "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
+        assert run(["process-scores", "--config", tmp_path / "config.txt"]) == 0
+        assert ("warning: 7 sequence(s) below 15 valid ratings: seq000, seq001, seq002, "
+                "seq003, seq004, ...") in capsys.readouterr().out.splitlines()
 
     def test_non_utf8_scores_is_data_error(self, tmp_path, corpus_dir, capsys):
         scores = tmp_path / "scores.csv"
@@ -253,7 +264,8 @@ class TestSiti:
                 "--set", f"media_root={media}", "--set", f"output_dir={tmp_path / 'out'}"]
         (media / "seq05.y4m").rename(tmp_path / "seq05.y4m")
         assert run(args) == 3
-        assert "missing media seq05.y4m" in capsys.readouterr().err
+        assert (f"media of sequence 'seq05' not found: {media / 'seq05.y4m'}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
         # an earlier table survives a failed run byte for byte
         (tmp_path / "seq05.y4m").rename(media / "seq05.y4m")
@@ -323,7 +335,7 @@ class TestHmStats:
         (hm / "seq02.csv").unlink()
         assert run(["hm-stats", "--config", corpus_dir / "config.txt",
                     "--set", f"hm_root={hm}", "--set", f"output_dir={tmp_path / 'out'}"]) == 3
-        assert (f"missing head-movement trace seq02.csv for sequence 'seq02' under {hm}"
+        assert (f"head-movement trace of sequence 'seq02' not found: {hm / 'seq02.csv'}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -421,7 +433,7 @@ class TestExtractFeatures:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_path_in_sequence_id_exits_2_and_writes_nothing(self, tmp_path, corpus_dir,
+    def test_path_in_sequence_id_exits_3_and_writes_nothing(self, tmp_path, corpus_dir,
                                                             capsys):
         # valid media two levels above media_root, where "../../evil" points
         fixture = tmp_path / "a" / "fixture"
@@ -435,7 +447,7 @@ class TestExtractFeatures:
             "manifest = manifest.json\nmedia_root = media\nscores = s.csv\n"
             "hm_root = hm\noutput_dir = out\n", encoding="utf-8")
         before = sorted(tmp_path.rglob("*"))
-        assert run(["extract-features", "--config", fixture / "config.txt"]) == 2
+        assert run(["extract-features", "--config", fixture / "config.txt"]) == 3
         assert "entry 0: sequence '../../evil': sequence_id must not contain" in \
             capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
@@ -565,6 +577,19 @@ class TestEvaluate:
             args += ["--set", o]
         assert run(args) == 3
         leaky.unlink()
+
+    def test_empty_subset_exits_2_with_the_hint(self, tmp_path, corpus_dir, trained_dir,
+                                                capsys):
+        # no split file, and the manifest's split column assigns nothing
+        _, overrides = trained_dir
+        args = ["evaluate", "--config", corpus_dir / "config.txt", "--on", "test",
+                "--set", f"split_file={tmp_path / 'split.csv'}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: subset 'test' is empty: run the split command or set the manifest "
+            "split column"]
 
     def test_split_row_without_label_is_data_error(self, corpus_dir, trained_dir, capsys):
         out, overrides = trained_dir

@@ -81,14 +81,20 @@ class TestManifest:
         entry.width = 1024
         entry.height = 1024
         path.write_text(json.dumps([entry.__dict__]))
-        with pytest.raises(ValidationError, match="not 2:1 ERP"):
+        with pytest.raises(DataError, match="not 2:1 ERP"):
             load_manifest(path)
+
+    def test_invalid_entry_is_validation_error_when_written(self, tmp_path):
+        # an entry a library caller builds is a precondition, not a file's data
+        with pytest.raises(ValidationError, match="unknown scene 'underwater'"):
+            write_manifest([make_entry(0, scene="underwater")], tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.json"
         e = make_entry(0)
         path.write_text(json.dumps([e.__dict__, e.__dict__]))
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             load_manifest(path)
 
     @pytest.mark.parametrize("sequence_id", ["../../evil", "a\\b", "a\0b"])
@@ -96,7 +102,7 @@ class TestManifest:
         path = tmp_path / "sep.json"
         path.write_text(json.dumps([make_entry(0).__dict__, make_entry(1).__dict__
                                     | {"sequence_id": sequence_id}]))
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(DataError) as info:
             load_manifest(path)
         assert str(info.value) == (f"{path}: entry 1: sequence {sequence_id!r}: "
                                    "sequence_id must not contain '/', '\\' or NUL")
@@ -130,7 +136,7 @@ class TestManifest:
         text = json.dumps([obj]).replace(f'"{field}": {obj[field]!r}', f'"{field}": {value}')
         assert value in text
         path.write_text(text)
-        with pytest.raises(ValidationError, match=f"entry 0: .*{field} must be finite and > 0"):
+        with pytest.raises(DataError, match=f"entry 0: .*{field} must be finite and > 0"):
             load_manifest(path)
 
     @pytest.mark.parametrize("field, value", MISTYPED_VALUES)
@@ -406,6 +412,25 @@ class TestWAV:
         path = tmp_path / "short.wav"
         path.write_bytes(wav_bytes(2, 8000, bytes(16))[:-2])
         with pytest.raises(DataError, match="truncated b'data' chunk"):
+            load_wav(path)
+
+    def test_file_written_twice_is_data_error(self, tmp_path):
+        path = tmp_path / "twice.wav"
+        raw = wav_bytes(2, 8000, bytes(16))
+        path.write_bytes(raw + raw)
+        with pytest.raises(DataError, match=re.escape(
+                f"twice.wav: RIFF size {len(raw) - 8} + 8 is not the file size {2 * len(raw)}")):
+            load_wav(path)
+
+    @pytest.mark.parametrize("chunk", [
+        b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16),
+        b"data" + struct.pack("<I", 4) + bytes(4),
+    ], ids=["fmt", "data"])
+    def test_second_fmt_or_data_chunk_is_data_error(self, tmp_path, chunk):
+        # the RIFF size covers both chunks: only the repeat is wrong
+        path = tmp_path / "two.wav"
+        path.write_bytes(wav_bytes(1, 8000, bytes(8), extra=chunk))
+        with pytest.raises(DataError, match=re.escape(f"two.wav: second {chunk[:4]!r} chunk")):
             load_wav(path)
 
     def test_bad_channel_count_rejected(self, tmp_path):

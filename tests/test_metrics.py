@@ -350,5 +350,6 @@ class TestReferenceResults:
         }
         import avq360.metrics as m
 
-        doc = open(m.__file__).read()
+        with open(m.__file__) as f:
+            doc = f.read()
         assert "NOT reproducible" in doc
