@@ -268,14 +268,18 @@ def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     require_file(cfg.checkpoint, "checkpoint")
     selected, mos_map = _rated_entries(cfg, args.on)
+    if len(selected) < metrics.LOGISTIC_FIT_MIN_N:
+        raise ValidationError(
+            f"subset {args.on!r} has {len(selected)} sequence(s), the logistic fit needs at "
+            f"least {metrics.LOGISTIC_FIT_MIN_N}: evaluate more of the corpus (--on all)")
     # correlation is undefined over a constant MOS or a constant prediction
     mos = np.array([mos_map[e.sequence_id].mos for e in selected])
-    if len(mos) > 1 and np.ptp(mos) == 0:
+    if np.ptp(mos) == 0:
         raise DataError(f"{cfg.mos_table}: every sequence of subset {args.on!r} "
                         f"has MOS {mos[0]:.6f}")
     net = model.AVQAModel.load(cfg.checkpoint)
     preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id)) for e in selected])
-    if len(preds) > 1 and np.ptp(preds) == 0:
+    if np.ptp(preds) == 0:
         raise DataError(f"{cfg.checkpoint}: predicts {preds[0]:.4f} for every sequence "
                         f"of subset {args.on!r}")
     report = metrics.evaluate_predictions(preds, mos)

@@ -94,6 +94,10 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return (1.0 / (1.0 + e)).reshape(z.shape)
 
 
+#: Fewest (prediction, MOS) pairs the 4-parameter logistic fit takes.
+LOGISTIC_FIT_MIN_N = 5
+
+
 def logistic_fit(pred, mos) -> LogisticFit:
     """Least-squares 4-parameter logistic fit of pred onto the mos scale.
 
@@ -110,8 +114,8 @@ def logistic_fit(pred, mos) -> LogisticFit:
     mos = _finite("mos", mos)
     if pred.shape != mos.shape or pred.ndim != 1:
         raise ValidationError("pred and mos must be equal-length 1-D arrays")
-    if len(pred) < 5:
-        raise ValidationError(f"logistic fit needs n >= 5, got {len(pred)}")
+    if len(pred) < LOGISTIC_FIT_MIN_N:
+        raise ValidationError(f"logistic fit needs n >= {LOGISTIC_FIT_MIN_N}, got {len(pred)}")
     if np.ptp(mos) == 0:
         c = float(mos[0])
         return _identity_fit(pred, mos, (c, c, float(np.median(pred)), 1.0))

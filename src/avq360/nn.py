@@ -475,6 +475,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             name = str(raw, "utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: tensor name is not UTF-8") from e
+        if name in out:
+            raise DataError(f"{path}: tensor {name!r} appears twice")
         out[name], pos = read_tensor_record(data, pos, path)
     if pos != len(data):
         raise DataError(f"{path}: trailing bytes after last tensor")

@@ -591,6 +591,28 @@ class TestEvaluate:
             "error: subset 'test' is empty: run the split command or set the manifest "
             "split column"]
 
+    def test_subset_too_small_to_fit_exits_2_before_the_checkpoint_is_read(
+            self, tmp_path, corpus_dir, trained_dir, capsys, monkeypatch):
+        # the synthetic corpus split at the default ratio: 1 test sequence
+        _, overrides = trained_dir
+        split = tmp_path / "split.csv"
+        split.write_text("sequence_id,split\n" + "".join(
+            f"seq{i:02d},{'test' if i == 7 else 'train'}\n" for i in range(8)))
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("read or preprocessed before the subset was checked")
+
+        monkeypatch.setattr(model.AVQAModel, "load", not_called)
+        monkeypatch.setattr("avq360.cli._features", not_called)
+        args = ["evaluate", "--config", corpus_dir / "config.txt", "--on", "test",
+                "--set", f"split_file={split}"]
+        for o in overrides:
+            args += ["--set", o]
+        assert run(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: subset 'test' has 1 sequence(s), the logistic fit needs at least 5: "
+            "evaluate more of the corpus (--on all)"]
+
     def test_split_row_without_label_is_data_error(self, corpus_dir, trained_dir, capsys):
         out, overrides = trained_dir
         short = out / "short_split.csv"

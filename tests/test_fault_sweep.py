@@ -22,13 +22,14 @@ is still valid for that command.
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from avq360 import subjective, synthetic
 from avq360.cli import main
-from avq360.nn import read_checkpoint, write_checkpoint
+from avq360.nn import read_checkpoint, write_checkpoint, write_tensor_record
 
 SEQ = "seq05"  # the sequence whose media and trace are faulted, on the test side
 # The tiny model of the gradient checks, trained for 2 steps. split_ratio
@@ -133,6 +134,14 @@ def _checkpoint_edit(edit):
     return fault
 
 
+def _repeated_tensor(src, dst, other):
+    raw = bytearray(src.read_bytes())
+    raw[8:12] = struct.pack("<I", struct.unpack("<I", raw[8:12])[0] + 1)  # the tensor count
+    with open(dst, "wb") as f:
+        f.write(raw + struct.pack("<I", len(b"head.b")) + b"head.b")
+        write_tensor_record(f, np.full_like(read_checkpoint(src)["head.b"], 5.0))
+
+
 def _time_goes_back(src, dst, other):
     lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[2], lines[3] = lines[3], lines[2]
@@ -153,6 +162,7 @@ BREAKS = {
     "time goes back": ("trace", _time_goes_back),
     "unknown meta tensor": ("checkpoint", _checkpoint_edit(
         lambda t: t.update({"meta/bogus": np.float32(1)}))),
+    "a tensor twice": ("checkpoint", _repeated_tensor),
 }
 
 # (command, input, fault) -> why the faulted input is still valid there

@@ -501,6 +501,20 @@ class TestCheckpointFormat:
         with pytest.raises(DataError):
             nn.read_checkpoint(path)
 
+    def test_repeated_tensor_name_is_data_error(self, tmp_path):
+        # a second record of a name would otherwise replace the first
+        path = tmp_path / "m.avqc"
+        nn.write_checkpoint(path, {"head.b": np.float32(1.0), "head.w": np.zeros(2, np.float32)})
+        with open(path, "ab") as f:
+            f.write(struct.pack("<I", len(b"head.b")) + b"head.b")
+            nn.write_tensor_record(f, np.float32(5.0))
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 3)
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=r"tensor 'head\.b' appears twice") as e:
+            nn.read_checkpoint(path)
+        assert str(path) in str(e.value)
+
     def test_interrupted_write_leaves_earlier_checkpoint_and_no_temporary_file(
         self, tmp_path, monkeypatch
     ):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avq360.errors import ValidationError
-from avq360.manifest import FrameSequence
+from avq360.manifest import FrameSequence, Y4MFrames, load_y4m, write_y4m
 from avq360.siti import (
     sobel_magnitude,
     spatial_information,
@@ -214,3 +214,62 @@ class TestStreamingPath:
         short, long = peak_bytes(4), peak_bytes(16)
         assert long < 4 * float64_frame
         assert abs(long - short) < h * w
+
+
+def walk_cases():
+    rng = np.random.default_rng(21)
+    boards = [checkerboard(40, 80, k) for k in (1, 2, 3, 5)]
+    return {
+        "random uint8": rng.integers(0, 256, size=(6, 48, 96), dtype=np.uint8),
+        # Sobel extremes of +/-1020 and frame differences of +/-255
+        "checkerboards": np.stack([f for b in boards for f in (b, 255 - b)]),
+        "3x3 frames": rng.integers(0, 256, size=(5, 3, 3), dtype=np.uint8),
+        "2 frames": rng.integers(0, 256, size=(2, 17, 41), dtype=np.uint8),
+        "uint16": rng.integers(0, 65536, size=(4, 24, 48), dtype=np.uint16),
+        "float64": rng.uniform(0.0, 255.0, size=(4, 24, 48)),
+    }
+
+
+class TestOneWalk:
+    """summarize_siti's single walk against the per-statistic functions."""
+
+    @pytest.mark.parametrize("case", list(walk_cases()))
+    def test_bit_identical_to_each_statistic_and_float64(self, case):
+        frames = walk_cases()[case]
+        seq = FrameSequence(frames=frames, fps=1.0)
+        r = summarize_siti(seq)
+        si_ref, ti_ref = float64_reference(frames)
+        for si in (spatial_information(seq), si_ref):
+            assert np.array_equal(r.si_per_frame, si)
+        for ti in (temporal_information(seq), ti_ref):
+            assert np.array_equal(r.ti_per_frame, ti)
+        assert (r.si_mean, r.si_max) == (float(si_ref.mean()), float(si_ref.max()))
+        assert (r.ti_mean, r.ti_max) == (float(ti_ref.mean()), float(ti_ref.max()))
+
+    def test_reads_each_luma_plane_once(self, tmp_path, monkeypatch):
+        frames = np.random.default_rng(22).integers(0, 256, size=(7, 20, 40), dtype=np.uint8)
+        write_y4m(FrameSequence(frames=frames, fps=7.0), tmp_path / "v.y4m")
+        seq = load_y4m(tmp_path / "v.y4m")
+        read_into = Y4MFrames._read_into
+        reads = []
+
+        def counted(self, i, plane):
+            reads.append(i)
+            return read_into(self, i, plane)
+
+        monkeypatch.setattr(Y4MFrames, "_read_into", counted)
+        r = summarize_siti(seq)
+        assert reads == list(range(7))
+        in_memory = summarize_siti(FrameSequence(frames=frames, fps=7.0))
+        assert np.array_equal(r.si_per_frame, in_memory.si_per_frame)
+        assert np.array_equal(r.ti_per_frame, in_memory.ti_per_frame)
+
+    def test_too_few_frames_or_too_small_frames(self):
+        with pytest.raises(ValidationError, match="2 frames"):
+            summarize_siti(seq_from_uint8(np.zeros((1, 8, 8))))
+        with pytest.raises(ValidationError, match="3x3"):
+            summarize_siti(seq_from_uint8(np.zeros((4, 2, 8))))
+
+    def test_temporal_information_takes_frames_under_3x3(self):
+        frames = np.array([[[0, 255]], [[255, 255]]], dtype=np.uint8)
+        assert temporal_information(seq_from_uint8(frames))[0] == 127.5
