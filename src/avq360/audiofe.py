@@ -10,13 +10,14 @@ the log. No DCT is applied; the front-end stops at the
 log-mel representation the downstream CNN consumes.
 
 Clips arrive as one float64 row, the mean of a file's channels (see
-``manifest.load_wav``). ``resample_linear`` places output sample k at
-input position k*sr_in/sr_out, taken as an exact integer quotient and
-remainder, and interpolates linearly between the two input samples
-around it. When sr_in is a multiple of sr_out (48 -> 16 kHz) every
-position is an input sample, so the result is exact decimation. Linear
-interpolation has no anti-alias filter: its quality is adequate for
-features, not for listening.
+``manifest.load_wav``). A file at a multiple of SAMPLE_RATE (48 or
+32 kHz) is decoded at SAMPLE_RATE: only the frames that exact decimation
+keeps are read into the row. A file at any other rate is resampled
+linearly: ``resample_linear`` places output sample k at input position
+k*sr_in/sr_out, taken as an exact integer quotient and remainder, and
+interpolates between the two input samples around it. Linear
+interpolation has no anti-alias filter, and neither has decimation:
+their quality is adequate for features, not for listening.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, replaced_when_written
-from .manifest import AudioClip
+from .manifest import AudioClip, resampled_length
 from .nn import write_tensor_record
 
 SAMPLE_RATE = 16000
@@ -66,9 +67,12 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     yields zero frames, not an error (``model.audio_input`` makes it one).
 
     Frames are windowed and transformed PATCH_FRAMES at a time, straight
-    into the output, so besides it only one block's windowed frames and
-    spectrum are alive. ``rfft`` transforms each row on its own, so the
-    blocks give the bits of one transform over all frames.
+    into the output, so besides it only one block's frames and spectrum
+    are alive. Each block's windowed frames are written into the first
+    win columns of one zeroed (PATCH_FRAMES, nfft) buffer, whose other
+    columns stay zero, so ``rfft`` pads no copy of its own. It transforms
+    each row on its own, so the blocks give the bits of one zero-padded
+    transform over all frames.
     """
     if clip.channels != 1:
         raise ValidationError(f"stft needs a mono clip, got {clip.channels} channels")
@@ -84,9 +88,12 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic Hann
     frames = sliding_window_view(x, win)[::hop]
     out = np.empty((len(frames), bins))
+    padded = np.zeros((min(len(frames), PATCH_FRAMES), nfft))
     for i in range(0, len(frames), PATCH_FRAMES):
-        block = slice(i, i + PATCH_FRAMES)
-        np.abs(np.fft.rfft(frames[block] * window, n=nfft, axis=1), out=out[block])
+        block = frames[i : i + PATCH_FRAMES]
+        rows = padded[: len(block)]
+        np.multiply(block, window, out=rows[:, :win])
+        np.abs(np.fft.rfft(rows, axis=1), out=out[i : i + len(block)])
     return out
 
 
@@ -157,8 +164,8 @@ def frame_patches(mel: np.ndarray) -> np.ndarray:
 
 
 def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Linear-interpolation resampler to round(n*target_rate/sample_rate)
-    samples.
+    """Linear-interpolation resampler to
+    ``manifest.resampled_length(n, sample_rate, target_rate)`` samples.
 
     Output k sits at input position q + r/target_rate, where
     (q, r) = divmod(k*sample_rate, target_rate) in exact integers, and
@@ -172,7 +179,7 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate == sr:
         return clip
     n_in = clip.n_samples
-    n_out = int(round(n_in * target_rate / sr))
+    n_out = resampled_length(n_in, sr, target_rate)
     x = clip.samples
     if sr % target_rate == 0:
         out = x[:, :: sr // target_rate][:, :n_out].copy()

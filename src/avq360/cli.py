@@ -65,7 +65,8 @@ def _sequence_file(root: Path, sequence_id: str, suffix: str, what: str) -> Path
 def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
               sequence_id: str) -> model.SequenceFeatures:
     """Model input tensors of one sequence, preprocessed from its media;
-    ``load_wav`` decodes the audio to the mean of its channels. A data
+    ``load_wav`` decodes the audio to the mean of its channels, at the
+    front end's rate when the file's rate is a multiple of it. A data
     error from preprocessing is prefixed with the sequence it concerns."""
     video = _sequence_file(cfg.media_root, sequence_id, ".y4m", "media")
     seq = load_y4m(video)
@@ -75,7 +76,8 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
     if seq.height < model_cfg.bands:
         raise DataError(f"{video}: {seq.height} rows, the model takes "
                         f"{model_cfg.bands} latitude bands")
-    clip = load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media"))
+    clip = load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media"),
+                    audiofe.SAMPLE_RATE)
     try:
         return model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
     except DataError as e:

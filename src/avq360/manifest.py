@@ -398,85 +398,113 @@ class AudioClip:
         return self.samples.shape[1]
 
 
-def load_wav(path) -> AudioClip:
+def resampled_length(n: int, rate: int, target_rate: int) -> int:
+    """The number of samples n samples at ``rate`` Hz come to at
+    ``target_rate`` Hz: round(n*target_rate/rate). ``load_wav`` and
+    ``audiofe.resample_linear`` size their output by it."""
+    return int(round(n * target_rate / rate))
+
+
+def load_wav(path, rate: int | None = None) -> AudioClip:
     """Read a RIFF/WAVE file (PCM 16-bit, 1/2/4 channels, at least
     MIN_WAV_RATE Hz) as a mono clip: one row, the mean of the channels.
 
-    The row is decoded straight from the int16 codes of the data chunk:
-    the channel columns are added in int32 and the sum is scaled once by
+    ``rate`` is the rate the caller will use. When the file's rate is k
+    times it, for an integer k, only every k-th frame is decoded,
+    resampled_length(n, file rate, rate) of them, and the clip comes back
+    at ``rate``: these are the samples ``audiofe.resample_linear`` keeps
+    of the whole decode at that ratio, bit for bit, since each sample
+    depends only on its own frame. At any other rate, or none, every
+    frame is decoded and the clip comes back at the file's rate.
+
+    A sample is decoded straight from the int16 codes of its frame: the
+    channel columns are added in int32 and the sum is scaled once by
     2**-15/channels. So the most negative 16-bit code of a mono file maps
     to -1.0 exactly, and the row equals the float mean of the channels
     scaled by 2**-15, bit for bit: a float sum of at most 4 such values
     is exact, and so is a division by 1, 2 or 4.
 
-    The chunks are walked by their 8-byte headers against the file size;
-    a second fmt or data chunk is a DataError, not a replacement of the
-    first, and so is a RIFF size other than the file size less 8. The
-    data chunk is decoded _WAV_BLOCK_FRAMES frames at a time straight into
-    the preallocated row. Each output sample depends only on its own
-    frame, so the blocks give the bits of one whole-chunk decode, and
-    besides the row only one block is alive.
+    The data chunk is read _WAV_BLOCK_FRAMES frames at a time, and each
+    block's kept frames are decoded straight into the preallocated row, so
+    the blocks give the bits of one whole-chunk decode, and besides the
+    row only one block is alive.
     """
+    if rate is not None and rate <= 0:
+        raise ValidationError("rate must be > 0")
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        riff = f.read(12)
-        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
-            raise DataError(f"{path}: not a RIFF/WAVE file")
-        fmt = None
-        payload = None  # (offset, size) of the data chunk body
-        pos = 12
-        while pos + 8 <= size:
-            f.seek(pos)
-            chunk_id, chunk_size = struct.unpack("<4sI", f.read(8))
-            if pos + 8 + chunk_size > size:
-                raise DataError(f"{path}: truncated {chunk_id!r} chunk")
-            earlier = {b"fmt ": fmt, b"data": payload}.get(chunk_id)
-            if earlier is not None:
-                raise DataError(f"{path}: second {chunk_id!r} chunk")
-            if chunk_id == b"fmt ":
-                if chunk_size < 16:
-                    raise DataError(f"{path}: malformed fmt chunk")
-                fmt = struct.unpack("<HHIIHH", f.read(16))
-            elif chunk_id == b"data":
-                payload = (pos + 8, chunk_size)
-            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
-        riff_size = struct.unpack("<I", riff[4:8])[0]
-        if 8 + riff_size != size:
-            raise DataError(f"{path}: RIFF size {riff_size} + 8 is not the file size {size}")
-        if fmt is None or payload is None:
-            raise DataError(f"{path}: missing fmt or data chunk")
-        audio_format, channels, sample_rate, _, _, bits = fmt
-        if audio_format != 1:
-            raise DataError(f"{path}: non-PCM codec (format tag {audio_format})")
-        if bits != 16:
-            raise DataError(f"{path}: only PCM 16-bit supported, got {bits}-bit")
-        if channels not in VALID_CHANNEL_COUNTS:
-            raise DataError(
-                f"{path}: channel count {channels} not in {VALID_CHANNEL_COUNTS}"
-            )
-        if sample_rate < MIN_WAV_RATE:
-            raise DataError(
-                f"{path}: sample rate {sample_rate} in fmt chunk, below {MIN_WAV_RATE} Hz"
-            )
-        offset, nbytes = payload
-        if nbytes % (2 * channels):
-            raise DataError(f"{path}: data chunk size not a multiple of frame size")
-        n = nbytes // (2 * channels)
-        mono = np.empty(n)
+        channels, file_rate, offset, n = _wav_format(f, path)
+        k = file_rate // rate if rate and file_rate % rate == 0 else 1
+        mono = np.empty(resampled_length(n, file_rate, file_rate // k))
         pcm = np.empty((min(n, _WAV_BLOCK_FRAMES), channels), "<i2")
-        total = np.empty(len(pcm), np.int32)
+        total = np.empty(-(-len(pcm) // k), np.int32)
         scale = 2.0 ** -15 / channels
         f.seek(offset)
         for i in range(0, n, _WAV_BLOCK_FRAMES):
             block = pcm[: n - i]
             if f.readinto(block) != block.nbytes:
                 raise DataError(f"{path}: truncated b'data' chunk")
-            acc = total[: len(block)]
-            np.copyto(acc, block[:, 0])
+            j = -(-i // k)  # the block's first kept frame is frame j*k
+            kept = block[j * k - i :: k][: len(mono) - j]
+            acc = total[: len(kept)]
+            np.copyto(acc, kept[:, 0])
             for c in range(1, channels):
-                acc += block[:, c]
-            np.multiply(acc, scale, out=mono[i : i + len(block)])
-    return AudioClip(samples=mono[None], sample_rate=sample_rate)
+                acc += kept[:, c]
+            np.multiply(acc, scale, out=mono[j : j + len(kept)])
+    return AudioClip(samples=mono[None], sample_rate=file_rate // k)
+
+
+def _wav_format(f, path) -> tuple[int, int, int, int]:
+    """The channel count and sample rate the fmt chunk of the open
+    RIFF/WAVE file ``f`` states, the offset of its data chunk's body and
+    its number of frames.
+
+    The chunks are walked by their 8-byte headers against the file size;
+    a second fmt or data chunk is a DataError, not a replacement of the
+    first, and so is a RIFF size other than the file size less 8."""
+    size = os.fstat(f.fileno()).st_size
+    riff = f.read(12)
+    if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+        raise DataError(f"{path}: not a RIFF/WAVE file")
+    fmt = None
+    payload = None  # (offset, size) of the data chunk body
+    pos = 12
+    while pos + 8 <= size:
+        f.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", f.read(8))
+        if pos + 8 + chunk_size > size:
+            raise DataError(f"{path}: truncated {chunk_id!r} chunk")
+        earlier = {b"fmt ": fmt, b"data": payload}.get(chunk_id)
+        if earlier is not None:
+            raise DataError(f"{path}: second {chunk_id!r} chunk")
+        if chunk_id == b"fmt ":
+            if chunk_size < 16:
+                raise DataError(f"{path}: malformed fmt chunk")
+            fmt = struct.unpack("<HHIIHH", f.read(16))
+        elif chunk_id == b"data":
+            payload = (pos + 8, chunk_size)
+        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+    riff_size = struct.unpack("<I", riff[4:8])[0]
+    if 8 + riff_size != size:
+        raise DataError(f"{path}: RIFF size {riff_size} + 8 is not the file size {size}")
+    if fmt is None or payload is None:
+        raise DataError(f"{path}: missing fmt or data chunk")
+    audio_format, channels, sample_rate, _, _, bits = fmt
+    if audio_format != 1:
+        raise DataError(f"{path}: non-PCM codec (format tag {audio_format})")
+    if bits != 16:
+        raise DataError(f"{path}: only PCM 16-bit supported, got {bits}-bit")
+    if channels not in VALID_CHANNEL_COUNTS:
+        raise DataError(
+            f"{path}: channel count {channels} not in {VALID_CHANNEL_COUNTS}"
+        )
+    if sample_rate < MIN_WAV_RATE:
+        raise DataError(
+            f"{path}: sample rate {sample_rate} in fmt chunk, below {MIN_WAV_RATE} Hz"
+        )
+    offset, nbytes = payload
+    if nbytes % (2 * channels):
+        raise DataError(f"{path}: data chunk size not a multiple of frame size")
+    return channels, sample_rate, offset, nbytes // (2 * channels)
 
 
 def write_wav(clip: AudioClip, path) -> None:

@@ -231,7 +231,9 @@ class _ConvStack:
     elements. That equals relu then pool, bit for bit, in both passes:
     relu and max commute, and on the way back a window whose max is <= 0
     sends gy*0 to all four positions in either order, while in a window
-    whose max is > 0 the ties fall on the same positive values."""
+    whose max is > 0 the ties fall on the same positive values. Untaped
+    (``score``), the relu is applied in place on the pool's output and
+    builds no mask, since only ``backward`` reads one."""
 
     def __init__(self, store, name, channels, d_model, rng):
         self.convs = []
@@ -247,10 +249,12 @@ class _ConvStack:
         for conv in self.convs:
             x, cc = conv.forward(x)
             x, pc = nn.maxpool2_forward(x)
-            x, rc = nn.relu_forward(x)
-            if stage_caches is not None:
+            if stage_caches is None:
+                np.maximum(x, 0.0, out=x)  # relu on the pool's fresh output
+            else:
+                x, rc = nn.relu_forward(x)
                 stage_caches.append((cc, pc, rc))
-            del cc, pc, rc  # with no stage_caches, the buffers go before the next stage
+            del cc, pc  # untaped, the buffers go before the next stage
         return nn.global_mean_pool_forward(x)
 
     def forward(self, x):
@@ -550,8 +554,9 @@ def _read_meta(meta: dict, name: str, default, path):
     rank = 1 if isinstance(default, tuple) else 0
     if t.ndim != rank:
         raise DataError(f"{path}: {key} has rank {t.ndim}, expected {rank}")
-    if not np.all(np.isfinite(t) & (t == np.round(t))):
-        raise DataError(f"{path}: {key} must hold finite integers, got {t.tolist()}")
+    # read_checkpoint has refused a NaN or an infinity
+    if not np.all(t == np.round(t)):
+        raise DataError(f"{path}: {key} must hold integers, got {t.tolist()}")
     if rank:
         return tuple(int(x) for x in t)
     value = int(t)

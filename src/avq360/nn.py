@@ -17,18 +17,24 @@ layer-norm epsilon LN_EPS, softmax over the last axis, and Adam with
 ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
 Conv is im2col in NCHW order (Chellapilla, Puri & Simard, 2006): the
-column tensor is (N, C*kh*kw, Ho*Wo), so one batched matmul with the
-(O, C*kh*kw) kernel matrix yields (N, O, Ho*Wo) with no transpose, and
-its cache holds those columns. ``conv2d_backward(..., need_gx=False)``
-skips the input gradient and returns gx=None, for a conv whose input is
-data. Max pooling caches its input and output, not an index; backward
-routes each output gradient to the first maximum of its 2x2 window in
-raster order (0,0), (0,1), (1,0), (1,1).
+input is copied once into a zero-bordered array, and one strided window
+view of it in (N, C, kh, kw, Ho, Wo) order is copied into the column
+tensor (N, C*kh*kw, Ho*Wo), so one batched matmul with the (O, C*kh*kw)
+kernel matrix yields (N, O, Ho*Wo) with no transpose, and its cache
+holds those columns. ``conv2d_backward(..., need_gx=False)`` skips the
+input gradient and returns gx=None, for a conv whose input is data. Max
+pooling takes the max of each pair of columns, then of each pair of
+rows, so every window's max is max(max(x00, x01), max(x10, x11)). It
+caches its input and output, not an index; backward routes each output
+gradient to the first maximum of its 2x2 window in raster order (0,0),
+(0,1), (1,0), (1,1).
 
 The layer classes at the end own their parameters but no activations:
 like the functional ops, their ``forward`` returns ``(y, cache)`` and
 their ``backward`` takes that cache back, so any number of forward
-passes can be in flight at once.
+passes can be in flight at once. They re-raise an op's NumericError with
+their parameters' path in front, e.g. ``audio.cnn.conv0: conv2d:
+non-finite values detected``; the functional ops name only themselves.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, NumericError, ValidationError, replaced_when_written
 
@@ -68,11 +74,13 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 def conv2d_forward(x, w, b=None, stride: int = 1, pad: int = 0):
     """Cross-correlation of x (N,C,H,W) with kernels w (O,C,kh,kw).
 
-    Zero padding; output spatial size floor((H+2p-kh)/s)+1. The im2col
-    matrix is kept in NCHW order, one (C*kh*kw, Ho*Wo) column block per
-    sample, so y = w.reshape(O, -1) @ cols is already (N, O, Ho, Wo).
-    The cache holds those columns, w, whether there was a bias, the
-    padded input shape, stride and pad.
+    Zero padding; output spatial size floor((H+2p-kh)/s)+1. With pad > 0
+    the input is copied once into a zero-bordered array. The im2col
+    matrix is the copy of one (N, C, kh, kw, Ho, Wo) window view of it,
+    kept in NCHW order, one (C*kh*kw, Ho*Wo) column block per sample, so
+    y = w.reshape(O, -1) @ cols is already (N, O, Ho, Wo). The cache
+    holds those columns, w, whether there was a bias, the padded input
+    shape, stride and pad.
     """
     x = np.asarray(x)
     n, c, h, wd = x.shape
@@ -87,12 +95,14 @@ def conv2d_forward(x, w, b=None, stride: int = 1, pad: int = 0):
         raise ValidationError(
             f"conv2d: no output positions for input {h}x{wd}, kernel {kh}x{kw}, pad {pad}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (N, C, Ho, Wo, kh, kw) -> (N, C, kh, kw, Ho, Wo) -> (N, C*kh*kw, Ho*Wo)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, c * kh * kw, ho * wo
-    )
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + wd] = x
+    sn, sc, sh, sw = xp.strides
+    win = as_strided(xp, (n, c, kh, kw, ho, wo),
+                     (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    cols = win.reshape(n, c * kh * kw, ho * wo)  # copies the overlapping windows
     y = w.reshape(o, -1) @ cols
     if b is not None:
         y += b[:, None]
@@ -132,17 +142,18 @@ def conv2d_backward(gy, cache, need_gx: bool = True):
 def maxpool2_forward(x):
     """2x2 stride-2 max pooling; H and W must be even.
 
-    y is the elementwise max of the four stride-2 views. The cache is
-    (x, y), a reference to x, not a copy, so x must not be written to
-    before the backward; no argmax index is built.
+    y pairs the columns first, then the rows of the result, so each
+    window gives max(max(x00, x01), max(x10, x11)): the same pairs, and so
+    the same pick between +0.0 and -0.0, as a max of the four stride-2
+    views taken in raster order. The cache is (x, y), a reference to x,
+    not a copy, so x must not be written to before the backward; no
+    argmax index is built.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValidationError(f"maxpool2: spatial dims must be even, got {h}x{w}")
-    y = np.maximum(
-        np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-        np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
-    )
+    cols = np.maximum(x[..., 0::2], x[..., 1::2])
+    y = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
     _check_finite("maxpool2", y)
     return y, (x, y)
 
@@ -460,6 +471,9 @@ def write_checkpoint(path, tensors: dict) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
+    """The tensors of a ``write_checkpoint`` file by name. A malformed
+    file, a name that appears twice and a tensor that holds a NaN or an
+    infinity are each a DataError naming the file."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic, not an AVQC checkpoint")
@@ -478,6 +492,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         if name in out:
             raise DataError(f"{path}: tensor {name!r} appears twice")
         out[name], pos = read_tensor_record(data, pos, path)
+        if not np.isfinite(out[name]).all():
+            raise DataError(f"{path}: tensor {name!r} holds non-finite values")
     if pos != len(data):
         raise DataError(f"{path}: trailing bytes after last tensor")
     return out
@@ -489,7 +505,18 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 # gradients into the store and returns the input gradient.
 # ---------------------------------------------------------------------------
 
-class Conv2d:
+class _Layer:
+    """A layer whose parameters are stored under ``<_name>.<key>``."""
+
+    def _run(self, op, *args):
+        """op(*args), its NumericError re-raised with the layer's name in front."""
+        try:
+            return op(*args)
+        except NumericError as e:
+            raise NumericError(f"{self._name}: {e}") from e
+
+
+class Conv2d(_Layer):
     """3x3 conv, stride 1, zero pad 1: the output keeps the input's H x W."""
 
     def __init__(self, store, name, in_channels, out_channels, rng):
@@ -499,17 +526,17 @@ class Conv2d:
         self.b = store.create(f"{name}.b", (out_channels,), np.zeros)
 
     def forward(self, x):
-        return conv2d_forward(x, self.w, self.b, 1, 1)
+        return self._run(conv2d_forward, x, self.w, self.b, 1, 1)
 
     def backward(self, gy, cache, need_gx: bool = True):
         """Returns gx, or None when need_gx is False."""
-        gx, gw, gb = conv2d_backward(gy, cache, need_gx)
+        gx, gw, gb = self._run(conv2d_backward, gy, cache, need_gx)
         self._store.add_grad(f"{self._name}.w", gw)
         self._store.add_grad(f"{self._name}.b", gb)
         return gx
 
 
-class Linear:
+class Linear(_Layer):
     def __init__(self, store, name, d_in, d_out, rng):
         self._store, self._name = store, name
         self.w = store.create(f"{name}.w", (d_in, d_out),
@@ -517,7 +544,7 @@ class Linear:
         self.b = store.create(f"{name}.b", (d_out,), np.zeros)
 
     def forward(self, x):
-        return linear_forward(x, self.w, self.b)
+        return self._run(linear_forward, x, self.w, self.b)
 
     def backward(self, gy, cache):
         gx, gw, gb = linear_backward(gy, cache)
@@ -526,14 +553,14 @@ class Linear:
         return gx
 
 
-class LayerNorm:
+class LayerNorm(_Layer):
     def __init__(self, store, name, dim):
         self._store, self._name = store, name
         self.gamma = store.create(f"{name}.gamma", (dim,), np.ones)
         self.beta = store.create(f"{name}.beta", (dim,), np.zeros)
 
     def forward(self, x):
-        return layer_norm_forward(x, self.gamma, self.beta)
+        return self._run(layer_norm_forward, x, self.gamma, self.beta)
 
     def backward(self, gy, cache):
         gx, ggamma, gbeta = layer_norm_backward(gy, cache)
@@ -542,7 +569,7 @@ class LayerNorm:
         return gx
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(_Layer):
     def __init__(self, store, name, d_model, heads, rng):
         if d_model % heads:
             raise ValidationError(f"d_model {d_model} not divisible by heads {heads}")
@@ -556,11 +583,11 @@ class MultiHeadAttention:
             self.params[key] = store.create(f"{name}.{key}", (d_model,), np.zeros)
 
     def forward(self, q_in, kv_in):
-        return mha_forward(q_in, kv_in, self.params, self.heads)
+        return self._run(mha_forward, q_in, kv_in, self.params, self.heads)
 
     def backward(self, gy, cache):
         """Returns (gq_in, gkv_in)."""
-        gq_in, gkv_in, grads = mha_backward(gy, cache)
+        gq_in, gkv_in, grads = self._run(mha_backward, gy, cache)
         for key, g in grads.items():
             self._store.add_grad(f"{self._name}.{key}", g)
         return gq_in, gkv_in

@@ -306,6 +306,22 @@ def relu_pool_backward(gy, cache):
     return nn.relu_backward(nn.maxpool2_backward(gy, pool_cache), relu_cache)
 
 
+def four_view_maxpool2(x):
+    """2x2 stride-2 max pool as the max of the four stride-2 views, paired
+    in raster order: max(max(x00, x01), max(x10, x11))."""
+    return np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+                      np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
+
+
+def padded_window_columns(x, kh, kw, stride, pad):
+    """The (N, C*kh*kw, Ho*Wo) im2col columns of x by np.pad and
+    sliding_window_view, transposed to (N, C, kh, kw, Ho, Wo) and copied."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, ho, wo = win.shape[:4]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
+
+
 def read_features(path) -> np.ndarray:
     """The array of an AVQF feature dump (``audiofe.write_features``):
     the magic, then one tensor record that must end the file."""

@@ -87,6 +87,17 @@ class TestSTFT:
         assert mag.shape[0] == n_frames
         assert mag.tobytes() == one_shot_stft_magnitude(x).tobytes()
 
+    @pytest.mark.parametrize("n_frames", [1, PATCH_FRAMES - 1, 2 * PATCH_FRAMES,
+                                          2 * PATCH_FRAMES + 3])
+    @pytest.mark.parametrize("sr", [8000, 44100])
+    def test_blocks_equal_one_transform_at_other_rates(self, n_frames, sr):
+        # other window lengths and FFT sizes: 200 in 256 at 8 kHz, 1102 in 2048 at 44.1 kHz
+        win, hop = round(audiofe.FRAME_LEN_S * sr), round(audiofe.HOP_S * sr)
+        x = np.random.default_rng(n_frames + sr).uniform(-1.0, 1.0, win + (n_frames - 1) * hop)
+        mag = stft_magnitude(mono(x, sr))
+        assert mag.shape[0] == n_frames
+        assert mag.tobytes() == one_shot_stft_magnitude(x, sr).tobytes()
+
     def test_memory_is_output_plus_one_block(self):
         clip = mono(np.random.default_rng(34).uniform(-1.0, 1.0, 30 * 16000))
         tracemalloc.start()

@@ -163,6 +163,8 @@ BREAKS = {
     "unknown meta tensor": ("checkpoint", _checkpoint_edit(
         lambda t: t.update({"meta/bogus": np.float32(1)}))),
     "a tensor twice": ("checkpoint", _repeated_tensor),
+    "a NaN parameter": ("checkpoint", _checkpoint_edit(
+        lambda t: t.update({"head.b": np.full_like(t["head.b"], np.nan)}))),
 }
 
 # (command, input, fault) -> why the faulted input is still valid there

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from avq360.audiofe import resample_linear
 from avq360.errors import DataError, ValidationError
 from avq360.manifest import (
     SCENES,
@@ -394,6 +395,55 @@ class TestWAV:
             tracemalloc.stop()
         assert clip.samples.nbytes == 8 * n
         assert peak < 1.25 * clip.samples.nbytes
+
+    # 65 536 frames per block is 1 (mod 3): a block past the first starts
+    # off the phase of the kept frames
+    BLOCKS = 2 * 2 ** 16
+
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    @pytest.mark.parametrize("sr, n", [
+        (48000, 3000), (48000, 3001), (48000, 3002),
+        (48000, BLOCKS + 1000), (48000, BLOCKS + 1001), (48000, BLOCKS + 1002),
+        (32000, 3001), (32000, BLOCKS + 1001), (96000, 3001), (96000, BLOCKS + 1001),
+        (44100, 3001), (8000, 3001), (16000, 3001),
+    ])
+    def test_decode_at_rate_equals_resampled_whole_decode(self, tmp_path, channels, sr, n):
+        pcm = np.random.default_rng(n + channels).integers(
+            -32768, 32768, size=(n, channels)).astype("<i2")
+        pcm[[0, n - 1]] = -32768
+        path = tmp_path / "r.wav"
+        path.write_bytes(wav_bytes(channels, sr, pcm.tobytes()))
+        got = load_wav(path, 16000)
+        whole = load_wav(path)
+        # a multiple of 16 kHz comes back decimated to it, any other rate as it is
+        want = resample_linear(whole, 16000) if sr % 16000 == 0 else whole
+        assert got.sample_rate == want.sample_rate == (16000 if sr % 16000 == 0 else sr)
+        assert got.samples.flags.c_contiguous
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_decode_at_rate_holds_no_whole_rate_row(self, tmp_path):
+        # 30 s of 4-channel 48 kHz audio: an 11.5 MB file, an 11.5 MB row at
+        # 48 kHz and a 3.8 MB one at 16 kHz
+        n = 30 * 48000
+        pcm = np.random.default_rng(0).integers(-32768, 32768, size=(n, 4)).astype("<i2")
+        path = tmp_path / "long.wav"
+        path.write_bytes(wav_bytes(4, 48000, pcm.tobytes()))
+        del pcm
+        tracemalloc.start()
+        try:
+            clip = load_wav(path, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clip.samples.nbytes == 8 * n // 3
+        assert peak < 1.25 * clip.samples.nbytes + 2 ** 20
+
+    @pytest.mark.parametrize("rate", [0, -16000])
+    def test_rate_not_positive_is_validation_error(self, tmp_path, rate):
+        path = tmp_path / "s.wav"
+        path.write_bytes(wav_bytes(1, 48000, bytes(8)))
+        with pytest.raises(ValidationError, match="rate must be > 0"):
+            load_wav(path, rate)
 
     def test_zero_sample_rate_is_data_error(self, tmp_path):
         path = tmp_path / "zero.wav"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from avq360 import nn
-from avq360.errors import DataError, ValidationError
+from avq360.errors import DataError, NumericError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
     SCORE_GROUP,
@@ -258,6 +258,16 @@ class TestScoring:
         m = AVQAModel(cfg)
         feat = tiny_features(seed=p, t=cfg.frames_per_clip, m=cfg.bands, p=p)
         assert m.predict(feat) == 100.0 * m.forward(feat)
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_overflow_names_the_layer_path(self, taped):
+        m = AVQAModel(tiny_model_config())
+        m.store.params["audio.cnn.conv0.w"][...] = 1.0
+        feat = tiny_features(seed=36)
+        feat.audio[...] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as e:
+            (m.forward if taped else m.predict)(feat)
+        assert str(e.value) == "audio.cnn.conv0: conv2d: non-finite values detected"
 
     def test_predict_leaves_the_tape_to_backward(self):
         cfg = tiny_model_config()

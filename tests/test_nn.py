@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -8,8 +9,9 @@ from avq360 import nn
 from avq360.audiofe import write_features
 from avq360.errors import DataError, NumericError, ValidationError
 
-from oracles import (gradient_rel_err, naive_conv2d, naive_maxpool2, numerical_gradient,
-                     read_features, relu_pool_backward, relu_pool_forward)
+from oracles import (four_view_maxpool2, gradient_rel_err, naive_conv2d, naive_maxpool2,
+                     numerical_gradient, padded_window_columns, read_features,
+                     relu_pool_backward, relu_pool_forward)
 
 
 def weighted_sum_loss(seed, shape):
@@ -137,6 +139,38 @@ class TestKernelOracles:
         want_y, want_gx = naive_maxpool2(x.tolist(), gy.tolist())
         np.testing.assert_array_equal(y, want_y)
         np.testing.assert_array_equal(gx, want_gx)
+
+    def test_pool_equals_four_view_max_bitwise(self):
+        # every window over six values, signed zeros and -inf among them,
+        # except the all -inf ones, whose max the finite check refuses
+        vals = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0]
+        windows = np.array(list(itertools.product(vals, repeat=4)))
+        windows = windows[np.isfinite(windows.max(axis=1))]
+        x = windows.reshape(-1, 1, 2, 2).transpose(1, 2, 0, 3).reshape(1, 1, 2, -1)
+        rng = np.random.default_rng(6)
+        for x in (x, rng.integers(-2, 3, size=(2, 3, 8, 6)) * 0.5, rng.normal(size=(3, 2, 6, 10))):
+            assert nn.maxpool2_forward(x)[0].tobytes() == four_view_maxpool2(x).tobytes()
+
+    def test_pool_refuses_an_infinite_max(self):
+        x = np.zeros((1, 1, 4, 4))
+        x[0, 0, 3, 2] = np.inf
+        with pytest.raises(NumericError, match="maxpool2"):
+            nn.maxpool2_forward(x)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_conv_columns_equal_padded_windows(self, stride, pad):
+        rng = np.random.default_rng(10 * stride + pad)
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        # a C-order input, and a strided view like the model's band slices
+        for x in (rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(2, 4, 3, 7, 6))[:, 1]):
+            y, (cols, *_) = nn.conv2d_forward(x, w, b, stride, pad)
+            want = padded_window_columns(x, 3, 3, stride, pad)
+            assert cols.tobytes() == want.tobytes()
+            want_y = w.reshape(4, -1) @ want
+            want_y += b[:, None]
+            assert y.tobytes() == want_y.tobytes()
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
     def test_conv_without_input_gradient(self, stride, pad):
@@ -471,6 +505,38 @@ class TestFiniteChecks:
             nn.linear_forward(x, np.eye(2))[0]
 
 
+class TestLayerNames:
+    """A layer's NumericError names the layer; the functional op's, only the op."""
+
+    @staticmethod
+    def _layers(store, rng):
+        return {
+            "conv2d": (nn.Conv2d(store, "audio.cnn.conv0", 1, 2, rng), (np.full((1, 1, 4, 4), 1e308),)),
+            "linear": (nn.Linear(store, "head", 2, 1, rng), (np.full((3, 2), 1e308),)),
+            "layer_norm": (nn.LayerNorm(store, "audio.ln", 4), (np.full((3, 4), 1e308),)),
+            "mha": (nn.MultiHeadAttention(store, "fusion.block1.xattn", 4, 2, rng),
+                    # queries of zero keep the softmax finite; the values overflow
+                    (np.full((3, 4), -0.25), np.full((2, 4), 2e307))),
+        }
+
+    @pytest.mark.parametrize("op", ["conv2d", "linear", "layer_norm", "mha"])
+    def test_overflow_names_the_layer(self, op):
+        store = nn.ParamStore()
+        layer, args = self._layers(store, np.random.default_rng(0))[op]
+        for p in store.params.values():
+            p[...] = 1.0  # so no two terms of a sum cancel
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as e:
+                layer.forward(*args)
+        assert str(e.value) == f"{layer._name}: {op}: non-finite values detected"
+
+    def test_functional_op_names_only_itself(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as e:
+                nn.conv2d_forward(np.full((1, 1, 4, 4), 1e308), np.ones((2, 1, 3, 3)), None, 1, 1)
+        assert str(e.value) == "conv2d: non-finite values detected"
+
+
 class TestCheckpointFormat:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -514,6 +580,16 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match=r"tensor 'head\.b' appears twice") as e:
             nn.read_checkpoint(path)
         assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_data_error(self, tmp_path, value):
+        w = np.zeros((2, 3), np.float32)
+        w[1, 2] = value
+        path = tmp_path / "m.avqc"
+        nn.write_checkpoint(path, {"head.b": np.float32(1.0), "head.w": w})
+        with pytest.raises(DataError, match=r"tensor 'head\.w' holds non-finite values") as e:
+            nn.read_checkpoint(path)
+        assert str(e.value).startswith(f"{path}: ")
 
     def test_interrupted_write_leaves_earlier_checkpoint_and_no_temporary_file(
         self, tmp_path, monkeypatch
