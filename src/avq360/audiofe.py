@@ -9,6 +9,14 @@ shape of the model's audio CNN. Energies are quadratic in magnitude
 the log. No DCT is applied; the front-end stops at the
 log-mel representation the downstream CNN consumes.
 
+Every step runs on blocks of PATCH_FRAMES frames, placed by ``_blocks``.
+``log_mel_patches``, the path the model takes, goes from the clip's row
+to the patch stack one block at a time, and holds no whole-clip spectrum:
+one block's frames, spectrum and magnitudes, allocated once per clip
+(``_STFTBlock``), besides the patch stack it returns. ``stft_magnitude``
+and ``log_mel`` are the same steps as whole-clip functions, and the
+patch stack equals their composition bit for bit.
+
 Clips arrive as one float64 row, the mean of a file's channels (see
 ``manifest.load_wav``). A file at a multiple of SAMPLE_RATE (48 or
 32 kHz) is decoded at SAMPLE_RATE: only the frames that exact decimation
@@ -57,6 +65,58 @@ def next_pow2(n: int) -> int:
     return p
 
 
+def _frames(clip: AudioClip) -> tuple[np.ndarray, int]:
+    """The (n_frames, win) strided frame view of a mono clip, none when it
+    is shorter than one window, and the FFT size."""
+    if clip.channels != 1:
+        raise ValidationError(f"stft needs a mono clip, got {clip.channels} channels")
+    x = clip.samples[0]
+    win = int(round(FRAME_LEN_S * clip.sample_rate))
+    hop = int(round(HOP_S * clip.sample_rate))
+    if win < 2 or hop < 1:
+        raise ValidationError("window/hop too small for this sample rate")
+    frames = sliding_window_view(x, win)[::hop] if len(x) >= win else np.empty((0, win))
+    return frames, next_pow2(win)
+
+
+def _blocks(n: int):
+    """Slices of PATCH_FRAMES rows (all n, when there are fewer) that
+    cover n rows in order; the last ends at row n and overlaps the one
+    before it."""
+    k = min(n, PATCH_FRAMES)
+    for i in range(0, n, PATCH_FRAMES):
+        i = min(i, n - k)
+        yield slice(i, i + k)
+
+
+class _STFTBlock:
+    """The work arrays of one clip's STFT, allocated once: the periodic
+    Hann window of length win, a zeroed (rows, nfft) frame block, and its
+    complex spectrum.
+
+    ``magnitude`` writes the windowed frames into the first win columns
+    of the frame block, whose other columns stay zero, so ``rfft`` pads
+    no copy of its own. It transforms each row on its own, so blocks give
+    the bits of one zero-padded transform over all frames."""
+
+    def __init__(self, rows: int, win: int, nfft: int):
+        self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+        self.padded = np.zeros((rows, nfft))
+        self.spectrum = np.empty((rows, nfft // 2 + 1), dtype=np.complex128)
+
+    def magnitude(self, frames: np.ndarray, out: np.ndarray) -> None:
+        """|rfft| of the windowed ``frames``, as many as the block has rows."""
+        np.multiply(frames, self.window, out=self.padded[:, : self.window.size])
+        np.abs(np.fft.rfft(self.padded, axis=1, out=self.spectrum), out=out)
+
+
+def _mel_block(mag: np.ndarray, fb: np.ndarray, power: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = (mag squared) @ fb.T; ``power`` takes the squares and may
+    be ``mag`` itself."""
+    np.square(mag, out=power)
+    np.matmul(power, fb.T, out=out)
+
+
 def stft_magnitude(clip: AudioClip) -> np.ndarray:
     """Magnitude STFT of a mono clip.
 
@@ -66,34 +126,16 @@ def stft_magnitude(clip: AudioClip) -> np.ndarray:
     n_frames = 1 + floor((len-win)/hop); a clip shorter than one window
     yields zero frames, not an error (``model.audio_input`` makes it one).
 
-    Frames are windowed and transformed PATCH_FRAMES at a time, straight
-    into the output, so besides it only one block's frames and spectrum
-    are alive. Each block's windowed frames are written into the first
-    win columns of one zeroed (PATCH_FRAMES, nfft) buffer, whose other
-    columns stay zero, so ``rfft`` pads no copy of its own. It transforms
-    each row on its own, so the blocks give the bits of one zero-padded
-    transform over all frames.
+    Frames are windowed and transformed PATCH_FRAMES at a time
+    (``_blocks``, ``_STFTBlock``), straight into the output, so besides it
+    only one block's frames and spectrum are alive.
     """
-    if clip.channels != 1:
-        raise ValidationError(f"stft needs a mono clip, got {clip.channels} channels")
-    x = clip.samples[0]
-    win = int(round(FRAME_LEN_S * clip.sample_rate))
-    hop = int(round(HOP_S * clip.sample_rate))
-    if win < 2 or hop < 1:
-        raise ValidationError("window/hop too small for this sample rate")
-    nfft = next_pow2(win)
-    bins = nfft // 2 + 1
-    if len(x) < win:
-        return np.zeros((0, bins))
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)  # periodic Hann
-    frames = sliding_window_view(x, win)[::hop]
-    out = np.empty((len(frames), bins))
-    padded = np.zeros((min(len(frames), PATCH_FRAMES), nfft))
-    for i in range(0, len(frames), PATCH_FRAMES):
-        block = frames[i : i + PATCH_FRAMES]
-        rows = padded[: len(block)]
-        np.multiply(block, window, out=rows[:, :win])
-        np.abs(np.fft.rfft(rows, axis=1), out=out[i : i + len(block)])
+    frames, nfft = _frames(clip)
+    n, win = frames.shape
+    out = np.empty((n, nfft // 2 + 1))
+    block = _STFTBlock(min(n, PATCH_FRAMES), win, nfft)
+    for rows in _blocks(n):
+        block.magnitude(frames[rows], out[rows])
     return out
 
 
@@ -126,11 +168,11 @@ def log_mel(stft_mag: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
     The spectrum is squared PATCH_FRAMES rows at a time into one work
     block, and each block's mel product goes straight into the output, so
     no squared copy of the whole spectrum is made. Every block has
-    PATCH_FRAMES rows (all rows, when there are fewer): the last one ends
-    at the last row and overlaps the one before it. BLAS may sum a product
-    of a few rows in another order, while a block of PATCH_FRAMES rows
-    gives each row the bits of one product over the whole spectrum
-    (``tests/test_audiofe.py`` holds the two equal)."""
+    PATCH_FRAMES rows (all rows, when there are fewer), placed by
+    ``_blocks``. BLAS may sum a product of a few rows in another order,
+    while a block of PATCH_FRAMES rows gives each row the bits of one
+    product over the whole spectrum (``tests/test_audiofe.py`` holds the
+    two equal)."""
     mag = np.asarray(stft_mag, dtype=np.float64)
     fb = np.asarray(filterbank, dtype=np.float64)
     if mag.ndim != 2 or fb.ndim != 2 or mag.shape[1] != fb.shape[1]:
@@ -138,29 +180,42 @@ def log_mel(stft_mag: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
             f"shape mismatch: stft {mag.shape} vs filterbank {fb.shape}"
         )
     n = mag.shape[0]
-    k = min(PATCH_FRAMES, n)
     out = np.empty((n, fb.shape[0]))
-    power = np.empty((k, mag.shape[1]))
-    for i in range(0, n, PATCH_FRAMES):
-        i = min(i, n - k)
-        np.square(mag[i : i + k], out=power)
-        np.matmul(power, fb.T, out=out[i : i + k])
+    power = np.empty((min(n, PATCH_FRAMES), mag.shape[1]))
+    for rows in _blocks(n):
+        _mel_block(mag[rows], fb, power, out[rows])
     out += LOG_OFFSET
     return np.log(out, out=out)
 
 
-def frame_patches(mel: np.ndarray) -> np.ndarray:
-    """Cut (frames, num_mel) log-mel values into consecutive windows.
+def log_mel_patches(clip: AudioClip) -> np.ndarray:
+    """Log-mel patch stack (P, PATCH_FRAMES, NUM_MEL) of a mono
+    SAMPLE_RATE clip: the rows of ``log_mel(stft_magnitude(clip),
+    mel_filterbank(...))`` cut into consecutive patches, P = ceil(frames /
+    PATCH_FRAMES), the last one zero-padded, bit for bit. A clip shorter
+    than one window gives P = 0.
 
-    Returns the (P, PATCH_FRAMES, num_mel) stack, P = ceil(frames /
-    PATCH_FRAMES); the trailing partial window is zero-padded. Zero input
-    frames give P = 0.
+    No whole-clip spectrum is made. PATCH_FRAMES frames at a time are
+    windowed, transformed, turned into magnitudes and squared in one
+    spectrum block, and the block's mel product is written straight into
+    the patch rows. The blocks are those of ``log_mel`` (``_blocks``), so
+    every mel row comes from the same PATCH_FRAMES-row product. The offset
+    and the log then run on the filled rows only.
     """
-    n, num_mel = mel.shape
-    p = -(-n // PATCH_FRAMES)
-    out = np.zeros((p * PATCH_FRAMES, num_mel), dtype=mel.dtype)
-    out[:n] = mel
-    return out.reshape(p, PATCH_FRAMES, num_mel)
+    frames, nfft = _frames(clip)
+    n, win = frames.shape
+    patches = np.zeros((-(-n // PATCH_FRAMES), PATCH_FRAMES, NUM_MEL))
+    block = _STFTBlock(min(n, PATCH_FRAMES), win, nfft)
+    mag = np.empty(block.spectrum.shape)
+    fb = mel_filterbank(fft_bins=mag.shape[1])
+    mel = patches.reshape(-1, NUM_MEL)
+    for rows in _blocks(n):
+        block.magnitude(frames[rows], mag)
+        _mel_block(mag, fb, mag, mel[rows])
+    filled = mel[:n]
+    filled += LOG_OFFSET
+    np.log(filled, out=filled)
+    return patches
 
 
 def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:

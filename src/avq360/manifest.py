@@ -215,13 +215,25 @@ class FrameSequence:
     def width(self) -> int:
         return self.frames.shape[2]
 
+    def walk(self, indices=None):
+        """The frames ``indices`` name (every frame by default), one at a
+        time, for a caller that is done with each before it asks for the
+        next: ``Y4MFrames`` read them all into one plane, which each step
+        overwrites, and an ndarray gives views of its frames."""
+        if indices is None:
+            indices = range(self.n_frames)
+        if isinstance(self.frames, Y4MFrames):
+            return self.frames.walk(indices)
+        return (self.frames[i] for i in indices)
+
 
 class Y4MFrames:
     """The luma planes of a YUV4MPEG2 file, read from the file when used.
 
     ``load_y4m`` records where each plane starts. A plane is read only
-    when it is indexed or iterated over, into a fresh uint8 array, and no
-    file handle stays open between reads. The object offers the part of
+    when it is indexed or iterated over, into a fresh uint8 array, or
+    walked (``walk``), into one plane reused for every step. No file
+    handle stays open between reads. The object offers the part of
     the ndarray surface that users of ``FrameSequence.frames`` take:
     ``len``, an integer index, a slice (an ndarray of those frames),
     iteration, ``shape``, ``dtype``, ``ndim`` and ``np.asarray`` (which
@@ -258,6 +270,14 @@ class Y4MFrames:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self[:], dtype=dtype)
+
+    def walk(self, indices):
+        """The planes ``indices`` name, each read into one plane that the
+        next step overwrites, so a walk faults in the pages of one plane,
+        not of one per frame."""
+        plane = np.empty(self.shape[1:], self.dtype)
+        for i in indices:
+            yield self._read_into(i, plane)
 
     def _read_into(self, i: int, plane: np.ndarray) -> np.ndarray:
         try:

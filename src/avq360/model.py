@@ -22,9 +22,13 @@ with each conv's im2col columns and each pool's input, so training holds
 one sample's activations. ``predict`` keeps no tape: each conv stack runs
 over groups of at most SCORE_GROUP samples and frees a stage's buffers
 before the next, so scoring holds one group's activations however long
-the clip is, and its score equals 100 * ``forward``'s bit for bit.
-Preprocessing converts one picked video frame at a time (``video_input``)
-and one block of STFT frames at a time (``audiofe.stft_magnitude``).
+the clip is, and its score equals 100 * ``forward``'s bit for bit. At
+the default 8 frames, a band's frames run as two groups. Preprocessing
+converts one picked video frame at a time, read into one reused plane
+(``video_input``), and turns PATCH_FRAMES STFT frames at a time into
+log-mel patch rows (``audiofe.log_mel_patches``), so no whole-clip
+spectrum is held. A loaded model allocates no gradients until it trains
+(``nn.ParamStore``).
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ BAND_INPUT_HW = (16, 32)
 # Hidden width of every transformer feed-forward, in multiples of d_model.
 FF_MULT = 2
 
-# Most samples a scoring pass sends through a conv stack at once: the 8
-# frames of a band stay one group, and the audio CNN holds the activations
-# of 8 patches, not of a whole clip.
-SCORE_GROUP = 8
+# Most samples a scoring pass sends through a conv stack at once: the audio
+# CNN holds the activations of 4 patches, not of a whole clip; its first
+# conv's columns and output for one group set the scoring peak. 4 runs no
+# slower than 8.
+SCORE_GROUP = 4
 
 
 @dataclass
@@ -154,7 +159,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
     The picked frames are converted one at a time into one float64 frame
     buffer, which, besides the output and the cached resampling matrices,
     is all that is kept alive; a sequence from ``load_y4m`` reads only the
-    picked frames from its file."""
+    picked frames from its file, into one reused plane
+    (``FrameSequence.walk``)."""
     if seq.width != 2 * seq.height:
         raise DataError(
             f"frame {seq.width}x{seq.height} is not 2:1 ERP"
@@ -169,8 +175,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
     picked = sample_frame_indices(seq.n_frames, cfg.frames_per_clip)
     out = np.empty((len(picked), cfg.bands, bh, bw))
     frame = np.empty((seq.height, seq.width))
-    for t, i in enumerate(picked):
-        np.divide(seq.frames[i], 255.0, out=frame, dtype=np.float64)
+    for t, luma in enumerate(seq.walk(picked)):
+        np.divide(luma, 255.0, out=frame, dtype=np.float64)
         for m, (a, b, row_mat) in enumerate(bands):
             out[t, m] = row_mat @ frame[a:b] @ col_t
     return out, prior
@@ -184,14 +190,13 @@ def audio_input(clip: AudioClip) -> np.ndarray:
     mono = clip if clip.channels == 1 else downmix_mono(clip)
     if mono.sample_rate != audiofe.SAMPLE_RATE:
         mono = audiofe.resample_linear(mono, audiofe.SAMPLE_RATE)
-    mag = audiofe.stft_magnitude(mono)
-    if mag.shape[0] == 0:
+    patches = audiofe.log_mel_patches(mono)
+    if len(patches) == 0:
         raise DataError(
             f"audio of {clip.n_samples} samples at {clip.sample_rate} Hz is shorter "
             f"than one {audiofe.FRAME_LEN_S * 1000:g} ms analysis frame"
         )
-    fb = audiofe.mel_filterbank(fft_bins=mag.shape[1])
-    return audiofe.frame_patches(audiofe.log_mel(mag, fb))
+    return patches
 
 
 def preprocess_sequence(
@@ -224,8 +229,11 @@ class _ConvStack:
     columns of each conv and the input of each pool, for all N samples.
     ``score`` keeps none of it: it runs the stages and the mean pool over
     at most SCORE_GROUP samples at a time, so only one group's activations
-    are alive, and then projects the pooled rows once, as ``forward``
-    does, so its output equals ``forward``'s bit for bit.
+    are alive (the first conv's columns and output for 4 audio patches,
+    about 3.3 MB, are its largest), and then projects the pooled rows
+    once, as ``forward`` does. Each sample's conv product and mean are
+    computed on their own, so its output equals ``forward``'s bit for
+    bit whatever the group size.
 
     Each stage pools before its relu, so the relu runs on a quarter of the
     elements. That equals relu then pool, bit for bit, in both passes:

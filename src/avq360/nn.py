@@ -341,7 +341,10 @@ class ParamStore:
     A store built from ``initial``, a mapping of names to float64 arrays,
     is strict: ``create`` takes ``initial[name]`` over by reference and
     calls no initializer, and a name ``initial`` lacks, or an array of
-    another shape, raises DataError before anything is allocated.
+    another shape, raises DataError before anything is allocated. Such a
+    store, a loaded checkpoint's, holds no gradients until it trains:
+    ``zero_grads`` (or the first ``add_grad`` of a name) allocates the
+    missing ones, so scoring never carries a zero copy of every parameter.
     """
 
     def __init__(self, initial: dict[str, np.ndarray] | None = None):
@@ -365,17 +368,23 @@ class ParamStore:
                     f"shape mismatch for {name}: checkpoint {arr.shape} vs model {shape}"
                 )
         self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
+        if self._initial is None:
+            self.grads[name] = np.zeros_like(arr)
         return arr
 
     def param_names(self) -> list[str]:
         return sorted(self.params)
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        for name, p in self.params.items():
+            if name in self.grads:
+                self.grads[name][...] = 0.0
+            else:
+                self.grads[name] = np.zeros_like(p)
 
     def add_grad(self, name: str, g) -> None:
+        if name not in self.grads:
+            self.grads[name] = np.zeros_like(self.params[name])
         self.grads[name] += g
 
 

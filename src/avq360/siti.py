@@ -7,11 +7,12 @@ the interior only (1-pixel border excluded, no padding) so independent
 pixel-level oracles can match it exactly; standard deviations use the
 population (n) convention.
 
-``summarize_siti`` walks the sequence once: each luma plane is read once,
-gives its frame's SI, and is kept for the TI of the next frame pair. So
-no whole-sequence copy is made. The walk allocates its work planes once
-per sequence and fills them frame by frame with ``out=``; one float64
-plane holds SI's magnitude and then TI's deviations. So its speed does
+``summarize_siti`` walks the sequence once (``FrameSequence.walk``): each
+luma plane is read once, into one reused plane, gives its frame's SI, and
+is kept, widened, for the TI of the next frame pair. So no whole-sequence
+copy is made. The walk allocates its work planes once per sequence and
+fills them frame by frame with ``out=``; one float64 plane holds SI's
+magnitude and then TI's deviations. So its speed does
 not depend on what the allocator was left holding: a fresh process faults
 in no new pages per frame. uint8 luma takes an integer path: each frame
 is widened once to int16, the Sobel sums, Gx, Gy (|x| <= 1 020) and the
@@ -153,7 +154,7 @@ def _walk(seq: FrameSequence, si: bool, ti: bool) -> tuple[np.ndarray, np.ndarra
         raise ValidationError("temporal information needs at least 2 frames")
     si_values, ti_values = [], []
     prev = None
-    for frame in seq.frames:
+    for frame in seq.walk():
         frame = planes.widen(frame)
         if si:
             mag = sobel_magnitude(frame, planes)

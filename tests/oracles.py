@@ -9,6 +9,7 @@ package building blocks so that tests can pin those blocks' behaviour.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -320,6 +321,28 @@ def padded_window_columns(x, kh, kw, stride, pad):
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     n, c, ho, wo = win.shape[:4]
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
+
+
+def traced_peak(fn):
+    """Peak bytes ``tracemalloc`` sees above its start while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def whole_clip_patches(clip):
+    """The log-mel patch stack of a mono 16 kHz clip as the whole-clip
+    functions give it: ``stft_magnitude``, then ``log_mel``, then the rows
+    cut into zero-padded windows of PATCH_FRAMES frames."""
+    mag = audiofe.stft_magnitude(clip)
+    mel = audiofe.log_mel(mag, audiofe.mel_filterbank(fft_bins=mag.shape[1]))
+    p = -(-len(mel) // audiofe.PATCH_FRAMES)
+    rows = np.zeros((p * audiofe.PATCH_FRAMES, mel.shape[1]))
+    rows[: len(mel)] = mel
+    return rows.reshape(p, audiofe.PATCH_FRAMES, mel.shape[1])
 
 
 def read_features(path) -> np.ndarray:

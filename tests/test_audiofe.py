@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from avq360 import audiofe
 from avq360.audiofe import (
     PATCH_FRAMES,
-    frame_patches,
     hz_to_mel,
     log_mel,
+    log_mel_patches,
     mel_filterbank,
     mel_to_hz,
     next_pow2,
@@ -212,39 +212,39 @@ class TestLogMel:
 
 
 class TestPatches:
-    def make_mel(self, n_frames):
-        fb = mel_filterbank(fft_bins=257)
-        rng = np.random.default_rng(2)
-        return log_mel(rng.uniform(0, 1, size=(n_frames, 257)), fb)
+    """``log_mel_patches``, the block loop that turns a clip into its patch
+    stack, against the whole-clip functions."""
+
+    def clip(self, n_frames):
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, 400 + (n_frames - 1) * 160)
+        return mono(x)
+
+    def whole_clip_mel(self, clip):
+        mag = stft_magnitude(clip)
+        return log_mel(mag, mel_filterbank(fft_bins=mag.shape[1]))
 
     def test_98_frames_two_patches(self):
-        mel = self.make_mel(98)
-        patches = frame_patches(mel)
+        clip = self.clip(98)
+        mel = self.whole_clip_mel(clip)
+        patches = log_mel_patches(clip)
         assert patches.shape == (2, 96, 64)
         assert np.array_equal(patches[0], mel[:96])
         assert np.array_equal(patches[1, :2], mel[96:])
         assert np.all(patches[1, 2:] == 0.0)  # 94 zero-padded tail rows
 
     def test_exact_fit_single_patch(self):
-        mel = self.make_mel(96)
-        patches = frame_patches(mel)
+        clip = self.clip(96)
+        patches = log_mel_patches(clip)
         assert patches.shape == (1, 96, 64)
-        assert np.array_equal(patches[0], mel)  # no zero-padded tail rows
+        assert np.array_equal(patches[0], self.whole_clip_mel(clip))  # no zero-padded tail rows
 
     def test_empty_input(self):
-        fb = mel_filterbank(fft_bins=257)
-        mel = log_mel(np.zeros((0, 257)), fb)
-        assert frame_patches(mel).shape == (0, 96, 64)
+        # shorter than one 400-sample window: no frames, no patches
+        assert log_mel_patches(mono(np.zeros(399))).shape == (0, 96, 64)
 
     def test_full_pipeline_deterministic(self):
-        x = tone(523.25, amp=0.6)
-        fb = mel_filterbank(fft_bins=257)
-
-        def run():
-            mel = log_mel(stft_magnitude(mono(x)), fb)
-            return frame_patches(mel)
-
-        assert np.array_equal(run(), run())
+        clip = mono(tone(523.25, amp=0.6))
+        assert np.array_equal(log_mel_patches(clip), log_mel_patches(clip))
 
 
 class TestResample:

@@ -247,6 +247,26 @@ class TestLazyY4M:
         first[:] = 0
         assert np.array_equal(got[0], frames[0])
 
+    def test_walk_reads_every_step_into_one_plane(self, tmp_path):
+        path = tmp_path / "v.y4m"
+        frames = self.write(path)
+        seq = load_y4m(path)
+        planes = []
+        for want, plane in zip(frames[[4, 0, 2]], seq.walk([4, 0, 2]), strict=True):
+            assert np.array_equal(plane, want)
+            planes.append(plane)
+        assert all(plane is planes[0] for plane in planes)
+        assert [np.array_equal(a, b) for a, b in zip(seq.walk(), frames, strict=True)] == [True] * 5
+        # indexing still gives every other caller a fresh array
+        assert seq.frames[1] is not seq.frames[1]
+
+    def test_walk_of_an_array_gives_views_of_its_frames(self):
+        frames = np.arange(3 * 4 * 8, dtype=np.uint8).reshape(3, 4, 8)
+        seq = FrameSequence(frames=frames, fps=8.0)
+        walked = list(seq.walk([2, 0]))
+        assert all(np.shares_memory(plane, frames) for plane in walked)
+        assert np.array_equal(walked[0], frames[2]) and np.array_equal(walked[1], frames[0])
+
     def test_file_shortened_after_loading_is_data_error_naming_frame(self, tmp_path):
         path = tmp_path / "v.y4m"
         frames = self.write(path)

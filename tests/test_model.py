@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from avq360 import nn
+from avq360 import audiofe, nn
 from avq360.errors import DataError, NumericError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
@@ -26,7 +26,7 @@ from avq360.model import (
 from conftest import tiny_features, tiny_model_config
 from oracles import (LatitudeWeights, aggregate_band_features, area_resize,
                      finite_difference_store_grads, gradient_rel_err, reference_audio_input,
-                     relu_pool_backward, relu_pool_forward)
+                     relu_pool_backward, relu_pool_forward, traced_peak, whole_clip_patches)
 
 # the meta/ tensors of checkpoints written while the position codes, the
 # input geometry and the feed-forward width were settings and the
@@ -116,6 +116,35 @@ class TestPreprocessing:
         ref = reference_audio_input(pcm, sr)
         assert out.shape == (3, 96, 64)
         assert np.array_equal(out, ref)
+
+    # frame counts around one and two patches, and a 30 s clip (2 998 frames)
+    @pytest.mark.parametrize("n_frames", [1, 95, 96, 97, 191, 192, 193, 2998])
+    def test_audio_input_equals_the_whole_clip_functions(self, n_frames):
+        x = np.random.default_rng(n_frames).uniform(-0.9, 0.9, 400 + (n_frames - 1) * 160 + 7)
+        clip = AudioClip(samples=x[None], sample_rate=16000)
+        patches = audio_input(clip)
+        assert patches.shape == (-(-n_frames // 96), 96, 64)
+        assert patches.tobytes() == whole_clip_patches(clip).tobytes()
+
+    def test_audio_input_of_a_48_khz_wav_decoded_at_16_khz(self, tmp_path):
+        pcm = np.random.default_rng(37).integers(
+            -32768, 32768, size=(int(2.3 * 48000), 4)).astype("<i2")
+        path = tmp_path / "a.wav"
+        write_wav(AudioClip(samples=pcm.T / 32768.0, sample_rate=48000), path)
+        clip = load_wav(path, audiofe.SAMPLE_RATE)
+        assert clip.sample_rate == 16000
+        patches = audio_input(clip)
+        assert patches.shape == (3, 96, 64)
+        assert patches.tobytes() == whole_clip_patches(clip).tobytes()
+
+    @pytest.mark.parametrize("channels, n, sr", [(1, 399, 16000), (2, 0, 16000),
+                                                 (4, 1000, 48000)])
+    def test_audio_input_shorter_than_one_frame_is_data_error(self, channels, n, sr):
+        clip = AudioClip(samples=np.zeros((channels, n)), sample_rate=sr)
+        with pytest.raises(DataError) as e:
+            audio_input(clip)
+        assert str(e.value) == (f"audio of {n} samples at {sr} Hz is shorter than one "
+                                "25 ms analysis frame")
 
     def test_sinusoidal_positions(self):
         pe = sinusoidal_positions(4, 8)
@@ -239,19 +268,11 @@ class TestConvStack:
             assert g.tobytes() == grads[k].tobytes(), k
 
 
-def traced_peak(fn):
-    """Peak bytes ``tracemalloc`` sees above its start while ``fn`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestScoring:
+    # patch counts around one group and around two, and past them
     @pytest.mark.parametrize("p", [1, SCORE_GROUP - 1, SCORE_GROUP, SCORE_GROUP + 1,
-                                   2 * SCORE_GROUP + 3])
+                                   2 * SCORE_GROUP - 1, 2 * SCORE_GROUP, 2 * SCORE_GROUP + 1,
+                                   2 * SCORE_GROUP + 3, 4 * SCORE_GROUP + 3])
     @pytest.mark.parametrize("make_cfg", [ModelConfig, tiny_model_config])
     def test_predict_is_100_times_forward(self, make_cfg, p):
         cfg = make_cfg()
@@ -288,6 +309,15 @@ class TestScoring:
         feat = tiny_features(seed=32, t=8, m=4, p=32)
         assert traced_peak(lambda: m.predict(feat)) < 16 * 2 ** 20
 
+    def test_predict_holds_one_group_of_four_patches(self):
+        # the bound is the first audio conv's buffers for 4 patches of 96x64
+        # with 8 channels out (columns, output, pool pairs and pooled output),
+        # plus 2 MiB, about 6.6 MB; groups of 8 patches peaked near 10.6 MB
+        m = AVQAModel(ModelConfig())
+        feat = tiny_features(seed=32, t=8, m=4, p=32)
+        cols, out = 4 * 9 * 96 * 64 * 8, 4 * 8 * 96 * 64 * 8
+        assert traced_peak(lambda: m.predict(feat)) < cols + out + out // 2 + out // 4 + 2 * 2 ** 20
+
     def test_video_input_converts_one_frame_at_a_time(self):
         # 8 float64 copies of a 1024x512 frame are 33.5 MB
         frames = np.random.default_rng(33).integers(0, 256, (32, 512, 1024), dtype=np.uint8)
@@ -306,6 +336,16 @@ class TestScoring:
         patches = -(-frames // 96) * 96 * 64 * 8
         peak = traced_peak(lambda: audio_input(clip))
         assert peak < row + spectrum + mel + patches + 2 ** 20
+
+    def test_audio_input_holds_no_whole_clip_spectrum(self):
+        # a 30 s 48 kHz clip: the bound is the 16 kHz row and the patch stack,
+        # plus 2 MiB, about 7.5 MB; the 6.2 MB whole-clip spectrum put the
+        # peak near 13.6 MB
+        clip = AudioClip(samples=np.random.default_rng(35).uniform(-0.9, 0.9, (1, 30 * 48000)),
+                         sample_rate=48000)
+        row = 30 * 16000 * 8
+        patches = -(-(1 + (30 * 16000 - 400) // 160) // 96) * 96 * 64 * 8
+        assert traced_peak(lambda: audio_input(clip)) < row + patches + 2 * 2 ** 20
 
 
 class TestAudioBranch:
@@ -648,6 +688,24 @@ class TestPersistence:
         assert loaded.predict(feat) == want.predict(feat)
         # one array per name, shared by the store and its layer
         assert loaded.head.w is loaded.store.params["head.w"]
+
+    def test_loaded_model_holds_no_gradients_until_it_trains(self, tmp_path):
+        cfg = tiny_model_config(train_steps=3, batch_size=2)
+        path = tmp_path / "model.avqc"
+        AVQAModel(cfg).save(path)
+        loaded = AVQAModel.load(path)
+        assert loaded.store.grads == {}
+        eager = AVQAModel(cfg)
+        for name, value in loaded.store.params.items():
+            eager.store.params[name][...] = value
+        # the training settings a checkpoint does not record
+        loaded.cfg = cfg
+        feats = [tiny_features(seed=s) for s in (40, 41, 42)]
+        targets = np.array([0.2, 0.7, 0.5])
+        assert train_model(loaded, feats, targets).history == \
+            train_model(eager, feats, targets).history
+        for name in eager.store.param_names():
+            assert loaded.store.params[name].tobytes() == eager.store.params[name].tobytes()
 
     def test_load_errors_keep_their_messages(self, tmp_path):
         from avq360.model import _config_to_meta

@@ -477,7 +477,35 @@ class TestParamStore:
         store = nn.ParamStore({"w": w})
         assert store.create("w", (2, 2), no_init) is w
         assert store.params["w"] is w
+        # a loaded store holds no gradients until it trains
+        assert store.grads == {}
+        store.zero_grads()
         assert store.grads["w"].shape == (2, 2) and not store.grads["w"].any()
+
+    def test_store_from_initial_steps_like_an_eager_one(self):
+        rng = np.random.default_rng(5)
+        arrays = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+        eager = nn.ParamStore()
+        loaded = nn.ParamStore({name: a.copy() for name, a in arrays.items()})
+        for name, a in arrays.items():
+            eager.create(name, a.shape, lambda _, a=a: a.copy())
+            loaded.create(name, a.shape, no_init)
+        assert loaded.grads == {}
+        states = nn.adam_init(eager), nn.adam_init(loaded)
+        for k in range(3):
+            for store, state in zip((eager, loaded), states):
+                store.zero_grads()
+                for name in arrays:
+                    store.add_grad(name, np.sin(store.params[name] + k))
+                nn.adam_step(store, state)
+        for name in arrays:
+            assert loaded.params[name].tobytes() == eager.params[name].tobytes()
+
+    def test_first_add_grad_of_a_loaded_store_starts_from_zero(self):
+        store = nn.ParamStore({"w": np.ones(3)})
+        store.create("w", (3,), no_init)
+        store.add_grad("w", np.array([-0.0, 1.5, -2.0]))
+        assert store.grads["w"].tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
 
     def test_create_from_initial_shape_mismatch(self):
         store = nn.ParamStore({"w": np.zeros(3)})
