@@ -5,17 +5,28 @@ keys can be overridden with repeated ``--set key=value`` flags, and each
 override is echoed to stdout. Outputs go under the configured output
 directory, except the paths ``split_file``, ``mos_table`` and
 ``checkpoint`` name, and are byte-reproducible for a given config and
-seed. A file's parent directories are created when it is written; a path
-that cannot be written is a validation error.
+seed, except the feature files, whose key records where the media are
+and their modification times. A file's parent directories are created
+when it is written; a path that cannot be written is a validation error.
+
+Feature files: ``evaluate`` keeps each sequence's preprocessed model
+input in ``<output_dir>/features/<id>.avqc`` (see ``_features``), and
+every command that preprocesses reads it instead of the media while its
+key matches, so scoring unchanged media again does not preprocess them
+again. Only ``evaluate`` writes it: ``predict`` scores one sequence and
+writes nothing, ``train`` preprocesses each sequence once for a loop
+whose cost is the network's, and ``extract-features`` keeps the same
+arrays as AVQF dumps.
 
 Exit codes: 0 success, 2 validation error, 3 data error, 4 numeric
 failure. A fault in the content of an input file (the manifest, the
 media, the scores, MOS and split tables, a head-movement trace, the
-checkpoint), or a per-sequence file that ``media_root`` or ``hm_root``
-lacks, is a data error naming the file, decided where the file is read.
-A fault in the command line or the config file, or a configured path
-that names no file or a directory, is a validation error. A command that
-fails on its inputs writes nothing.
+checkpoint, a feature file), or a per-sequence file that ``media_root``
+or ``hm_root`` lacks, is a data error naming the file, decided where the
+file is read. A fault in the command line or the config file, or a
+configured path that names no file or a directory, is a validation
+error. A command that fails on its inputs writes nothing: a failing
+``evaluate`` leaves the feature files as they were.
 
 Only the commands report: a condition worth knowing is a ``warning:``
 line on stdout, and a failure is one ``error:``, ``data error:`` or
@@ -26,7 +37,9 @@ they found or raise, and emit no Python warnings.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +50,7 @@ from .errors import (DataError, NumericError, ValidationError, require_file,
                      require_writable_location)
 from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
                        read_csv_table, write_csv_table)
+from .nn import read_checkpoint, write_checkpoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -62,13 +76,31 @@ def _sequence_file(root: Path, sequence_id: str, suffix: str, what: str) -> Path
                         f"{what} of sequence {sequence_id!r}", DataError)
 
 
-def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
-              sequence_id: str) -> model.SequenceFeatures:
-    """Model input tensors of one sequence, preprocessed from its media;
-    ``load_wav`` decodes the audio to the mean of its channels, at the
-    front end's rate when the file's rate is a multiple of it. A data
-    error from preprocessing is prefixed with the sequence it concerns."""
+def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
+              written: list | None = None) -> model.SequenceFeatures:
+    """Model input tensors of one sequence. They are read from its feature
+    file ``<output_dir>/features/<sequence_id>.avqc`` when the file's
+    ``meta/key`` is the one ``_feature_key`` gives now, without opening the
+    media. Otherwise they are preprocessed from the media (``load_wav``
+    decodes the audio to the mean of its channels, at the front end's rate
+    when the file's rate is a multiple of it) and, when ``written`` is a
+    list, written beside that file as ``<sequence_id>.avqc.new``, which is
+    appended to ``written`` after the directories made for it (see
+    ``_feature_files``). A data error from preprocessing is prefixed with
+    the sequence it concerns."""
     video = _sequence_file(cfg.media_root, sequence_id, ".y4m", "media")
+    audio = _sequence_file(cfg.media_root, sequence_id, ".wav", "media")
+    path = cfg.output_dir / "features" / f"{sequence_id}.avqc"
+    key = _feature_key(model_cfg, video, audio)
+    if path.is_file():
+        tensors = read_checkpoint(path)
+        if sorted(tensors) != ["audio", "lat_prior", "meta/key", "video"]:
+            raise DataError(f"{path}: not a feature file, it holds {sorted(tensors)}")
+        if np.array_equal(tensors["meta/key"], key):
+            feat = model.SequenceFeatures(tensors["video"], tensors["audio"],
+                                          tensors["lat_prior"], sequence_id)
+            _check_feature_shapes(path, feat, model_cfg)
+            return feat
     seq = load_y4m(video)
     if seq.n_frames < model_cfg.frames_per_clip:
         raise DataError(f"{video}: {seq.n_frames} frames, the model takes "
@@ -76,12 +108,74 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig,
     if seq.height < model_cfg.bands:
         raise DataError(f"{video}: {seq.height} rows, the model takes "
                         f"{model_cfg.bands} latitude bands")
-    clip = load_wav(_sequence_file(cfg.media_root, sequence_id, ".wav", "media"),
-                    audiofe.SAMPLE_RATE)
+    clip = load_wav(audio, audiofe.SAMPLE_RATE)
     try:
-        return model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
+        feat = model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
     except DataError as e:
         raise DataError(f"sequence {sequence_id!r}: {e}") from e
+    if written is not None:
+        new = path.with_name(f"{path.name}.new")
+        written += [d for d in reversed(path.parents) if not d.exists()]
+        write_checkpoint(new, {"video": feat.video, "audio": feat.audio,
+                               "lat_prior": feat.lat_prior, "meta/key": key}, dtype="<f8")
+        written.append(new)
+    return feat
+
+
+def _feature_key(model_cfg: model.ModelConfig, video: Path, audio: Path) -> np.ndarray:
+    """The SHA-256 digest, as 32 byte values, of what a sequence's features
+    depend on: ``model.FEATURES_VERSION``, the two preprocessing fields
+    and, for both media files, where it lives (its resolved path and
+    inode), its size and its modification time."""
+    parts = [model.FEATURES_VERSION, model_cfg.bands, model_cfg.frames_per_clip]
+    for media in (video, audio):
+        st = media.stat()
+        parts += [str(media.resolve()), st.st_ino, st.st_size, st.st_mtime_ns]
+    digest = hashlib.sha256(repr(parts).encode()).digest()
+    return np.frombuffer(digest, dtype=np.uint8).astype(np.float64)
+
+
+def _check_feature_shapes(path: Path, feat: model.SequenceFeatures,
+                          model_cfg: model.ModelConfig) -> None:
+    """A DataError naming the feature file when its arrays do not fit the
+    model's frames, bands and input sizes."""
+    want = {"video": (model_cfg.frames_per_clip, model_cfg.bands, *model.BAND_INPUT_HW),
+            "lat_prior": (model_cfg.bands,)}
+    for name, shape in want.items():
+        if getattr(feat, name).shape != shape:
+            raise DataError(f"{path}: {name} has shape {getattr(feat, name).shape}, "
+                            f"the model takes {shape}")
+    p = feat.audio.shape
+    if len(p) != 3 or p[0] < 1 or p[1:] != (audiofe.PATCH_FRAMES, audiofe.NUM_MEL):
+        raise DataError(f"{path}: audio has shape {p}, the model takes "
+                        f"(P, {audiofe.PATCH_FRAMES}, {audiofe.NUM_MEL}) with P >= 1")
+
+
+@contextmanager
+def _feature_files():
+    """A list for ``_features`` to record the ``.new`` feature files a
+    command writes and the directories it makes for them. When the command
+    completes, each file is renamed over its ``<sequence_id>.avqc``; if it
+    fails, the files and directories are removed again, so every feature
+    file is as it was before the command."""
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in reversed(written):
+            with suppress(OSError):
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
+    for path in written:
+        if path.is_file():
+            try:
+                path.replace(path.with_suffix(""))
+            except OSError as e:
+                raise ValidationError(f"cannot write {path.with_suffix('')}: "
+                                      f"{e.strerror or e}") from e
 
 
 _SPLIT_HEADER = ["sequence_id", "split"]
@@ -204,8 +298,8 @@ def cmd_split(args) -> int:
 def cmd_extract_features(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
-    # every sequence is preprocessed before the first dump is written, so a
-    # media failure leaves no output directory behind
+    # every sequence is preprocessed before the first dump is written, so
+    # a media failure leaves no output directory behind
     feats = [_features(cfg, cfg.model, entry.sequence_id) for entry in entries]
     feat_dir = cfg.output_dir / "features"
     for feat in feats:
@@ -280,13 +374,16 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{cfg.mos_table}: every sequence of subset {args.on!r} "
                         f"has MOS {mos[0]:.6f}")
     net = model.AVQAModel.load(cfg.checkpoint)
-    preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id)) for e in selected])
-    if np.ptp(preds) == 0:
-        raise DataError(f"{cfg.checkpoint}: predicts {preds[0]:.4f} for every sequence "
-                        f"of subset {args.on!r}")
-    report = metrics.evaluate_predictions(preds, mos)
-    out = cfg.output_dir / "metrics.csv"
-    metrics.write_report_csv(report, out)
+    with _feature_files() as written:
+        # one sequence's features at a time
+        preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id, written))
+                          for e in selected])
+        if np.ptp(preds) == 0:
+            raise DataError(f"{cfg.checkpoint}: predicts {preds[0]:.4f} for every sequence "
+                            f"of subset {args.on!r}")
+        report = metrics.evaluate_predictions(preds, mos)
+        out = cfg.output_dir / "metrics.csv"
+        metrics.write_report_csv(report, out)
     print(
         f"n={report.n} plcc={report.plcc:.4f} srocc={report.srocc:.4f} "
         f"krocc={report.krocc:.4f} rmse={report.rmse:.4f}"
@@ -305,6 +402,7 @@ def cmd_predict(args) -> int:
         raise ValidationError(f"sequence {args.sequence!r} not in manifest")
     require_file(cfg.checkpoint, "checkpoint")
     net = model.AVQAModel.load(cfg.checkpoint)
+    # reads the sequence's feature file, never writes it
     score = net.predict(_features(cfg, net.cfg, args.sequence))
     print(f"{args.sequence}: {score:.4f}")
     return EXIT_OK
@@ -345,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_config("split", "seeded train/test assignment")
     p.set_defaults(func=cmd_split)
 
-    p = with_config("extract-features", "dump model input tensors as AVQF files")
+    p = with_config("extract-features", "dump model input tensors as AVQF files, "
+                    "read from a sequence's feature file while it is current")
     p.set_defaults(func=cmd_extract_features)
 
     p = with_config("train", "train the quality model")

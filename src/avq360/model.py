@@ -57,6 +57,12 @@ FF_MULT = 2
 # slower than 8.
 SCORE_GROUP = 4
 
+# The version of preprocess_sequence's output bits. A feature file records
+# it (see cli), so one written before the arrays changed is recomputed; a
+# test pins it with a digest of the arrays, and a change of those bits
+# bumps it.
+FEATURES_VERSION = 1
+
 
 @dataclass
 class ModelConfig:

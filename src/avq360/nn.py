@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -422,10 +423,10 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
         store.params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def write_tensor_record(f, array) -> None:
-    """One tensor as u32 rank, u32 dims[], then its little-endian f32
-    payload, row-major. Checkpoints and feature dumps share this record."""
-    arr = np.asarray(array, dtype="<f4")
+def write_tensor_record(f, array, dtype="<f4") -> None:
+    """One tensor as u32 rank, u32 dims[], then its little-endian payload
+    as ``dtype``, row-major. Checkpoints and feature dumps share this record."""
+    arr = np.asarray(array, dtype=dtype)
     f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
     f.write(arr.tobytes())
 
@@ -434,18 +435,19 @@ def write_tensor_record(f, array) -> None:
 _MAX_RANK = 64
 
 
-def read_tensor_record(data: bytes, pos: int, path) -> tuple[np.ndarray, int]:
-    """The record write_tensor_record left at data[pos:], and the offset
-    just past it. A rank above _MAX_RANK is rejected before any dim is read."""
+def read_tensor_record(data: bytes, pos: int, path, dtype="<f4") -> tuple[np.ndarray, int]:
+    """The record write_tensor_record left at data[pos:] with a ``dtype``
+    payload, and the offset just past it. A rank above _MAX_RANK is
+    rejected before any dim is read."""
     raw, pos = _take(data, pos, 4, path)
     (rank,) = struct.unpack("<I", raw)
     if rank > _MAX_RANK:
         raise DataError(f"{path}: tensor rank {rank} at offset {pos - 4} exceeds {_MAX_RANK}")
     raw, pos = _take(data, pos, 4 * rank, path)
     dims = struct.unpack(f"<{rank}I", raw)
-    raw, pos = _take(data, pos, 4 * math.prod(dims), path)
+    raw, pos = _take(data, pos, np.dtype(dtype).itemsize * math.prod(dims), path)
     try:
-        return np.frombuffer(raw, dtype="<f4").reshape(dims).copy(), pos
+        return np.frombuffer(raw, dtype=dtype).reshape(dims).copy(), pos
     except ValueError:  # an empty tensor whose other dims numpy cannot hold
         raise DataError(f"{path}: tensor shape {dims} is too large") from None
 
@@ -462,48 +464,73 @@ def _take(data: bytes, pos: int, nbytes: int, path) -> tuple[memoryview, int]:
 
 
 CHECKPOINT_MAGIC = b"AVQC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# payload width -> the dtype of every payload in the file
+_PAYLOAD_DTYPES = {4: "<f4", 8: "<f8"}
 
 
-def write_checkpoint(path, tensors: dict) -> None:
-    """Binary checkpoint: magic "AVQC", u32 version, u32 tensor count,
-    then per tensor u32 name length, name bytes and a tensor record.
-    Names are written sorted. The file is replaced only once complete."""
+class _Checksummed:
+    """A binary file that keeps the ``zlib.crc32`` of the bytes written to it."""
+
+    def __init__(self, f):
+        self.f, self.crc = f, 0
+
+    def write(self, data) -> None:
+        self.crc = zlib.crc32(data, self.crc)
+        self.f.write(data)
+
+
+def write_checkpoint(path, tensors: dict, dtype="<f4") -> None:
+    """Binary checkpoint: magic "AVQC", u32 version, u32 tensor count, u32
+    payload width (4 for ``<f4``, 8 for ``<f8``, the ``dtype`` of every
+    payload), then per tensor u32 name length, name bytes and a tensor
+    record; then the u32 ``zlib.crc32`` of every byte before it. Names are
+    written sorted. The file is replaced only once complete."""
     with replaced_when_written(path) as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+        out = _Checksummed(f)
+        out.write(CHECKPOINT_MAGIC)
+        out.write(struct.pack("<III", CHECKPOINT_VERSION, len(tensors), np.dtype(dtype).itemsize))
         for name in sorted(tensors):
             nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            write_tensor_record(f, tensors[name])
+            out.write(struct.pack("<I", len(nb)) + nb)
+            write_tensor_record(out, tensors[name], dtype)
+        f.write(struct.pack("<I", out.crc))
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """The tensors of a ``write_checkpoint`` file by name. A malformed
-    file, a name that appears twice and a tensor that holds a NaN or an
-    infinity are each a DataError naming the file."""
+    """The tensors of a ``write_checkpoint`` file by name, float32 or
+    float64 as its payload width says. Another version, a checksum that
+    does not match, another payload width, a malformed file, a name that
+    appears twice and a tensor that holds a NaN or an infinity are each a
+    DataError naming the file."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic, not an AVQC checkpoint")
-    raw, pos = _take(data, 4, 8, path)
-    version, count = struct.unpack("<II", raw)
+    raw, pos = _take(data, 4, 4, path)
+    (version,) = struct.unpack("<I", raw)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
+    body = memoryview(data)[:-4]
+    raw, pos = _take(body, pos, 8, path)
+    if zlib.crc32(body) != struct.unpack_from("<I", data, len(body))[0]:
+        raise DataError(f"{path}: checksum mismatch")
+    count, width = struct.unpack("<II", raw)
+    if width not in _PAYLOAD_DTYPES:
+        raise DataError(f"{path}: payload width {width}, not 4 or 8")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        raw, pos = _take(data, pos, 4, path)
-        raw, pos = _take(data, pos, struct.unpack("<I", raw)[0], path)
+        raw, pos = _take(body, pos, 4, path)
+        raw, pos = _take(body, pos, struct.unpack("<I", raw)[0], path)
         try:
             name = str(raw, "utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: tensor name is not UTF-8") from e
         if name in out:
             raise DataError(f"{path}: tensor {name!r} appears twice")
-        out[name], pos = read_tensor_record(data, pos, path)
+        out[name], pos = read_tensor_record(body, pos, path, _PAYLOAD_DTYPES[width])
         if not np.isfinite(out[name]).all():
             raise DataError(f"{path}: tensor {name!r} holds non-finite values")
-    if pos != len(data):
+    if pos != len(body):
         raise DataError(f"{path}: trailing bytes after last tensor")
     return out
 

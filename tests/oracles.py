@@ -9,7 +9,9 @@ package building blocks so that tests can pin those blocks' behaviour.
 """
 
 import math
+import struct
 import tracemalloc
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -343,6 +345,12 @@ def whole_clip_patches(clip):
     rows = np.zeros((p * audiofe.PATCH_FRAMES, mel.shape[1]))
     rows[: len(mel)] = mel
     return rows.reshape(p, audiofe.PATCH_FRAMES, mel.shape[1])
+
+
+def with_crc(body: bytes) -> bytes:
+    """A whole AVQC file from the bytes before its trailer (``nn.write_checkpoint``):
+    ``body``, then the u32 ``zlib.crc32`` of it."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def read_features(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import avq360
-from avq360 import model
+from avq360 import audiofe, cli, model
 from avq360.cli import _features, main
 from avq360.config import load_config
 from avq360.nn import read_checkpoint, write_checkpoint
@@ -30,7 +31,7 @@ from avq360.manifest import load_wav, load_y4m, RatingRecord
 from avq360.subjective import MOSRecord, write_mos_csv
 from avq360.synthetic import PLANTED_SUBJECT
 
-from oracles import read_features
+from oracles import read_features, with_crc
 from test_model import OLDER_FORMAT_META
 from test_manifest import MISTYPED_VALUES, make_entry
 
@@ -692,6 +693,197 @@ class TestEvaluate:
         assert not (tmp_path / "out").exists()
 
 
+class TestFeatureFiles:
+    """``<output_dir>/features/<sequence_id>.avqc``: written by evaluate when
+    it is missing or stale, read by every command that preprocesses while
+    its key matches, never written by predict, train or extract-features."""
+
+    @pytest.fixture
+    def env(self, tmp_path, corpus_dir, trained_dir):
+        """A copy of the corpus media and the ``--set`` settings that read it
+        and write under ``tmp_path/out``, with the trained checkpoint."""
+        shutil.copytree(corpus_dir / "media", tmp_path / "media")
+        out, overrides = trained_dir
+        settings = dict(o.split("=", 1) for o in overrides)
+        settings.update(output_dir=tmp_path / "out", media_root=tmp_path / "media",
+                        mos_table=out / "mos.csv", checkpoint=out / "model.avqc")
+        return tmp_path, [f"{k}={v}" for k, v in settings.items()]
+
+    @staticmethod
+    def argv(command, corpus_dir, sets, *extra):
+        args = [command, "--config", corpus_dir / "config.txt", *extra]
+        for s in sets:
+            args += ["--set", s]
+        return args
+
+    @staticmethod
+    def no_preprocessing(monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("preprocessed or opened media")
+
+        for name in ("load_y4m", "load_wav"):
+            monkeypatch.setattr(cli, name, not_called)
+        monkeypatch.setattr(model, "preprocess_sequence", not_called)
+
+    @staticmethod
+    def snapshot(root):
+        return {p.name: p.read_bytes() for p in (root / "out" / "features").iterdir()}
+
+    def evaluate(self, corpus_dir, sets, capsys):
+        assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 0
+        capsys.readouterr()
+
+    def test_evaluate_twice_reads_the_features_it_wrote(self, env, corpus_dir, monkeypatch,
+                                                        capsys):
+        root, sets = env
+        args = self.argv("evaluate", corpus_dir, sets, "--on", "all")
+        assert run(args) == 0
+        first = capsys.readouterr().out
+        metrics = (root / "out" / "metrics.csv").read_bytes()
+        assert sorted(self.snapshot(root)) == [f"seq{i:02d}.avqc" for i in range(8)]
+        self.no_preprocessing(monkeypatch)
+        assert run(args) == 0
+        assert capsys.readouterr().out == first
+        assert (root / "out" / "metrics.csv").read_bytes() == metrics
+
+    def test_predict_reads_features_but_never_writes_them(self, env, corpus_dir, monkeypatch,
+                                                          capsys):
+        root, sets = env
+        predict = self.argv("predict", corpus_dir, sets, "--sequence", "seq03")
+        assert run(predict) == 0
+        cold = capsys.readouterr().out.splitlines()[-1]
+        assert not (root / "out").exists()
+        self.evaluate(corpus_dir, sets, capsys)
+        self.no_preprocessing(monkeypatch)
+        assert run(predict) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == cold
+
+    def test_train_and_extract_features_read_them_but_never_write_them(
+            self, env, corpus_dir, monkeypatch, capsys):
+        root, sets = env
+        sets_train = [s for s in sets if not s.startswith("checkpoint=")] + \
+            [f"checkpoint={root / 'retrained.avqc'}"]
+        dumps = [root / "out" / "features" / f"seq03_{f}.avqf" for f in ("video", "audio")]
+
+        def train_and_dump():
+            assert run(self.argv("train", corpus_dir, sets_train)) == 0
+            assert run(self.argv("extract-features", corpus_dir, sets)) == 0
+            capsys.readouterr()
+            return [p.read_bytes() for p in
+                    (root / "retrained.avqc", root / "out" / "train_log.csv", *dumps)]
+
+        cold = train_and_dump()
+        assert not list((root / "out" / "features").glob("*.avqc*"))
+        self.evaluate(corpus_dir, sets, capsys)
+        written = self.snapshot(root)
+        self.no_preprocessing(monkeypatch)
+        assert train_and_dump() == cold
+        assert self.snapshot(root) == written
+
+    def test_read_arrays_are_the_preprocessed_float64_ones(self, env, corpus_dir, monkeypatch,
+                                                           capsys):
+        root, sets = env
+        self.evaluate(corpus_dir, sets, capsys)
+        cfg, _ = load_config(corpus_dir / "config.txt", sets)
+        self.no_preprocessing(monkeypatch)
+        read = [_features(cfg, cfg.model, f"seq{i:02d}") for i in range(8)]
+        monkeypatch.undo()
+        for i, got in enumerate(read):
+            seq = f"seq{i:02d}"
+            want = _preprocessed(cfg, seq)
+            assert got.sequence_id == seq
+            for f in ("video", "audio", "lat_prior"):
+                a, b = getattr(got, f), getattr(want, f)
+                assert a.dtype == np.float64 and np.array_equal(a, b), f
+
+    @pytest.mark.parametrize("change", ["same-size media rewrite", "media copied elsewhere",
+                                        "frames_per_clip", "bands"])
+    def test_a_changed_input_recomputes_and_rewrites_the_file(self, env, corpus_dir, change,
+                                                              capsys):
+        root, sets = env
+        self.evaluate(corpus_dir, sets, capsys)
+        path = root / "out" / "features" / "seq03.avqc"
+        before = read_checkpoint(path)
+        cfg, _ = load_config(corpus_dir / "config.txt", sets)
+        model_cfg = cfg.model
+        if change in ("same-size media rewrite", "media copied elsewhere"):
+            if change == "media copied elsewhere":
+                # a copy that keeps the modification times, then one frame
+                # changed and its time set back: only the place differs
+                shutil.copytree(root / "media", root / "media2")
+                sets = [s for s in sets if not s.startswith("media_root=")] + \
+                    [f"media_root={root / 'media2'}"]
+                cfg, _ = load_config(corpus_dir / "config.txt", sets)
+            video = cfg.media_root / "seq03.y4m"
+            seq, st = load_y4m(video), video.stat()
+            write_y4m(FrameSequence(frames=255 - np.asarray(seq.frames), fps=seq.fps,
+                                    fps_rational=seq.fps_rational), video)
+            assert video.stat().st_size == st.st_size
+            shift = 10 ** 9 if change == "same-size media rewrite" else 0
+            os.utime(video, ns=(st.st_atime_ns, st.st_mtime_ns + shift))
+        else:
+            model_cfg = dataclasses.replace(model_cfg, **{change: 2})
+        with cli._feature_files() as written:
+            _features(cfg, model_cfg, "seq03", written)
+        after = read_checkpoint(path)
+        assert not np.array_equal(after["meta/key"], before["meta/key"])
+        assert not np.array_equal(after["video"], before["video"])
+        want = _preprocessed(cfg, "seq03", model_cfg)
+        for f in ("video", "audio", "lat_prior"):
+            np.testing.assert_array_equal(after[f], getattr(want, f))
+
+    def test_evaluate_failing_on_a_later_sequence_leaves_no_feature_file(
+            self, env, corpus_dir, capsys):
+        root, sets = env
+        write_wav(AudioClip(samples=np.zeros((1, 100)), sample_rate=16000),
+                  root / "media" / "seq06.wav")
+        assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 3
+        assert "sequence 'seq06'" in capsys.readouterr().err
+        assert not (root / "out").exists()
+
+    def test_evaluate_failing_after_a_stale_file_leaves_it_as_it_was(
+            self, env, corpus_dir, capsys):
+        root, sets = env
+        self.evaluate(corpus_dir, sets, capsys)
+        before = self.snapshot(root)
+        # seq01's file goes stale and is recomputed before seq06 fails
+        video = root / "media" / "seq01.y4m"
+        os.utime(video, ns=(video.stat().st_atime_ns, video.stat().st_mtime_ns + 10 ** 9))
+        write_wav(AudioClip(samples=np.zeros((1, 100)), sample_rate=16000),
+                  root / "media" / "seq06.wav")
+        assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 3
+        assert "sequence 'seq06'" in capsys.readouterr().err
+        assert self.snapshot(root) == before
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.update(video=t["video"][:1]),
+         "video has shape (1, 4, 16, 32), the model takes (4, 4, 16, 32)"),
+        (lambda t: t.update(lat_prior=t["lat_prior"][:3]),
+         "lat_prior has shape (3,), the model takes (4,)"),
+        (lambda t: t.update(audio=t["audio"][:, :, :3]),
+         "audio has shape (2, 96, 3), the model takes (P, 96, 64) with P >= 1"),
+        (lambda t: t.pop("lat_prior"),
+         "not a feature file, it holds ['audio', 'meta/key', 'video']"),
+    ])
+    def test_feature_file_that_does_not_fit_is_data_error(self, env, corpus_dir, edit,
+                                                          message, capsys):
+        root, sets = env
+        self.evaluate(corpus_dir, sets, capsys)
+        path = root / "out" / "features" / "seq03.avqc"
+        tensors = read_checkpoint(path)
+        edit(tensors)
+        write_checkpoint(path, tensors, dtype="<f8")
+        assert run(self.argv("predict", corpus_dir, sets, "--sequence", "seq03")) == 3
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+def _preprocessed(cfg, seq, model_cfg=None):
+    """The features of ``seq`` computed from its media, as the library does."""
+    return model.preprocess_sequence(load_y4m(cfg.media_root / f"{seq}.y4m"),
+                                     load_wav(cfg.media_root / f"{seq}.wav",
+                                              audiofe.SAMPLE_RATE), model_cfg or cfg.model, seq)
+
+
 class TestPredict:
     def test_deterministic_scores(self, corpus_dir, trained_dir, capsys):
         _, overrides = trained_dir
@@ -754,14 +946,14 @@ class TestPredict:
     def test_rank_65_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_dir, capsys):
         _, overrides = trained_dir
         bad = tmp_path / "rank65.avqc"
-        bad.write_bytes(b"AVQC" + struct.pack("<III", 1, 1, 1) + b"a"
-                        + struct.pack("<66I", 65, *[0] * 65))
+        bad.write_bytes(with_crc(b"AVQC" + struct.pack("<IIII", 2, 1, 4, 1) + b"a"
+                                 + struct.pack("<66I", 65, *[0] * 65)))
         args = ["predict", "--config", corpus_dir / "config.txt",
                 "--sequence", "seq03", "--set", f"checkpoint={bad}"]
         for o in overrides:
             args += ["--set", o]
         assert run(args) == 3
-        assert "tensor rank 65 at offset 17 exceeds 64" in capsys.readouterr().err
+        assert "tensor rank 65 at offset 21 exceeds 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_checkpoint_input_size_above_cap_exits_3_before_preprocessing(

@@ -7,19 +7,25 @@ inputs. The rule, stated beside the exit codes in README:
 
 - a fault in the content of an input file (the manifest, a sequence's
   ``.y4m``, ``.wav`` or head-movement trace, the scores, MOS and split
-  tables, the checkpoint), or a per-sequence file that ``media_root`` or
-  ``hm_root`` lacks, exits 3 with one ``data error:`` line naming the
-  file;
+  tables, the checkpoint, a sequence's feature file), or a per-sequence
+  file that ``media_root`` or ``hm_root`` lacks, exits 3 with one ``data
+  error:`` line naming the file;
 - a fault in the config file, or a configured path that names no file,
   exits 2 with one ``error:`` line; a directory there says "is a
   directory".
 
-A command that fails prints no traceback and adds no file. The cases that
-still exit 0 are listed in ``ACCEPTED``, each with the reason its input
-is still valid for that command.
+A command that fails prints no traceback and adds no file, not even the
+feature files ``evaluate`` wrote for the sequences before the fault. A
+missing or stale feature file only makes the command compute the features
+again, so the feature file takes only its invariant break, none of
+``FAULTS``. (The one linked into a case is keyed to the corpus's own media
+paths: a command reads and checks it, finds it stale and preprocesses.) The
+cases that still exit 0 are listed in ``ACCEPTED``, each with the reason
+its input is still valid for that command.
 """
 
 import dataclasses
+import io
 import json
 import os
 import struct
@@ -30,6 +36,8 @@ import pytest
 from avq360 import subjective, synthetic
 from avq360.cli import main
 from avq360.nn import read_checkpoint, write_checkpoint, write_tensor_record
+
+from oracles import with_crc
 
 SEQ = "seq05"  # the sequence whose media and trace are faulted, on the test side
 # The tiny model of the gradient checks, trained for 2 steps. split_ratio
@@ -50,8 +58,10 @@ INPUTS = {
     "y4m": f"media/{SEQ}.y4m",
     "wav": f"media/{SEQ}.wav",
     "trace": f"hm/{SEQ}.csv",
+    "features": f"out/features/{SEQ}.avqc",
 }
 PER_SEQUENCE = ("y4m", "wav", "trace")  # the files media_root and hm_root hold
+CACHES = ("features",)  # inputs that take no fault of FAULTS
 # the config keys of the inputs that another command writes
 WRITTEN = {"mos": "mos_table", "split": "split_file", "checkpoint": "checkpoint"}
 
@@ -61,11 +71,12 @@ COMMANDS = {
     "siti": ([], ("config", "manifest", "y4m")),
     "hm-stats": ([], ("config", "manifest", "trace")),
     "split": ([], ("config", "manifest")),
-    "extract-features": ([], ("config", "manifest", "y4m", "wav")),
-    "train": (["--on", "all"], ("config", "manifest", "mos", "y4m", "wav")),
-    "evaluate": (["--on", "test"],
-                 ("config", "manifest", "mos", "split", "checkpoint", "y4m", "wav")),
-    "predict": (["--sequence", SEQ], ("config", "manifest", "checkpoint", "y4m", "wav")),
+    "extract-features": ([], ("config", "manifest", "y4m", "wav", "features")),
+    "train": (["--on", "all"], ("config", "manifest", "mos", "y4m", "wav", "features")),
+    "evaluate": (["--on", "test"], ("config", "manifest", "mos", "split", "checkpoint",
+                                    "y4m", "wav", "features")),
+    "predict": (["--sequence", SEQ],
+                ("config", "manifest", "checkpoint", "y4m", "wav", "features")),
 }
 
 
@@ -98,7 +109,7 @@ FAULTS = {
 }
 OTHER = {"config": "wav", "manifest": "scores", "scores": "mos", "mos": "split",
          "split": "trace", "trace": "checkpoint", "checkpoint": "y4m", "y4m": "wav",
-         "wav": "manifest"}
+         "wav": "manifest", "features": "checkpoint"}
 
 
 def _manifest_edit(edit):
@@ -135,11 +146,18 @@ def _checkpoint_edit(edit):
 
 
 def _repeated_tensor(src, dst, other):
-    raw = bytearray(src.read_bytes())
+    raw = bytearray(src.read_bytes()[:-4])  # without the checksum
     raw[8:12] = struct.pack("<I", struct.unpack("<I", raw[8:12])[0] + 1)  # the tensor count
-    with open(dst, "wb") as f:
-        f.write(raw + struct.pack("<I", len(b"head.b")) + b"head.b")
-        write_tensor_record(f, np.full_like(read_checkpoint(src)["head.b"], 5.0))
+    record = io.BytesIO()
+    write_tensor_record(record, np.full_like(read_checkpoint(src)["head.b"], 5.0))
+    raw += struct.pack("<I", len(b"head.b")) + b"head.b"
+    dst.write_bytes(with_crc(bytes(raw) + record.getvalue()))
+
+
+def _payload_bit_flipped(src, dst, other):
+    raw = bytearray(src.read_bytes())
+    raw[-5] ^= 0x01  # in the last payload byte, ahead of the checksum
+    dst.write_bytes(raw)
 
 
 def _time_goes_back(src, dst, other):
@@ -165,6 +183,8 @@ BREAKS = {
     "a tensor twice": ("checkpoint", _repeated_tensor),
     "a NaN parameter": ("checkpoint", _checkpoint_edit(
         lambda t: t.update({"head.b": np.full_like(t["head.b"], np.nan)}))),
+    "a payload bit flipped": ("checkpoint", _payload_bit_flipped),
+    "a feature payload bit flipped": ("features", _payload_bit_flipped),
 }
 
 # (command, input, fault) -> why the faulted input is still valid there
@@ -177,7 +197,8 @@ ACCEPTED = {
 
 CASES = [(command, name, fault)
          for command, (_, reads) in COMMANDS.items() for name in reads
-         for fault in [*FAULTS, *(b for b, (broken, _) in BREAKS.items() if broken == name)]]
+         for fault in [*(FAULTS if name not in CACHES else ()),
+                       *(b for b, (broken, _) in BREAKS.items() if broken == name)]]
 
 
 def expected_exit(name: str, fault: str) -> int:
@@ -191,13 +212,16 @@ def expected_exit(name: str, fault: str) -> int:
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """The valid inputs at their ``INPUTS`` paths: the synthetic corpus,
-    its MOS table, its split and a checkpoint of the tiny model; and under
-    ``configs`` the config of each command."""
+    its MOS table, its split, a checkpoint of the tiny model and the
+    feature files its evaluation wrote; and under ``configs`` the config of
+    each command."""
     root = tmp_path_factory.mktemp("sweep").resolve()
     synthetic.generate_corpus(root)
     (root / "config.txt").write_text(config_text(INPUTS), encoding="utf-8")
     for command in ("process-scores", "split", "train"):
         assert main([command, "--config", str(root / "config.txt"), *SET_ARGS]) == 0
+    assert main(["evaluate", "--config", str(root / "config.txt"), "--on", "test",
+                 *SET_ARGS]) == 0
     assert f"{SEQ},test" in (root / "split.csv").read_text(encoding="utf-8")
     (root / "configs").mkdir()
     for command, (_, reads) in COMMANDS.items():
@@ -210,6 +234,8 @@ def valid_files(corpus, command):
     files = {INPUTS["config"]: corpus / "configs" / f"{command}.txt"}
     for rel in ("manifest.json", "scores.csv", "mos.csv", "split.csv", "model.avqc"):
         files[rel] = corpus / rel
+    if "features" in COMMANDS[command][1]:
+        files[INPUTS["features"]] = corpus / INPUTS["features"]
     for sub in ("media", "hm"):
         for path in sorted((corpus / sub).iterdir()):
             files[f"{sub}/{path.name}"] = path

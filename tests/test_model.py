@@ -9,6 +9,7 @@ from avq360 import audiofe, nn
 from avq360.errors import DataError, NumericError, ValidationError
 from avq360.manifest import AudioClip, FrameSequence, load_wav, write_wav
 from avq360.model import (
+    FEATURES_VERSION,
     SCORE_GROUP,
     AVQAModel,
     ModelConfig,
@@ -26,7 +27,8 @@ from avq360.model import (
 from conftest import tiny_features, tiny_model_config
 from oracles import (LatitudeWeights, aggregate_band_features, area_resize,
                      finite_difference_store_grads, gradient_rel_err, reference_audio_input,
-                     relu_pool_backward, relu_pool_forward, traced_peak, whole_clip_patches)
+                     relu_pool_backward, relu_pool_forward, traced_peak, whole_clip_patches,
+                     with_crc)
 
 # the meta/ tensors of checkpoints written while the position codes, the
 # input geometry and the feed-forward width were settings and the
@@ -778,14 +780,15 @@ class TestPersistence:
         m = AVQAModel(tiny_model_config())
         path = tmp_path / "model.avqc"
         m.save(path)
-        # the file is the sorted named records of every tensor as <f4
+        # the file is the sorted named records of every tensor as <f4, the
+        # payload width 4 in its header, then the checksum
         tensors = {**m.store.params, **_config_to_meta(m.cfg)}
-        expected = b"AVQC" + struct.pack("<II", 1, len(tensors))
+        expected = b"AVQC" + struct.pack("<III", 2, len(tensors), 4)
         for name in sorted(tensors):
             arr = np.asarray(tensors[name], dtype="<f4")
             expected += struct.pack("<I", len(name)) + name.encode()
             expected += struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape) + arr.tobytes()
-        assert path.read_bytes() == expected
+        assert path.read_bytes() == with_crc(expected)
         loaded = AVQAModel.load(path)
         for name, p in loaded.store.params.items():
             assert p.dtype == np.float64
@@ -817,3 +820,19 @@ class TestEndToEndPreprocess:
         assert feat.sequence_id == "demo"
         m = AVQAModel(cfg)
         assert 0.0 < m.forward(feat) < 1.0
+
+    def test_features_version_pins_the_preprocessed_bits(self):
+        # a feature file is reused while FEATURES_VERSION stands: a change of
+        # these bits must bump it (and re-pin the digest), so that no file of
+        # the old bits is read as the new ones
+        rng = np.random.default_rng(25)
+        seq = FrameSequence(
+            frames=rng.integers(0, 256, size=(9, 32, 64), dtype=np.uint8), fps=8.0
+        )
+        clip = AudioClip(samples=rng.uniform(-0.5, 0.5, (1, 24000)), sample_rate=16000)
+        feat = preprocess_sequence(seq, clip, tiny_model_config(frames_per_clip=3))
+        h = hashlib.sha256()
+        for arr in (feat.video, feat.audio, feat.lat_prior):
+            h.update(repr(arr.shape).encode() + arr.tobytes())
+        assert (FEATURES_VERSION, h.hexdigest()) == (
+            1, "39032985878892acbb3e468bb93d9d7dc4485e1d09ea230127dc5bcc52304215")

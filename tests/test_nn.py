@@ -1,3 +1,4 @@
+import io
 import itertools
 import struct
 
@@ -11,7 +12,7 @@ from avq360.errors import DataError, NumericError, ValidationError
 
 from oracles import (four_view_maxpool2, gradient_rel_err, naive_conv2d, naive_maxpool2,
                      numerical_gradient, padded_window_columns, read_features,
-                     relu_pool_backward, relu_pool_forward)
+                     relu_pool_backward, relu_pool_forward, with_crc)
 
 
 def weighted_sum_loss(seed, shape):
@@ -582,6 +583,47 @@ class TestCheckpointFormat:
         assert float(out["b"]) == 7.0
         assert path.read_bytes()[:4] == b"AVQC"
 
+    def test_f8_payload_is_exact_and_marked_by_its_width(self, tmp_path):
+        rng = np.random.default_rng(21)
+        tensors = {"audio": rng.normal(size=(2, 3)), "key": np.arange(4.0)}
+        path = tmp_path / "f.avqc"
+        nn.write_checkpoint(path, tensors, dtype="<f8")
+        out = nn.read_checkpoint(path)
+        for name, arr in tensors.items():
+            assert out[name].dtype == np.float64
+            np.testing.assert_array_equal(out[name], arr)
+        # the header with the payload width, then the first name
+        assert path.read_bytes()[:25] == b"AVQC" + struct.pack("<IIII", 2, 2, 8, 5) + b"audio"
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        # the layout before the payload width and the checksum
+        path = tmp_path / "v1.avqc"
+        path.write_bytes(b"AVQC" + struct.pack("<III", 1, 1, 1) + b"b"
+                         + struct.pack("<If", 0, 1.0))
+        with pytest.raises(DataError) as e:
+            nn.read_checkpoint(path)
+        assert str(e.value) == f"{path}: unsupported checkpoint version 1"
+
+    # the payload width, a name length, a payload byte, the checksum
+    @pytest.mark.parametrize("at", [12, 16, -5, -1])
+    def test_any_flipped_bit_is_checksum_mismatch(self, tmp_path, at):
+        path = tmp_path / "m.avqc"
+        nn.write_checkpoint(path, {"head.b": np.float32(1.0), "head.w": np.ones(3, np.float32)})
+        raw = bytearray(path.read_bytes())
+        raw[at] ^= 0x01
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as e:
+            nn.read_checkpoint(path)
+        assert str(e.value) == f"{path}: checksum mismatch"
+
+    def test_unknown_payload_width_is_data_error(self, tmp_path):
+        path = tmp_path / "w.avqc"
+        path.write_bytes(with_crc(b"AVQC" + struct.pack("<IIII", 2, 1, 2, 1) + b"b"
+                                  + struct.pack("<I", 0) + bytes(2)))
+        with pytest.raises(DataError) as e:
+            nn.read_checkpoint(path)
+        assert str(e.value) == f"{path}: payload width 2, not 4 or 8"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.avqc"
         path.write_bytes(b"XXXX" + bytes(8))
@@ -599,12 +641,12 @@ class TestCheckpointFormat:
         # a second record of a name would otherwise replace the first
         path = tmp_path / "m.avqc"
         nn.write_checkpoint(path, {"head.b": np.float32(1.0), "head.w": np.zeros(2, np.float32)})
-        with open(path, "ab") as f:
-            f.write(struct.pack("<I", len(b"head.b")) + b"head.b")
-            nn.write_tensor_record(f, np.float32(5.0))
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(path.read_bytes()[:-4])  # without the checksum
         raw[8:12] = struct.pack("<I", 3)
-        path.write_bytes(raw)
+        record = io.BytesIO()
+        nn.write_tensor_record(record, np.float32(5.0))
+        raw += struct.pack("<I", len(b"head.b")) + b"head.b"
+        path.write_bytes(with_crc(bytes(raw) + record.getvalue()))
         with pytest.raises(DataError, match=r"tensor 'head\.b' appears twice") as e:
             nn.read_checkpoint(path)
         assert str(path) in str(e.value)
@@ -628,17 +670,20 @@ class TestCheckpointFormat:
         before = path.read_bytes()
         write_record = nn.write_tensor_record
         written = []
+        tmp_seen = []
 
-        def fail_after_one(f, arr):
+        def fail_after_one(f, arr, *dtype):
             if written:
+                # the temporary file is open, with the first record in it
+                tmp_seen.append((tmp_path / "m.avqc.tmp").is_file())
                 raise KeyboardInterrupt
             written.append(arr)
-            write_record(f, arr)
+            write_record(f, arr, *dtype)
 
         monkeypatch.setattr(nn, "write_tensor_record", fail_after_one)
         with pytest.raises(KeyboardInterrupt):
             nn.write_checkpoint(path, {k: v * 2 for k, v in tensors.items()})
-        assert len(written) == 1
+        assert len(written) == 1 and tmp_seen == [True]
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -677,7 +722,8 @@ class TestTensorRecords:
             path.write_bytes(b"AVQF" + record)
             read = read_features
         else:
-            path.write_bytes(b"AVQC" + struct.pack("<III", 1, 1, 1) + b"a" + record)
+            path.write_bytes(with_crc(b"AVQC" + struct.pack("<IIII", 2, 1, 4, 1) + b"a"
+                                      + record))
             read = nn.read_checkpoint
         with pytest.raises(DataError, match=f"tensor rank {rank} at offset .* exceeds 64"):
             read(path)
