@@ -49,7 +49,7 @@ from .config import RunConfig, load_config
 from .errors import (DataError, NumericError, ValidationError, require_file,
                      require_writable_location)
 from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
-                       read_csv_table, write_csv_table)
+                       read_csv_table, resampled_length, write_csv_table)
 from .nn import read_checkpoint, write_checkpoint
 
 EXIT_OK = 0
@@ -86,8 +86,9 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
     when the file's rate is a multiple of it) and, when ``written`` is a
     list, written beside that file as ``<sequence_id>.avqc.new``, which is
     appended to ``written`` after the directories made for it (see
-    ``_feature_files``). A data error from preprocessing is prefixed with
-    the sequence it concerns."""
+    ``_feature_files``). A medium the model cannot take (a frame that is
+    not 2:1, too few frames or rows, audio shorter than one analysis
+    frame) is a data error naming its file, decided before preprocessing."""
     video = _sequence_file(cfg.media_root, sequence_id, ".y4m", "media")
     audio = _sequence_file(cfg.media_root, sequence_id, ".wav", "media")
     path = cfg.output_dir / "features" / f"{sequence_id}.avqc"
@@ -102,17 +103,20 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
             _check_feature_shapes(path, feat, model_cfg)
             return feat
     seq = load_y4m(video)
+    if seq.width != 2 * seq.height:
+        raise DataError(f"{video}: frame {seq.width}x{seq.height} is not 2:1 ERP")
     if seq.n_frames < model_cfg.frames_per_clip:
         raise DataError(f"{video}: {seq.n_frames} frames, the model takes "
                         f"{model_cfg.frames_per_clip}")
     if seq.height < model_cfg.bands:
         raise DataError(f"{video}: {seq.height} rows, the model takes "
                         f"{model_cfg.bands} latitude bands")
-    clip = load_wav(audio, audiofe.SAMPLE_RATE)
-    try:
-        feat = model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
-    except DataError as e:
-        raise DataError(f"sequence {sequence_id!r}: {e}") from e
+    sr = audiofe.SAMPLE_RATE
+    clip = load_wav(audio, sr)
+    if resampled_length(clip.n_samples, clip.sample_rate, sr) < round(audiofe.FRAME_LEN_S * sr):
+        raise DataError(f"{audio}: audio of {clip.n_samples} samples at {clip.sample_rate} Hz "
+                        f"is shorter than one {audiofe.FRAME_LEN_S * 1000:g} ms analysis frame")
+    feat = model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
     if written is not None:
         new = path.with_name(f"{path.name}.new")
         written += [d for d in reversed(path.parents) if not d.exists()]
@@ -155,27 +159,30 @@ def _check_feature_shapes(path: Path, feat: model.SequenceFeatures,
 def _feature_files():
     """A list for ``_features`` to record the ``.new`` feature files a
     command writes and the directories it makes for them. When the command
-    completes, each file is renamed over its ``<sequence_id>.avqc``; if it
-    fails, the files and directories are removed again, so every feature
-    file is as it was before the command."""
+    completes, each file is renamed over its ``<sequence_id>.avqc``. If the
+    command fails, or a rename does, every ``.new`` file not yet renamed is
+    removed, and so is each directory made for them that is left empty.
+    Files renamed before a failed rename stay: each is keyed to the inputs
+    it was computed from (``_feature_key``), so it is as valid as the file
+    it replaced."""
     written: list[Path] = []
     try:
         yield written
+        for path in written:
+            if path.is_file():
+                try:
+                    path.replace(path.with_suffix(""))
+                except OSError as e:
+                    raise ValidationError(f"cannot write {path.with_suffix('')}: "
+                                          f"{e.strerror or e}") from e
     except BaseException:
         for path in reversed(written):
-            with suppress(OSError):
+            with suppress(OSError):  # a renamed file, or a directory that is not empty
                 if path.is_dir():
                     path.rmdir()
                 else:
                     path.unlink()
         raise
-    for path in written:
-        if path.is_file():
-            try:
-                path.replace(path.with_suffix(""))
-            except OSError as e:
-                raise ValidationError(f"cannot write {path.with_suffix('')}: "
-                                      f"{e.strerror or e}") from e
 
 
 _SPLIT_HEADER = ["sequence_id", "split"]

@@ -184,11 +184,11 @@ class FrameSequence:
     """Luma planes of one video sequence.
 
     ``frames`` has shape (n_frames, height, width): an ndarray, or for a
-    sequence that ``load_y4m`` loaded, a ``Y4MFrames`` that reads each
-    plane from the file when it is used. Luma is on the 8-bit [0, 255]
-    scale in every dtype: a float frame holds the same values as its uint8
-    counterpart. It is normalized only where it becomes model input
-    (``model.video_input``).
+    sequence that ``load_y4m`` loaded, a ``Y4MFrames``. Frames are read by
+    walking them (``walk``), which works the same for both. Luma is on the
+    8-bit [0, 255] scale in every dtype: a float frame holds the same
+    values as its uint8 counterpart. It is normalized only where it becomes
+    model input (``model.video_input``).
     """
 
     frames: np.ndarray | Y4MFrames
@@ -228,18 +228,14 @@ class FrameSequence:
 
 
 class Y4MFrames:
-    """The luma planes of a YUV4MPEG2 file, read from the file when used.
+    """The luma planes of a YUV4MPEG2 file, read from the file when walked.
 
-    ``load_y4m`` records where each plane starts. A plane is read only
-    when it is indexed or iterated over, into a fresh uint8 array, or
-    walked (``walk``), into one plane reused for every step. No file
-    handle stays open between reads. The object offers the part of
-    the ndarray surface that users of ``FrameSequence.frames`` take:
-    ``len``, an integer index, a slice (an ndarray of those frames),
-    iteration, ``shape``, ``dtype``, ``ndim`` and ``np.asarray`` (which
-    reads every frame). A plane that the file no longer holds in full, or
-    a file that can no longer be read, is a DataError naming the file and
-    the frame.
+    ``load_y4m`` records where each plane starts. ``walk`` reads the planes
+    it is asked for into one plane reused for every step; no file handle
+    stays open between reads. Besides ``walk``, the object offers only
+    ``shape``, ``dtype`` and ``ndim``. A plane that the file no longer
+    holds in full, or a file that can no longer be read, is a DataError
+    naming the file and the frame.
     """
 
     dtype = np.dtype(np.uint8)
@@ -249,27 +245,6 @@ class Y4MFrames:
         self.path = path
         self._offsets = offsets
         self.shape = (len(offsets), height, width)
-
-    def __len__(self) -> int:
-        return len(self._offsets)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            picked = range(len(self))[index]
-            out = np.empty((len(picked),) + self.shape[1:], self.dtype)
-            for plane, i in zip(out, picked):
-                self._read_into(i, plane)
-            return out
-        # an integer, counted from the end when negative; IndexError past it
-        i = range(len(self))[index]
-        return self._read_into(i, np.empty(self.shape[1:], self.dtype))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self[:], dtype=dtype)
 
     def walk(self, indices):
         """The planes ``indices`` name, each read into one plane that the
@@ -304,7 +279,7 @@ def load_y4m(path) -> FrameSequence:
     Only the header and the FRAME lines are read here: the walk from one
     FRAME line to the next checks every frame against the file size and
     records where its luma plane starts, and the planes are read when the
-    frames are used (``Y4MFrames``).
+    frames are walked (``Y4MFrames``).
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -372,11 +347,8 @@ def load_y4m(path) -> FrameSequence:
 
 
 def write_y4m(seq: FrameSequence, path) -> None:
-    """Write luma as a mono YUV4MPEG2 stream (exact byte round-trip)."""
-    if seq.frames.dtype == np.uint8:
-        frames = seq.frames
-    else:
-        frames = np.clip(np.rint(seq.frames), 0, 255).astype(np.uint8)
+    """Write luma as a mono YUV4MPEG2 stream (exact byte round-trip), one
+    walked frame at a time; a frame that is not uint8 is rounded and clipped."""
     if seq.fps_rational is not None:
         num, den = seq.fps_rational
     else:
@@ -386,7 +358,9 @@ def write_y4m(seq: FrameSequence, path) -> None:
         f.write(
             f"YUV4MPEG2 W{seq.width} H{seq.height} F{num}:{den} Ip A1:1 Cmono\n".encode()
         )
-        for frame in frames:
+        for frame in seq.walk():
+            if frame.dtype != np.uint8:
+                frame = np.clip(np.rint(frame), 0, 255).astype(np.uint8)
             f.write(b"FRAME\n")
             f.write(np.ascontiguousarray(frame).tobytes())
 

@@ -347,6 +347,13 @@ def whole_clip_patches(clip):
     return rows.reshape(p, audiofe.PATCH_FRAMES, mel.shape[1])
 
 
+def walked_frames(seq, indices=None) -> np.ndarray:
+    """The frames of ``seq`` that ``indices`` name (every frame by default),
+    stacked from copies of the planes ``seq.walk`` gives, since a walk of a
+    loaded sequence reuses one plane."""
+    return np.stack([plane.copy() for plane in seq.walk(indices)])
+
+
 def with_crc(body: bytes) -> bytes:
     """A whole AVQC file from the bytes before its trailer (``nn.write_checkpoint``):
     ``body``, then the u32 ``zlib.crc32`` of it."""

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -31,7 +32,7 @@ from avq360.manifest import load_wav, load_y4m, RatingRecord
 from avq360.subjective import MOSRecord, write_mos_csv
 from avq360.synthetic import PLANTED_SUBJECT
 
-from oracles import read_features, with_crc
+from oracles import read_features, walked_frames, with_crc
 from test_model import OLDER_FORMAT_META
 from test_manifest import MISTYPED_VALUES, make_entry
 
@@ -416,7 +417,7 @@ class TestExtractFeatures:
         entry = load_manifest(corpus_dir / "manifest.json")[0]
         video = fixture / "media" / f"{entry.sequence_id}.y4m"
         seq = load_y4m(video)
-        write_y4m(FrameSequence(frames=seq.frames[:1], fps=seq.fps,
+        write_y4m(FrameSequence(frames=walked_frames(seq, [0]), fps=seq.fps,
                                 fps_rational=seq.fps_rational), video)
         (fixture / "manifest.json").write_text(json.dumps([entry.__dict__]), encoding="utf-8")
         (fixture / "config.txt").write_text(
@@ -816,7 +817,7 @@ class TestFeatureFiles:
                 cfg, _ = load_config(corpus_dir / "config.txt", sets)
             video = cfg.media_root / "seq03.y4m"
             seq, st = load_y4m(video), video.stat()
-            write_y4m(FrameSequence(frames=255 - np.asarray(seq.frames), fps=seq.fps,
+            write_y4m(FrameSequence(frames=255 - walked_frames(seq), fps=seq.fps,
                                     fps_rational=seq.fps_rational), video)
             assert video.stat().st_size == st.st_size
             shift = 10 ** 9 if change == "same-size media rewrite" else 0
@@ -838,7 +839,8 @@ class TestFeatureFiles:
         write_wav(AudioClip(samples=np.zeros((1, 100)), sample_rate=16000),
                   root / "media" / "seq06.wav")
         assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 3
-        assert "sequence 'seq06'" in capsys.readouterr().err
+        assert f"data error: {root / 'media' / 'seq06.wav'}: audio of 100 samples" in \
+            capsys.readouterr().err
         assert not (root / "out").exists()
 
     def test_evaluate_failing_after_a_stale_file_leaves_it_as_it_was(
@@ -852,8 +854,32 @@ class TestFeatureFiles:
         write_wav(AudioClip(samples=np.zeros((1, 100)), sample_rate=16000),
                   root / "media" / "seq06.wav")
         assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 3
-        assert "sequence 'seq06'" in capsys.readouterr().err
+        assert f"data error: {root / 'media' / 'seq06.wav'}: audio of 100 samples" in \
+            capsys.readouterr().err
         assert self.snapshot(root) == before
+
+    def test_a_failed_rename_leaves_no_new_file(self, env, corpus_dir, monkeypatch, capsys):
+        root, sets = env
+        replace, renames = Path.replace, []
+
+        def second_rename_fails(self, target):
+            if self.name.endswith(".avqc.new"):
+                renames.append(self)
+                if len(renames) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", second_rename_fails)
+        assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 2
+        features = root / "out" / "features"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {features / 'seq01.avqc'}: {os.strerror(errno.ENOSPC)}"]
+        # seq00 was renamed before the failure and stays, keyed to its media
+        assert sorted(p.name for p in features.iterdir()) == ["seq00.avqc"]
+        monkeypatch.undo()
+        cfg, _ = load_config(corpus_dir / "config.txt", sets)
+        self.no_preprocessing(monkeypatch)
+        assert _features(cfg, cfg.model, "seq00").sequence_id == "seq00"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.update(video=t["video"][:1]),
@@ -1027,7 +1053,7 @@ class TestPredict:
                                 fps_rational=(8, 1)), media / "seq03.y4m")
         assert run(self.predict_with_media(corpus_dir, trained_dir, media)) == 3
         assert capsys.readouterr().err == (
-            "data error: sequence 'seq03': frame 66x32 is not 2:1 ERP\n")
+            f"data error: {media / 'seq03.y4m'}: frame 66x32 is not 2:1 ERP\n")
 
     def test_short_wav_prints_one_line_naming_the_sequence(self, tmp_path, corpus_dir,
                                                            trained_dir):
@@ -1039,7 +1065,7 @@ class TestPredict:
         assert done.returncode == 3
         # one line, and no Python warning ahead of it
         assert done.stderr.splitlines() == [
-            "data error: sequence 'seq03': audio of 100 samples at 16000 Hz "
+            f"data error: {media / 'seq03.wav'}: audio of 100 samples at 16000 Hz "
             "is shorter than one 25 ms analysis frame"]
 
     def test_unknown_sequence_is_validation_error(self, corpus_dir, trained_dir):

@@ -35,9 +35,10 @@ import pytest
 
 from avq360 import subjective, synthetic
 from avq360.cli import main
+from avq360.manifest import AudioClip, FrameSequence, load_y4m, write_wav, write_y4m
 from avq360.nn import read_checkpoint, write_checkpoint, write_tensor_record
 
-from oracles import with_crc
+from oracles import walked_frames, with_crc
 
 SEQ = "seq05"  # the sequence whose media and trace are faulted, on the test side
 # The tiny model of the gradient checks, trained for 2 steps. split_ratio
@@ -160,6 +161,12 @@ def _payload_bit_flipped(src, dst, other):
     dst.write_bytes(raw)
 
 
+def _square_frames(src, dst, other):
+    seq = load_y4m(src)
+    write_y4m(FrameSequence(walked_frames(seq)[:, :, : seq.height], seq.fps,
+                            seq.fps_rational), dst)
+
+
 def _time_goes_back(src, dst, other):
     lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[2], lines[3] = lines[3], lines[2]
@@ -178,6 +185,9 @@ BREAKS = {
         lambda t: t.update({"head.w": np.zeros_like(t["head.w"])}))),
     "split leakage": ("split", _bytes(lambda raw, _: raw + f"{SEQ},train\r\n".encode())),
     "time goes back": ("trace", _time_goes_back),
+    "square frames": ("y4m", _square_frames),
+    "shorter than one analysis frame": ("wav", lambda src, dst, other: write_wav(
+        AudioClip(samples=np.zeros((1, 100)), sample_rate=16000), dst)),
     "unknown meta tensor": ("checkpoint", _checkpoint_edit(
         lambda t: t.update({"meta/bogus": np.float32(1)}))),
     "a tensor twice": ("checkpoint", _repeated_tensor),
@@ -193,6 +203,7 @@ ACCEPTED = {
         "the loss is defined for any targets; only evaluate's correlations need them to vary",
     ("predict", "checkpoint", "constant predictions"):
         "a score of one sequence is defined for any weights; only evaluate correlates scores",
+    ("siti", "y4m", "square frames"): "SI and TI are defined for any frame size",
 }
 
 CASES = [(command, name, fault)

@@ -22,7 +22,7 @@ from avq360.manifest import (AudioClip, FrameSequence, SequenceManifestEntry, lo
 from avq360.model import AVQAModel
 
 from conftest import tiny_model_config
-from oracles import read_features
+from oracles import read_features, walked_frames
 from test_manifest import make_entry
 
 
@@ -32,9 +32,9 @@ def _y4m(path):
 
 
 def _read_y4m(path):
-    """load_y4m, then a read of every frame: the luma planes are read from
-    the file only when the frames are used."""
-    np.asarray(load_y4m(path).frames)
+    """load_y4m, then a walk over every frame: the luma planes are read
+    from the file only when the frames are walked."""
+    walked_frames(load_y4m(path))
 
 
 def _wav(path):
