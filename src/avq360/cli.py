@@ -7,16 +7,17 @@ directory, except the paths ``split_file``, ``mos_table`` and
 ``checkpoint`` name, and are byte-reproducible for a given config and
 seed, except the feature files, whose key records where the media are
 and their modification times. A file's parent directories are created
-when it is written; a path that cannot be written is a validation error.
+when it is written, and removed if empty when that fails; a path that
+cannot be written, or a failed write, is a validation error naming it.
 
 Feature files: ``evaluate`` keeps each sequence's preprocessed model
 input in ``<output_dir>/features/<id>.avqc`` (see ``_features``), and
 every command that preprocesses reads it instead of the media while its
 key matches, so scoring unchanged media again does not preprocess them
-again. Only ``evaluate`` writes it: ``predict`` scores one sequence and
-writes nothing, ``train`` preprocesses each sequence once for a loop
-whose cost is the network's, and ``extract-features`` keeps the same
-arrays as AVQF dumps.
+again. Only ``evaluate`` writes it, before ``metrics.csv``: ``predict``
+scores one sequence and writes nothing, ``train`` preprocesses each
+sequence once for a loop whose cost is the network's, and
+``extract-features`` keeps the same arrays as AVQF dumps.
 
 Exit codes: 0 success, 2 validation error, 3 data error, 4 numeric
 failure. A fault in the content of an input file (the manifest, the
@@ -39,18 +40,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
-from .errors import (DataError, NumericError, ValidationError, require_file,
-                     require_writable_location)
+from .errors import (DataError, NumericError, ValidationError, replaced_when_written,
+                     require_file, require_writable_location)
 from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
                        read_csv_table, resampled_length, write_csv_table)
-from .nn import read_checkpoint, write_checkpoint
+from .nn import read_checkpoint, write_checkpoint_bytes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,18 +78,18 @@ def _sequence_file(root: Path, sequence_id: str, suffix: str, what: str) -> Path
 
 
 def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
-              written: list | None = None) -> model.SequenceFeatures:
+              staged: ExitStack | None = None) -> model.SequenceFeatures:
     """Model input tensors of one sequence. They are read from its feature
     file ``<output_dir>/features/<sequence_id>.avqc`` when the file's
     ``meta/key`` is the one ``_feature_key`` gives now, without opening the
     media. Otherwise they are preprocessed from the media (``load_wav``
     decodes the audio to the mean of its channels, at the front end's rate
-    when the file's rate is a multiple of it) and, when ``written`` is a
-    list, written beside that file as ``<sequence_id>.avqc.new``, which is
-    appended to ``written`` after the directories made for it (see
-    ``_feature_files``). A medium the model cannot take (a frame that is
-    not 2:1, too few frames or rows, audio shorter than one analysis
-    frame) is a data error naming its file, decided before preprocessing."""
+    when the file's rate is a multiple of it) and, given an ExitStack
+    ``staged``, written through a ``replaced_when_written`` entered on it,
+    so the file is renamed into place when the stack closes. A medium the
+    model cannot take (a frame that is not 2:1, too few frames or rows,
+    audio shorter than one analysis frame) is a data error naming its
+    file, decided before preprocessing."""
     video = _sequence_file(cfg.media_root, sequence_id, ".y4m", "media")
     audio = _sequence_file(cfg.media_root, sequence_id, ".wav", "media")
     path = cfg.output_dir / "features" / f"{sequence_id}.avqc"
@@ -117,12 +118,11 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
         raise DataError(f"{audio}: audio of {clip.n_samples} samples at {clip.sample_rate} Hz "
                         f"is shorter than one {audiofe.FRAME_LEN_S * 1000:g} ms analysis frame")
     feat = model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
-    if written is not None:
-        new = path.with_name(f"{path.name}.new")
-        written += [d for d in reversed(path.parents) if not d.exists()]
-        write_checkpoint(new, {"video": feat.video, "audio": feat.audio,
-                               "lat_prior": feat.lat_prior, "meta/key": key}, dtype="<f8")
-        written.append(new)
+    if staged is not None:
+        f = staged.enter_context(replaced_when_written(path))
+        write_checkpoint_bytes(f, {"video": feat.video, "audio": feat.audio,
+                                   "lat_prior": feat.lat_prior, "meta/key": key}, dtype="<f8")
+        f.close()
     return feat
 
 
@@ -153,36 +153,6 @@ def _check_feature_shapes(path: Path, feat: model.SequenceFeatures,
     if len(p) != 3 or p[0] < 1 or p[1:] != (audiofe.PATCH_FRAMES, audiofe.NUM_MEL):
         raise DataError(f"{path}: audio has shape {p}, the model takes "
                         f"(P, {audiofe.PATCH_FRAMES}, {audiofe.NUM_MEL}) with P >= 1")
-
-
-@contextmanager
-def _feature_files():
-    """A list for ``_features`` to record the ``.new`` feature files a
-    command writes and the directories it makes for them. When the command
-    completes, each file is renamed over its ``<sequence_id>.avqc``. If the
-    command fails, or a rename does, every ``.new`` file not yet renamed is
-    removed, and so is each directory made for them that is left empty.
-    Files renamed before a failed rename stay: each is keyed to the inputs
-    it was computed from (``_feature_key``), so it is as valid as the file
-    it replaced."""
-    written: list[Path] = []
-    try:
-        yield written
-        for path in written:
-            if path.is_file():
-                try:
-                    path.replace(path.with_suffix(""))
-                except OSError as e:
-                    raise ValidationError(f"cannot write {path.with_suffix('')}: "
-                                          f"{e.strerror or e}") from e
-    except BaseException:
-        for path in reversed(written):
-            with suppress(OSError):  # a renamed file, or a directory that is not empty
-                if path.is_dir():
-                    path.rmdir()
-                else:
-                    path.unlink()
-        raise
 
 
 _SPLIT_HEADER = ["sequence_id", "split"]
@@ -258,8 +228,6 @@ def cmd_siti(args) -> int:
         r = siti.summarize_siti(seq)
         rows.append([entry.sequence_id, f"{r.si_mean:.6f}", f"{r.si_max:.6f}",
                      f"{r.ti_mean:.6f}", f"{r.ti_max:.6f}"])
-    # every row is computed before the table is opened, so a media failure
-    # leaves no output directory behind
     out = cfg.output_dir / "siti.csv"
     write_csv_table(out, ["sequence_id", "si_mean", "si_max", "ti_mean", "ti_max"], rows)
     print(f"siti table: {out} ({len(entries)} sequences)")
@@ -305,8 +273,7 @@ def cmd_split(args) -> int:
 def cmd_extract_features(args) -> int:
     cfg = _config_from_args(args)
     entries = _manifest_entries(cfg)
-    # every sequence is preprocessed before the first dump is written, so
-    # a media failure leaves no output directory behind
+    # every sequence is preprocessed first, so a media failure writes no dump
     feats = [_features(cfg, cfg.model, entry.sequence_id) for entry in entries]
     feat_dir = cfg.output_dir / "features"
     for feat in feats:
@@ -381,16 +348,16 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{cfg.mos_table}: every sequence of subset {args.on!r} "
                         f"has MOS {mos[0]:.6f}")
     net = model.AVQAModel.load(cfg.checkpoint)
-    with _feature_files() as written:
+    with ExitStack() as staged:
         # one sequence's features at a time
-        preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id, written))
+        preds = np.array([net.predict(_features(cfg, net.cfg, e.sequence_id, staged))
                           for e in selected])
         if np.ptp(preds) == 0:
             raise DataError(f"{cfg.checkpoint}: predicts {preds[0]:.4f} for every sequence "
                             f"of subset {args.on!r}")
         report = metrics.evaluate_predictions(preds, mos)
-        out = cfg.output_dir / "metrics.csv"
-        metrics.write_report_csv(report, out)
+    out = cfg.output_dir / "metrics.csv"
+    metrics.write_report_csv(report, out)
     print(
         f"n={report.n} plcc={report.plcc:.4f} srocc={report.srocc:.4f} "
         f"krocc={report.krocc:.4f} rmse={report.rmse:.4f}"

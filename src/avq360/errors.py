@@ -6,7 +6,8 @@ is done for it."""
 
 import errno
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import takewhile
 from pathlib import Path
 
 
@@ -66,26 +67,49 @@ def require_file(path, what: str, error=ValidationError) -> Path:
 def replaced_when_written(path, mode="wb", **open_kwargs):
     """Create the parent directories of ``path``, open ``<path>.tmp`` for
     writing and yield the file; rename it over ``path`` once the block
-    completes. Any exception in the block removes the temporary file and
-    leaves an earlier file at ``path`` as it was. An OSError from making
-    the directories, opening the temporary file or the rename raises
-    ValidationError "cannot write <path>: <reason>"."""
-    tmp = Path(f"{path}.tmp")
+    completes (a caller may close the file and leave that to the ExitStack
+    it entered this on). An exception before then removes the temporary
+    file and the directories made for it that are left empty, and leaves
+    an earlier file at ``path`` as it was. An OSError of its mkdir, open,
+    write, close or rename is ValidationError "cannot write <path>"."""
+    tmp, made, f = Path(f"{path}.tmp"), [], _Output(path)
     try:
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        f = open(tmp, mode, **open_kwargs)
-    except OSError as e:
-        raise _unwritable(path, e) from e
-    try:
-        with f:
-            yield f
+        made = f.do(list, takewhile(lambda d: not d.exists(), tmp.absolute().parents))
+        f.do(tmp.parent.mkdir, parents=True, exist_ok=True)
+        f.file = f.do(open, tmp, mode, **open_kwargs)
         try:
-            tmp.replace(path)
-        except OSError as e:
-            raise _unwritable(path, e) from e
+            yield f
+            f.close()
+            f.do(tmp.replace, path)
+        except BaseException:
+            with suppress(OSError):  # the exception propagating says more
+                f.file.close()
+            tmp.unlink(missing_ok=True)
+            raise
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for d in made:
+            with suppress(OSError):  # not empty: another output was written there
+                d.rmdir()
         raise
+
+
+class _Output:
+    """The file ``replaced_when_written`` yields: an OSError is "cannot write"."""
+
+    def __init__(self, path):
+        self.path, self.file = path, None
+
+    def do(self, call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except OSError as e:
+            raise _unwritable(self.path, e) from e
+
+    def write(self, data):
+        return self.do(self.file.write, data)
+
+    def close(self) -> None:
+        self.do(self.file.close)
 
 
 def require_writable_location(path) -> None:

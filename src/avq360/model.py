@@ -166,7 +166,8 @@ def video_input(seq: FrameSequence, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
     buffer, which, besides the output and the cached resampling matrices,
     is all that is kept alive; a sequence from ``load_y4m`` reads only the
     picked frames from its file, into one reused plane
-    (``FrameSequence.walk``)."""
+    (``FrameSequence.walk``). A frame that is not 2:1 is a DataError (see
+    ``audio_input``)."""
     if seq.width != 2 * seq.height:
         raise DataError(
             f"frame {seq.width}x{seq.height} is not 2:1 ERP"
@@ -192,7 +193,9 @@ def audio_input(clip: AudioClip) -> np.ndarray:
     """Log-mel patch stack (P, PATCH_FRAMES, NUM_MEL) of a clip; a
     multichannel clip (``load_wav`` gives mono) is downmixed first. A clip
     too short for one analysis frame is a DataError naming its sample
-    count and rate."""
+    count and rate. The commands decide both checks first, naming the file
+    (``cli._features``); these guard library callers, for whom an empty
+    stack would be a bare ValueError in the audio CNN."""
     mono = clip if clip.channels == 1 else downmix_mono(clip)
     if mono.sample_rate != audiofe.SAMPLE_RATE:
         mono = audiofe.resample_linear(mono, audiofe.SAMPLE_RATE)

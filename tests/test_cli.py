@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -824,8 +825,10 @@ class TestFeatureFiles:
             os.utime(video, ns=(st.st_atime_ns, st.st_mtime_ns + shift))
         else:
             model_cfg = dataclasses.replace(model_cfg, **{change: 2})
-        with cli._feature_files() as written:
-            _features(cfg, model_cfg, "seq03", written)
+        with ExitStack() as staged:
+            _features(cfg, model_cfg, "seq03", staged)
+            # written in full and closed at once, renamed when the stack closes
+            assert read_checkpoint(path.with_name("seq03.avqc.tmp")).keys() == before.keys()
         after = read_checkpoint(path)
         assert not np.array_equal(after["meta/key"], before["meta/key"])
         assert not np.array_equal(after["video"], before["video"])
@@ -863,7 +866,7 @@ class TestFeatureFiles:
         replace, renames = Path.replace, []
 
         def second_rename_fails(self, target):
-            if self.name.endswith(".avqc.new"):
+            if self.name.endswith(".avqc.tmp"):
                 renames.append(self)
                 if len(renames) == 2:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -872,14 +875,16 @@ class TestFeatureFiles:
         monkeypatch.setattr(Path, "replace", second_rename_fails)
         assert run(self.argv("evaluate", corpus_dir, sets, "--on", "all")) == 2
         features = root / "out" / "features"
+        # renamed in reverse order of writing: seq07's first, then seq06's
         assert capsys.readouterr().err.splitlines() == [
-            f"error: cannot write {features / 'seq01.avqc'}: {os.strerror(errno.ENOSPC)}"]
-        # seq00 was renamed before the failure and stays, keyed to its media
-        assert sorted(p.name for p in features.iterdir()) == ["seq00.avqc"]
+            f"error: cannot write {features / 'seq06.avqc'}: {os.strerror(errno.ENOSPC)}"]
+        # seq07 was renamed before the failure and stays, keyed to its media
+        assert sorted(p.name for p in features.iterdir()) == ["seq07.avqc"]
+        assert not (root / "out" / "metrics.csv").exists()
         monkeypatch.undo()
         cfg, _ = load_config(corpus_dir / "config.txt", sets)
         self.no_preprocessing(monkeypatch)
-        assert _features(cfg, cfg.model, "seq00").sequence_id == "seq00"
+        assert _features(cfg, cfg.model, "seq07").sequence_id == "seq07"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.update(video=t["video"][:1]),

@@ -2,6 +2,7 @@
 ``manifest.read_csv_table``: UTF-8, an exact header, blank rows skipped,
 a fixed field count, and a DataError naming the path and line otherwise."""
 
+import errno
 import re
 
 import pytest
@@ -142,3 +143,25 @@ def test_failed_write_leaves_earlier_table_and_no_temporary_file(tmp_path):
         write_csv_table(path, ["a"], rows())
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_os_error_of_the_row_source_propagates_as_it_is(tmp_path):
+    # only a fault of the table's own file is "cannot write"; the rows may
+    # come from reading an input, whose reader names it
+    def rows():
+        yield [1]
+        raise OSError(errno.EIO, "input read failed")
+
+    with pytest.raises(OSError, match="input read failed"):
+        write_csv_table(tmp_path / "t.csv", ["a"], rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_directory_it_made(tmp_path):
+    def rows():
+        yield [1]
+        raise DataError("row source failed")
+
+    with pytest.raises(DataError, match="row source failed"):
+        write_csv_table(tmp_path / "a" / "b" / "t.csv", ["a"], rows())
+    assert list(tmp_path.iterdir()) == []

@@ -687,6 +687,15 @@ class TestCheckpointFormat:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_interrupted_write_leaves_no_directory_it_made(self, tmp_path, monkeypatch):
+        def interrupted(f, arr, *dtype):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(nn, "write_tensor_record", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            nn.write_checkpoint(tmp_path / "a" / "b" / "m.avqc", {"w": np.zeros(2, np.float32)})
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTensorRecords:
     @pytest.mark.parametrize("fmt", ["avqf", "avqc"])
