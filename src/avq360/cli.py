@@ -27,7 +27,8 @@ or ``hm_root`` lacks, is a data error naming the file, decided where the
 file is read. A fault in the command line or the config file, or a
 configured path that names no file or a directory, is a validation
 error. A command that fails on its inputs writes nothing: a failing
-``evaluate`` leaves the feature files as they were.
+``evaluate`` leaves the feature files as they were, and ``train`` replaces
+the checkpoint and ``train_log.csv`` only once both are written.
 
 Only the commands report: a condition worth knowing is a ``warning:``
 line on stdout, and a failure is one ``error:``, ``data error:`` or
@@ -47,11 +48,11 @@ import numpy as np
 
 from . import audiofe, hm, metrics, model, siti, subjective, synthetic
 from .config import RunConfig, load_config
-from .errors import (DataError, NumericError, ValidationError, replaced_when_written,
-                     require_file, require_writable_location)
+from .errors import (DataError, NumericError, ValidationError, require_file,
+                     require_writable_location)
 from .manifest import (load_manifest, load_scores_csv, load_wav, load_y4m,
                        read_csv_table, resampled_length, write_csv_table)
-from .nn import read_checkpoint, write_checkpoint_bytes
+from .nn import read_checkpoint, write_checkpoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,7 +86,7 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
     media. Otherwise they are preprocessed from the media (``load_wav``
     decodes the audio to the mean of its channels, at the front end's rate
     when the file's rate is a multiple of it) and, given an ExitStack
-    ``staged``, written through a ``replaced_when_written`` entered on it,
+    ``staged``, written to a file staged on it (``nn.write_checkpoint``),
     so the file is renamed into place when the stack closes. A medium the
     model cannot take (a frame that is not 2:1, too few frames or rows,
     audio shorter than one analysis frame) is a data error naming its
@@ -119,10 +120,8 @@ def _features(cfg: RunConfig, model_cfg: model.ModelConfig, sequence_id: str,
                         f"is shorter than one {audiofe.FRAME_LEN_S * 1000:g} ms analysis frame")
     feat = model.preprocess_sequence(seq, clip, model_cfg, sequence_id)
     if staged is not None:
-        f = staged.enter_context(replaced_when_written(path))
-        write_checkpoint_bytes(f, {"video": feat.video, "audio": feat.audio,
-                                   "lat_prior": feat.lat_prior, "meta/key": key}, dtype="<f8")
-        f.close()
+        write_checkpoint(path, {"video": feat.video, "audio": feat.audio,
+                                "lat_prior": feat.lat_prior, "meta/key": key}, "<f8", staged)
     return feat
 
 
@@ -325,8 +324,9 @@ def cmd_train(args) -> int:
 
     net = model.AVQAModel(cfg.model)
     result = model.train_model(net, feats, targets)
-    net.save(cfg.checkpoint)
-    model.write_train_log(result.history, log_path)
+    with ExitStack() as staged:  # neither output is replaced until both are written
+        net.save(cfg.checkpoint, staged)
+        model.write_train_log(result.history, log_path, staged)
     print(f"trained on {len(feats)} sequences for {len(result.history)} steps")
     if result.history:
         print(f"final batch loss: {result.final_loss:.6f}")

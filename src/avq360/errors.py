@@ -6,7 +6,7 @@ is done for it."""
 
 import errno
 import os
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from itertools import takewhile
 from pathlib import Path
 
@@ -64,14 +64,22 @@ def require_file(path, what: str, error=ValidationError) -> Path:
 
 
 @contextmanager
-def replaced_when_written(path, mode="wb", **open_kwargs):
+def replaced_when_written(path, mode="wb", staged: ExitStack | None = None, **open_kwargs):
     """Create the parent directories of ``path``, open ``<path>.tmp`` for
     writing and yield the file; rename it over ``path`` once the block
-    completes (a caller may close the file and leave that to the ExitStack
-    it entered this on). An exception before then removes the temporary
-    file and the directories made for it that are left empty, and leaves
-    an earlier file at ``path`` as it was. An OSError of its mkdir, open,
-    write, close or rename is ValidationError "cannot write <path>"."""
+    completes. Given an ExitStack ``staged``, this is entered on that
+    stack instead: the file is closed when the block completes and renamed
+    only when the stack closes, so no output staged on one stack replaces
+    its path before every one of them is written. An exception before the
+    rename removes the temporary file and the directories made for it that
+    are left empty, and leaves an earlier file at ``path`` as it was. An
+    OSError of its mkdir, open, write, close or rename is ValidationError
+    "cannot write <path>"."""
+    if staged is not None:
+        f = staged.enter_context(replaced_when_written(path, mode, **open_kwargs))
+        yield f
+        f.close()
+        return
     tmp, made, f = Path(f"{path}.tmp"), [], _Output(path)
     try:
         made = f.do(list, takewhile(lambda d: not d.exists(), tmp.absolute().parents))

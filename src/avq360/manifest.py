@@ -13,6 +13,7 @@ JSON types for the manifest).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import struct
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -562,18 +564,25 @@ def read_csv_table(path, header):
             raise not_utf8(path) from None
 
 
-def write_csv_table(path, header, rows) -> None:
-    """Write ``header``, then each row of the iterable ``rows`` as it is
-    produced, as UTF-8 CSV with CRLF line ends.
+# Rows of a CSV table formatted in memory for each write to its file.
+_CSV_ROWS = 1024
 
-    The table replaces ``path`` only once every row is written
-    (``replaced_when_written``), so a failure while producing the rows
-    leaves an earlier table at ``path`` as it was.
+
+def write_csv_table(path, header, rows, staged=None) -> None:
+    """Write ``header``, then each row of the iterable ``rows`` as it is
+    produced, as UTF-8 CSV with CRLF line ends, _CSV_ROWS rows a write.
+
+    The table replaces ``path`` only once every row is written, or when
+    the ExitStack ``staged`` closes (``replaced_when_written``), so a
+    failure while producing the rows leaves an earlier table at ``path``
+    as it was.
     """
-    with replaced_when_written(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+    rows = chain([header], rows)
+    with replaced_when_written(path, "w", staged, newline="", encoding="utf-8") as f:
+        while batch := list(islice(rows, _CSV_ROWS)):
+            text = io.StringIO(newline="")
+            csv.writer(text).writerows(batch)
+            f.write(text.getvalue())
 
 
 def _parse_bool(text: str) -> bool:

@@ -52,8 +52,8 @@ BAND_INPUT_HW = (16, 32)
 FF_MULT = 2
 
 # Most samples a scoring pass sends through a conv stack at once: the audio
-# CNN holds the activations of 4 patches, not of a whole clip; its first
-# conv's columns and output for one group set the scoring peak. 4 runs no
+# CNN holds the activations of 4 patches, not of a whole clip; its second
+# conv's columns for one group (3.54 MB) set the scoring peak. 4 runs no
 # slower than 8.
 SCORE_GROUP = 4
 
@@ -238,8 +238,9 @@ class _ConvStack:
     columns of each conv and the input of each pool, for all N samples.
     ``score`` keeps none of it: it runs the stages and the mean pool over
     at most SCORE_GROUP samples at a time, so only one group's activations
-    are alive (the first conv's columns and output for 4 audio patches,
-    about 3.3 MB, are its largest), and then projects the pooled rows
+    are alive (audio conv1's im2col columns for 4 patches, 3.54 MB, are
+    the largest; with that conv's output and the pool's the peak is
+    about 5.4 MB, by ``tracemalloc``), and then projects the pooled rows
     once, as ``forward`` does. Each sample's conv product and mean are
     computed on their own, so its output equals ``forward``'s bit for
     bit whatever the group size.
@@ -510,10 +511,12 @@ class AVQAModel:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path) -> None:
+    def save(self, path, staged=None) -> None:
+        """The checkpoint at ``path``, replaced when the ExitStack
+        ``staged`` closes, if one is given (``nn.write_checkpoint``)."""
         tensors = dict(self.store.params)
         tensors.update(_config_to_meta(self.cfg))
-        nn.write_checkpoint(path, tensors)
+        nn.write_checkpoint(path, tensors, staged=staged)
 
     @classmethod
     def load(cls, path) -> "AVQAModel":
@@ -659,6 +662,6 @@ def train_model(
     return result
 
 
-def write_train_log(history, path) -> None:
+def write_train_log(history, path, staged=None) -> None:
     write_csv_table(path, ["step", "loss"],
-                    ([step, f"{loss:.10f}"] for step, loss in history))
+                    ([step, f"{loss:.10f}"] for step, loss in history), staged)

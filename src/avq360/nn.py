@@ -480,26 +480,22 @@ class _Checksummed:
         self.f.write(data)
 
 
-def write_checkpoint(path, tensors: dict, dtype="<f4") -> None:
-    """``write_checkpoint_bytes`` into ``path``, replaced once complete."""
-    with replaced_when_written(path) as f:
-        write_checkpoint_bytes(f, tensors, dtype)
-
-
-def write_checkpoint_bytes(f, tensors: dict, dtype="<f4") -> None:
+def write_checkpoint(path, tensors: dict, dtype="<f4", staged=None) -> None:
     """Magic "AVQC", u32 version, u32 tensor count, u32 payload width (4
     for ``<f4``, 8 for ``<f8``, the ``dtype`` of every payload), then per
     tensor u32 name length, name bytes and a tensor record; then the u32
-    ``zlib.crc32`` of every byte before it, written to the binary file
-    ``f``. Names are written sorted."""
-    out = _Checksummed(f)
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<III", CHECKPOINT_VERSION, len(tensors), np.dtype(dtype).itemsize))
-    for name in sorted(tensors):
-        nb = name.encode("utf-8")
-        out.write(struct.pack("<I", len(nb)) + nb)
-        write_tensor_record(out, tensors[name], dtype)
-    f.write(struct.pack("<I", out.crc))
+    ``zlib.crc32`` of every byte before it. Names are written sorted. The
+    file replaces ``path`` once complete, or when the ExitStack ``staged``
+    closes (``replaced_when_written``)."""
+    with replaced_when_written(path, staged=staged) as f:
+        out = _Checksummed(f)
+        out.write(CHECKPOINT_MAGIC)
+        out.write(struct.pack("<III", CHECKPOINT_VERSION, len(tensors), np.dtype(dtype).itemsize))
+        for name in sorted(tensors):
+            nb = name.encode("utf-8")
+            out.write(struct.pack("<I", len(nb)) + nb)
+            write_tensor_record(out, tensors[name], dtype)
+        f.write(struct.pack("<I", out.crc))
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:

@@ -13,6 +13,7 @@ import struct
 import tracemalloc
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,16 @@ def naive_ti(frame_a, frame_b):
             diffs.append(b - a)
     mean = sum(diffs) / len(diffs)
     return math.sqrt(sum((d - mean) ** 2 for d in diffs) / len(diffs))
+
+
+def exact_ti(frame_a, frame_b):
+    """TI of two integer frames from exact moments: the population
+    variance of the pixel-wise differences as a Fraction, rounded once to
+    the nearest float, then its square root."""
+    diffs = [int(b) - int(a) for row_a, row_b in zip(frame_a, frame_b)
+             for a, b in zip(row_a, row_b)]
+    n = len(diffs)
+    return math.sqrt(Fraction(n * sum(d * d for d in diffs) - sum(diffs) ** 2, n * n))
 
 
 def screen_oracle(table):

@@ -2,13 +2,16 @@
 ``manifest.read_csv_table``: UTF-8, an exact header, blank rows skipped,
 a fixed field count, and a DataError naming the path and line otherwise."""
 
+import csv
 import errno
+import io
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from avq360.cli import _load_split
+from avq360 import errors, manifest
 from avq360.errors import Avq360Error, DataError
 from avq360.hm import load_hm
 from avq360.manifest import load_scores_csv, write_csv_table
@@ -128,6 +131,20 @@ def test_written_table_is_renamed_into_place(tmp_path):
     write_csv_table(path, ["a", "b"], iter([[1, "x"], [2.5, "y,z"]]))
     assert path.read_bytes() == b'a,b\r\n1,x\r\n2.5,"y,z"\r\n'
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_long_table_is_written_in_chunks_with_the_bytes_of_one_writer(tmp_path, monkeypatch):
+    rows = [[f"s{i % 60:03d}", f"seq{i:05d}", i / 7, "a,b" if i % 3 else 'q"'] for i in range(6000)]
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([["subject", "sequence", "x", "note"], *rows])
+    writes = []
+    write = errors._Output.write
+    monkeypatch.setattr(errors._Output, "write", lambda self, data: writes.append(len(data))
+                        or write(self, data))
+    path = tmp_path / "t.csv"
+    write_csv_table(path, ["subject", "sequence", "x", "note"], iter(rows))
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+    assert len(writes) == -(-(len(rows) + 1) // manifest._CSV_ROWS) > 2
 
 
 def test_failed_write_leaves_earlier_table_and_no_temporary_file(tmp_path):

@@ -1,11 +1,18 @@
 import itertools
 import math
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import avq360
+from avq360 import siti
 from avq360.errors import ValidationError
 from avq360.manifest import FrameSequence, Y4MFrames, load_y4m, write_y4m
 from avq360.siti import (
@@ -15,7 +22,7 @@ from avq360.siti import (
     temporal_information,
 )
 
-from oracles import naive_sobel_si, naive_ti
+from oracles import exact_ti, naive_sobel_si, naive_ti
 
 
 def seq_from_uint8(frames):
@@ -155,14 +162,25 @@ def checkerboard(h, w, block):
     return (255 * ((r // block + c // block) % 2)).astype(np.uint8)
 
 
+def exact_ti_per_pair(frames):
+    return np.array([exact_ti(a.tolist(), b.tolist()) for a, b in zip(frames, frames[1:])])
+
+
+def assert_exact_uint8_ti(ti, frames, ti_ref):
+    """uint8 TI is the exact oracle's, and within 1 ulp of float64's."""
+    assert np.array_equal(ti, exact_ti_per_pair(frames))
+    assert np.all(np.abs(ti - ti_ref) <= np.spacing(ti_ref))
+
+
 class TestStreamingPath:
-    """The per-frame integer path for uint8 luma against float64."""
+    """The per-frame integer path for uint8 luma against float64: SI bit
+    for bit, TI exact (within 1 ulp of float64's two-pass std)."""
 
     def assert_bit_identical(self, frames):
         si_ref, ti_ref = float64_reference(frames)
         seq = FrameSequence(frames=frames, fps=1.0)
         assert np.array_equal(spatial_information(seq), si_ref)
-        assert np.array_equal(temporal_information(seq), ti_ref)
+        assert_exact_uint8_ti(temporal_information(seq), frames, ti_ref)
 
     def test_random_uint8_bit_identical_to_float64(self):
         rng = np.random.default_rng(11)
@@ -241,8 +259,11 @@ class TestOneWalk:
         si_ref, ti_ref = float64_reference(frames)
         for si in (spatial_information(seq), si_ref):
             assert np.array_equal(r.si_per_frame, si)
-        for ti in (temporal_information(seq), ti_ref):
-            assert np.array_equal(r.ti_per_frame, ti)
+        assert np.array_equal(r.ti_per_frame, temporal_information(seq))
+        if frames.dtype == np.uint8:
+            assert_exact_uint8_ti(r.ti_per_frame, frames, ti_ref)
+            ti_ref = exact_ti_per_pair(frames)
+        assert np.array_equal(r.ti_per_frame, ti_ref)
         assert (r.si_mean, r.si_max) == (float(si_ref.mean()), float(si_ref.max()))
         assert (r.ti_mean, r.ti_max) == (float(ti_ref.mean()), float(ti_ref.max()))
 
@@ -273,3 +294,101 @@ class TestOneWalk:
     def test_temporal_information_takes_frames_under_3x3(self):
         frames = np.array([[[0, 255]], [[255, 255]]], dtype=np.uint8)
         assert temporal_information(seq_from_uint8(frames))[0] == 127.5
+
+
+def band_cases():
+    rng = np.random.default_rng(31)
+    return {
+        **walk_cases(),
+        "odd height uint8": rng.integers(0, 256, size=(3, 23, 40), dtype=np.uint8),
+        "odd height uint16": rng.integers(0, 65536, size=(3, 23, 40), dtype=np.uint16),
+        "odd height float64": rng.uniform(0.0, 255.0, size=(3, 23, 40)),
+        "2 frames float64": rng.uniform(0.0, 255.0, size=(2, 9, 16)),
+    }
+
+
+def summary_bytes(frames):
+    r = summarize_siti(FrameSequence(frames=frames, fps=1.0))
+    return (r.si_per_frame.tobytes(), r.ti_per_frame.tobytes(),
+            np.array([r.si_mean, r.si_max, r.ti_mean, r.ti_max]).tobytes())
+
+
+class TestRowBands:
+    """Each frame's integer passes run as row bands, one per CPU."""
+
+    @pytest.mark.parametrize("case", list(band_cases()))
+    def test_same_bytes_for_every_band_count(self, case, monkeypatch):
+        frames = band_cases()[case]
+        monkeypatch.setattr(siti, "_band_count", lambda: 1)
+        one = summary_bytes(frames)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # the bands' threads interleave often
+        try:
+            for count in (2, 3, frames.shape[1] + 5):   # the last: more bands than rows
+                monkeypatch.setattr(siti, "_band_count", lambda: count)
+                assert summary_bytes(frames) == one, count
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_uint8_ti_equals_the_exact_oracle(self, count, monkeypatch):
+        monkeypatch.setattr(siti, "_band_count", lambda: count)
+        board = checkerboard(40, 80, 1)
+        cases = [f for f in band_cases().values() if f.dtype == np.uint8]
+        # inverted boards: a difference of +/-255 at every pixel
+        cases.append(np.stack([board, 255 - board, board]))
+        for frames in cases:
+            r = summarize_siti(FrameSequence(frames=frames, fps=1.0))
+            assert np.array_equal(r.ti_per_frame, exact_ti_per_pair(frames))
+        assert r.ti_per_frame.tolist() == [255.0, 255.0]
+
+    @pytest.mark.parametrize("work", ["_sobel_band", "_difference_band"])
+    def test_an_exception_in_band_1_propagates_once_every_band_ended(self, work, monkeypatch):
+        frames = np.random.default_rng(32).integers(0, 256, size=(3, 32, 64), dtype=np.uint8)
+        monkeypatch.setattr(siti, "_band_count", lambda: 3)
+        rows = 30 if work == "_sobel_band" else 32
+        starts = [r0 for r0, _ in siti._bounds(rows, 3)]
+        original, ended = getattr(siti, work), []
+
+        def band(*args):
+            r0 = args[-1][0]
+            try:
+                if r0 == starts[1]:
+                    raise RuntimeError("band 1 failed")
+                time.sleep(0.05)    # the others end well after band 1
+                return original(*args)
+            finally:
+                ended.append(r0)
+
+        monkeypatch.setattr(siti, work, band)
+        with pytest.raises(RuntimeError, match="band 1 failed"):
+            summarize_siti(FrameSequence(frames=frames, fps=1.0))
+        assert sorted(ended) == starts
+        assert not [t for t in threading.enumerate() if t.name.startswith("siti-band")]
+
+    def test_one_cpu_runs_every_band_on_the_calling_thread(self, monkeypatch):
+        frames = np.random.default_rng(33).integers(0, 256, size=(3, 16, 32), dtype=np.uint8)
+        threads = {}
+        for name in ("_sobel_band", "_difference_band"):
+            original = getattr(siti, name)
+
+            def band(*args, original=original):
+                threads.setdefault(args[-1][0], set()).add(threading.current_thread())
+                return original(*args)
+
+            monkeypatch.setattr(siti, name, band)
+        monkeypatch.setattr(siti, "_band_count", lambda: 1)
+        summarize_siti(FrameSequence(frames=frames, fps=1.0))
+        assert threads == {0: {threading.current_thread()}}
+        threads.clear()
+        monkeypatch.setattr(siti, "_band_count", lambda: 2)
+        summarize_siti(FrameSequence(frames=frames, fps=1.0))
+        assert threads.pop(0) == {threading.current_thread()}
+        assert [threading.current_thread() not in t for t in threads.values()] == [True, True]
+
+    def test_importing_the_cli_imports_no_thread_pool(self):
+        src = str(Path(avq360.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import avq360.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"

@@ -4,7 +4,8 @@ Each case writes every output once with the commands that make them
 (``process-scores``, ``train``, ``evaluate --on all``, ``extract-features``),
 then runs the command that writes one output again while the disk is full
 for that output: ENOSPC from its first write, or from closing it (the flush
-of bytes still buffered). The fault is injected where
+of bytes still buffered). ``train`` writes two outputs, the checkpoint and
+``train_log.csv``; a fault in either leaves both as they were. The fault is injected where
 ``errors.replaced_when_written`` opens the output. The rule, stated beside
 the exit codes in README: exit 2 with one ``error: cannot write <path>:``
 line, no temporary file left, and every output of the earlier run
@@ -35,6 +36,8 @@ checkpoint = model.avqc
 OUTPUTS = {
     "table": ("evaluate", ["--on", "all"], "out/metrics.csv"),
     "checkpoint": ("train", ["--on", "all"], "model.avqc"),
+    # a retrain with another seed, so a checkpoint replaced before the log shows
+    "train log": ("train", ["--on", "all", "--set", "seed=8"], "out/train_log.csv"),
     # the one feature file whose media changed since the earlier run
     "feature file": ("evaluate", ["--on", "all"], "out/features/seq03.avqc"),
     "AVQF dump": ("extract-features", [], "out/features/seq00_video.avqf"),
