@@ -569,8 +569,9 @@ _CSV_ROWS = 1024
 
 
 def write_csv_table(path, header, rows, staged=None) -> None:
-    """Write ``header``, then each row of the iterable ``rows`` as it is
-    produced, as UTF-8 CSV with CRLF line ends, _CSV_ROWS rows a write.
+    """Write ``header``, then the rows of the iterable ``rows`` as UTF-8
+    CSV with CRLF line ends: each batch of _CSV_ROWS rows is formatted in
+    memory as it is produced and written to the file in one write.
 
     The table replaces ``path`` only once every row is written, or when
     the ExitStack ``staged`` closes (``replaced_when_written``), so a

@@ -662,6 +662,6 @@ def train_model(
     return result
 
 
-def write_train_log(history, path, staged=None) -> None:
+def write_train_log(history, path, staged) -> None:
     write_csv_table(path, ["step", "loss"],
                     ([step, f"{loss:.10f}"] for step, loss in history), staged)

@@ -16,35 +16,22 @@ magnitude and then TI's squares or deviations. So its speed does not
 depend on what the allocator was left holding: a fresh process faults in
 no new pages per frame.
 
-Within a frame, the elementwise passes run as row bands, one band per CPU
-this process may use (``os.sched_getaffinity``): the Sobel sums, Gx, Gy,
-Gx² + Gy² and the square root into the magnitude rows, and the frame
-difference. The calling thread runs the first band and a thread pool,
-made the first time there is a second band, runs the others; each band
-writes only its own rows of the shared planes. With one CPU there is one
-band and no thread. SI's two float64 reductions run whole-plane on the
-calling thread, so SI does not depend on the band count, bit for bit.
-
 uint8 luma takes an integer path: each frame is widened once to int16,
 the Sobel sums, Gx, Gy (|x| <= 1 020) and the frame differences are
 int16, and Gx² + Gy² (at most 2 080 800) is int32. Every intermediate is
 an integer that float64 holds exactly, so SI is bit-identical to
 computing everything in float64, which is what every other dtype does.
-uint8 TI comes from exact integer moments: each band's sum of the
-differences d and of d² (int64), added as Python ints over the bands, give
-n² times the variance exactly, and one correctly rounded division and a
-square root give TI. Integer sums do not depend on their order, so TI does
-not depend on the band count either. It is within 1 ulp of the exact
-standard deviation, and may differ by an ulp from float64's two-pass std,
-which the other dtypes' TI is, bit for bit.
+uint8 TI comes from exact integer moments: the sums of the differences d
+and of d² (int64) give n² times the variance exactly, and one correctly
+rounded division and a square root give TI. It is within 1 ulp of the
+exact standard deviation, and may differ by an ulp from float64's
+two-pass std, which the other dtypes' TI is, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -64,25 +51,19 @@ class SITIResult:
 
 class _Planes:
     """The work planes of one sequence's frames of ``shape``, allocated
-    once, their views for each row band, and the threads that run the
-    bands after the first (``run``) until ``close`` ends them; the Sobel
-    planes only when ``sobel`` is set, and then a frame under 3x3 is a
-    ValidationError. An empty frame is one too.
+    once; the Sobel planes only when ``sobel`` is set, and then a frame
+    under 3x3 is a ValidationError. An empty frame is one too.
 
     The work dtype is int16 for uint8 luma (exact, see the module
     docstring), else float64. ``frames`` holds the widened current and
-    previous frame, ``scratch`` each Sobel band's [1, 2, 1] sums of either
-    direction (its rows and the 2 below them, so the plane has 2 rows
-    more per band after the first) and then TI's difference, and the
-    float64 ``flt`` SI's magnitude and then, on the float64 path, TI's
-    deviations. Each Sobel band holds its rows of ``mag``, of Gx (``g``,
-    then Gy) and of the planes of Gx² and Gy². For uint8 those are rows of
-    an int32 plane and an int32 view of the band's own magnitude rows,
-    and ``g`` is an int16 view of those rows past that one: the band's
-    magnitude overwrites both views only after its Gx² + Gy² is summed.
-    For float64 they are the magnitude rows and ``g`` itself. Each TI band
-    holds its rows of the difference and, for uint8, an int32 view of its
-    rows of ``flt`` for the squares.
+    previous frame, ``scratch`` the Sobel [1, 2, 1] sums of either
+    direction and then TI's difference, ``g`` Gx and then Gy, and the
+    float64 ``flt`` SI's magnitude and then TI's squares (an int32 view,
+    for uint8) or deviations. ``squares`` are the planes of Gx² and Gy².
+    For uint8 they are an int32 plane and an int32 view of ``flt``, and
+    ``g`` is an int16 view of ``flt`` past that one: the magnitude
+    overwrites both views only after Gx² + Gy² is summed. For float64 they
+    are the magnitude plane and ``g`` itself.
     """
 
     def __init__(self, shape: tuple, dtype, sobel: bool):
@@ -95,65 +76,19 @@ class _Planes:
         self.work = np.dtype(np.int16 if narrow else np.float64)
         self.frames = (np.empty(shape, self.work), np.empty(shape, self.work))
         self._slot = 0
-        self._pool = None
-        count = _band_count()
-        sobel_rows = _bounds(h - 2, count) if sobel else []
-        self.scratch = np.empty((h + 2 * max(len(sobel_rows) - 1, 0)) * w, self.work)
+        self.scratch = np.empty(h * w, self.work)
         self.flt = np.empty(h * w)
-        diff = self.scratch[: h * w].reshape(h, w)
-        self.ti = [(r0, r1, diff[r0:r1],
-                    self.flt[r0 * w : r1 * w].view(np.int32)[: (r1 - r0) * w].reshape(r1 - r0, w)
-                    if narrow else None)
-                   for r0, r1 in _bounds(h, count)]
-        self.sobel = []
         if not sobel:
             return
-        w2 = w - 2
-        self.mag = self.flt[: (h - 2) * w2].reshape(h - 2, w2)
-        gx2 = np.empty((h - 2, w2), np.int32) if narrow else self.mag
-        g = None if narrow else np.empty((h - 2, w2))
-        for b, (r0, r1) in enumerate(sobel_rows):
-            mag_rows = self.flt[r0 * w2 : r1 * w2]
-            m = mag_rows.size
-            sums = self.scratch[(r0 + 2 * b) * w : (r1 + 2 * b + 2) * w]
-            if narrow:
-                band_g = mag_rows.view(np.int16)[2 * m : 3 * m].reshape(r1 - r0, w2)
-                squares = (gx2[r0:r1], mag_rows.view(np.int32)[:m].reshape(r1 - r0, w2))
-            else:
-                band_g = g[r0:r1]
-                squares = (gx2[r0:r1], band_g)
-            self.sobel.append((r0, r1, sums, band_g, squares, self.mag[r0:r1]))
-
-    def __enter__(self) -> "_Planes":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """End the threads ``run`` started, once their bands are done."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def run(self, work, bands: list) -> list:
-        """``work(band)`` of every band, in band order: the first band on
-        the calling thread and the others on a thread pool, made the first
-        time there are others. Returns, or raises the exception of the
-        first band that raised one, only once every band has ended."""
-        if len(bands) == 1:
-            return [work(bands[0])]
-        from concurrent.futures import ThreadPoolExecutor, wait  # only with a second CPU
-
-        if self._pool is None:
-            workers = max(len(self.ti), len(self.sobel)) - 1
-            self._pool = ThreadPoolExecutor(workers, thread_name_prefix="siti-band")
-        rest = [self._pool.submit(work, band) for band in bands[1:]]
-        try:
-            first = work(bands[0])
-        finally:
-            wait(rest)
-        return [first] + [f.result() for f in rest]
+        m = (h - 2) * (w - 2)
+        self.mag = self.flt[:m].reshape(h - 2, w - 2)
+        if narrow:
+            self.g = self.flt.view(np.int16)[2 * m : 3 * m].reshape(h - 2, w - 2)
+            gy2 = self.flt.view(np.int32)[:m].reshape(h - 2, w - 2)
+            self.squares = (np.empty((h - 2, w - 2), np.int32), gy2)
+        else:
+            self.g = np.empty((h - 2, w - 2), self.work)
+            self.squares = (self.mag, self.g)
 
     def widen(self, frame: np.ndarray) -> np.ndarray:
         """``frame`` in the work dtype, copied into the frame plane that
@@ -167,26 +102,22 @@ class _Planes:
         return out
 
 
-def _band_count() -> int:
-    """One row band per CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def sobel_magnitude(frame: np.ndarray, planes: _Planes | None = None) -> np.ndarray:
+    """3x3 Sobel gradient magnitude (float64) on the (H-2, W-2) interior;
+    a frame under 3x3 is a ValidationError.
 
-
-def _bounds(rows: int, bands: int) -> list[tuple[int, int]]:
-    """``rows`` split into at most ``bands`` runs of nearly equal length,
-    none empty, as (start, stop) pairs in order."""
-    k = min(bands, rows)
-    return [(rows * i // k, rows * (i + 1) // k) for i in range(k)]
-
-
-def _sobel_band(f: np.ndarray, band: tuple) -> None:
-    """The magnitude rows of one Sobel band of the widened frame ``f``."""
-    r0, r1, sums, g, (gx2, gy2), mag = band
-    f = f[r0 : r1 + 2]
+    ``planes`` (a ``_Planes`` for frames of this shape and dtype, which
+    also takes the frame already widened to its work dtype) are work
+    arrays to reuse; the result is then their magnitude plane, overwritten
+    by the next call.
+    """
+    f = np.asarray(frame)
+    if planes is None:
+        planes = _Planes(f.shape, f.dtype, sobel=True)
+    f = planes.widen(f)
     h, w = f.shape
+    g, sums = planes.g, planes.scratch
+    gx2, gy2 = planes.squares
     # Separable form: the same sums as the direct 3x3 kernels; float64
     # doubles and adds exactly as the kernels' weights do.
     cols = sums[: (h - 2) * w].reshape(h - 2, w)        # vertical [1, 2, 1]
@@ -202,25 +133,7 @@ def _sobel_band(f: np.ndarray, band: tuple) -> None:
     np.subtract(rows[2:], rows[:-2], out=g)
     np.square(g, out=gy2, dtype=gx2.dtype)
     gx2 += gy2
-    np.sqrt(gx2, out=mag, dtype=np.float64)
-
-
-def sobel_magnitude(frame: np.ndarray, planes: _Planes | None = None) -> np.ndarray:
-    """3x3 Sobel gradient magnitude (float64) on the (H-2, W-2) interior;
-    a frame under 3x3 is a ValidationError.
-
-    ``planes`` (a ``_Planes`` for frames of this shape and dtype, which
-    also takes the frame already widened to its work dtype) are work
-    arrays to reuse; the result is then their magnitude plane, overwritten
-    by the next call.
-    """
-    f = np.asarray(frame)
-    if planes is None:
-        with _Planes(f.shape, f.dtype, sobel=True) as planes:
-            return sobel_magnitude(f, planes)
-    f = planes.widen(f)
-    planes.run(partial(_sobel_band, f), planes.sobel)
-    return planes.mag
+    return np.sqrt(gx2, out=planes.mag, dtype=np.float64)
 
 
 def _std(a: np.ndarray, dev: np.ndarray) -> np.float64:
@@ -233,26 +146,17 @@ def _std(a: np.ndarray, dev: np.ndarray) -> np.float64:
     return np.sqrt(np.add.reduce(dev, axis=None) / n)
 
 
-def _difference_band(frame: np.ndarray, prev: np.ndarray, band: tuple) -> tuple[int, int] | None:
-    """One TI band's rows of ``frame - prev``; for uint8 luma also their
-    exact sum and sum of squares."""
-    r0, r1, diff, squares = band
-    np.subtract(frame[r0:r1], prev[r0:r1], out=diff)
-    if squares is None:
-        return None
-    np.square(diff, out=squares, dtype=np.int32)
-    return (int(np.add.reduce(diff, axis=None, dtype=np.int64)),
-            int(np.add.reduce(squares, axis=None, dtype=np.int64)))
-
-
 def _temporal(frame: np.ndarray, prev: np.ndarray, planes: _Planes) -> np.float64:
     """TI of one frame pair, both in the work dtype of ``planes``."""
-    moments = planes.run(partial(_difference_band, frame, prev), planes.ti)
     n = frame.size
-    if moments[0] is None:
-        return _std(planes.scratch[:n].reshape(frame.shape), planes.flt.reshape(frame.shape))
-    s1 = sum(m[0] for m in moments)
-    s2 = sum(m[1] for m in moments)
+    diff = planes.scratch.reshape(frame.shape)
+    np.subtract(frame, prev, out=diff)
+    if planes.work != np.int16:
+        return _std(diff, planes.flt.reshape(frame.shape))
+    squares = planes.flt.view(np.int32)[:n].reshape(frame.shape)
+    np.square(diff, out=squares, dtype=np.int32)
+    s1 = int(np.add.reduce(diff, axis=None, dtype=np.int64))
+    s2 = int(np.add.reduce(squares, axis=None, dtype=np.int64))
     # n² times the variance, an exact integer; int / int rounds correctly
     return np.float64(math.sqrt((n * s2 - s1 * s1) / (n * n)))
 
@@ -260,19 +164,19 @@ def _temporal(frame: np.ndarray, prev: np.ndarray, planes: _Planes) -> np.float6
 def _walk(seq: FrameSequence, si: bool, ti: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame SI and per-frame-pair TI (each when asked for) from one
     walk over the frames, keeping the previous one."""
+    planes = _Planes(seq.frames.shape[1:], seq.frames.dtype, sobel=si)
+    if ti and seq.n_frames < 2:
+        raise ValidationError("temporal information needs at least 2 frames")
     si_values, ti_values = [], []
     prev = None
-    with _Planes(seq.frames.shape[1:], seq.frames.dtype, sobel=si) as planes:
-        if ti and seq.n_frames < 2:
-            raise ValidationError("temporal information needs at least 2 frames")
-        for frame in seq.walk():
-            frame = planes.widen(frame)
-            if si:
-                mag = sobel_magnitude(frame, planes)
-                si_values.append(_std(mag, mag))
-            if ti and prev is not None:
-                ti_values.append(_temporal(frame, prev, planes))
-            prev = frame
+    for frame in seq.walk():
+        frame = planes.widen(frame)
+        if si:
+            mag = sobel_magnitude(frame, planes)
+            si_values.append(_std(mag, mag))
+        if ti and prev is not None:
+            ti_values.append(_temporal(frame, prev, planes))
+        prev = frame
     return np.array(si_values), np.array(ti_values)
 
 

@@ -1,18 +1,11 @@
 import itertools
 import math
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import avq360
-from avq360 import siti
 from avq360.errors import ValidationError
 from avq360.manifest import FrameSequence, Y4MFrames, load_y4m, write_y4m
 from avq360.siti import (
@@ -296,99 +289,21 @@ class TestOneWalk:
         assert temporal_information(seq_from_uint8(frames))[0] == 127.5
 
 
-def band_cases():
+
+def test_uint8_ti_equals_the_exact_oracle():
     rng = np.random.default_rng(31)
-    return {
-        **walk_cases(),
-        "odd height uint8": rng.integers(0, 256, size=(3, 23, 40), dtype=np.uint8),
-        "odd height uint16": rng.integers(0, 65536, size=(3, 23, 40), dtype=np.uint16),
-        "odd height float64": rng.uniform(0.0, 255.0, size=(3, 23, 40)),
-        "2 frames float64": rng.uniform(0.0, 255.0, size=(2, 9, 16)),
-    }
+    board = checkerboard(40, 80, 1)
+    cases = [f for f in walk_cases().values() if f.dtype == np.uint8]
+    cases.append(rng.integers(0, 256, size=(3, 23, 40), dtype=np.uint8))   # odd height
+    # inverted boards: a difference of +/-255 at every pixel
+    cases.append(np.stack([board, 255 - board, board]))
+    for frames in cases:
+        r = summarize_siti(FrameSequence(frames=frames, fps=1.0))
+        assert np.array_equal(r.ti_per_frame, exact_ti_per_pair(frames))
+    assert r.ti_per_frame.tolist() == [255.0, 255.0]
 
 
-def summary_bytes(frames):
-    r = summarize_siti(FrameSequence(frames=frames, fps=1.0))
-    return (r.si_per_frame.tobytes(), r.ti_per_frame.tobytes(),
-            np.array([r.si_mean, r.si_max, r.ti_mean, r.ti_max]).tobytes())
-
-
-class TestRowBands:
-    """Each frame's integer passes run as row bands, one per CPU."""
-
-    @pytest.mark.parametrize("case", list(band_cases()))
-    def test_same_bytes_for_every_band_count(self, case, monkeypatch):
-        frames = band_cases()[case]
-        monkeypatch.setattr(siti, "_band_count", lambda: 1)
-        one = summary_bytes(frames)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)     # the bands' threads interleave often
-        try:
-            for count in (2, 3, frames.shape[1] + 5):   # the last: more bands than rows
-                monkeypatch.setattr(siti, "_band_count", lambda: count)
-                assert summary_bytes(frames) == one, count
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_uint8_ti_equals_the_exact_oracle(self, count, monkeypatch):
-        monkeypatch.setattr(siti, "_band_count", lambda: count)
-        board = checkerboard(40, 80, 1)
-        cases = [f for f in band_cases().values() if f.dtype == np.uint8]
-        # inverted boards: a difference of +/-255 at every pixel
-        cases.append(np.stack([board, 255 - board, board]))
-        for frames in cases:
-            r = summarize_siti(FrameSequence(frames=frames, fps=1.0))
-            assert np.array_equal(r.ti_per_frame, exact_ti_per_pair(frames))
-        assert r.ti_per_frame.tolist() == [255.0, 255.0]
-
-    @pytest.mark.parametrize("work", ["_sobel_band", "_difference_band"])
-    def test_an_exception_in_band_1_propagates_once_every_band_ended(self, work, monkeypatch):
-        frames = np.random.default_rng(32).integers(0, 256, size=(3, 32, 64), dtype=np.uint8)
-        monkeypatch.setattr(siti, "_band_count", lambda: 3)
-        rows = 30 if work == "_sobel_band" else 32
-        starts = [r0 for r0, _ in siti._bounds(rows, 3)]
-        original, ended = getattr(siti, work), []
-
-        def band(*args):
-            r0 = args[-1][0]
-            try:
-                if r0 == starts[1]:
-                    raise RuntimeError("band 1 failed")
-                time.sleep(0.05)    # the others end well after band 1
-                return original(*args)
-            finally:
-                ended.append(r0)
-
-        monkeypatch.setattr(siti, work, band)
-        with pytest.raises(RuntimeError, match="band 1 failed"):
-            summarize_siti(FrameSequence(frames=frames, fps=1.0))
-        assert sorted(ended) == starts
-        assert not [t for t in threading.enumerate() if t.name.startswith("siti-band")]
-
-    def test_one_cpu_runs_every_band_on_the_calling_thread(self, monkeypatch):
-        frames = np.random.default_rng(33).integers(0, 256, size=(3, 16, 32), dtype=np.uint8)
-        threads = {}
-        for name in ("_sobel_band", "_difference_band"):
-            original = getattr(siti, name)
-
-            def band(*args, original=original):
-                threads.setdefault(args[-1][0], set()).add(threading.current_thread())
-                return original(*args)
-
-            monkeypatch.setattr(siti, name, band)
-        monkeypatch.setattr(siti, "_band_count", lambda: 1)
-        summarize_siti(FrameSequence(frames=frames, fps=1.0))
-        assert threads == {0: {threading.current_thread()}}
-        threads.clear()
-        monkeypatch.setattr(siti, "_band_count", lambda: 2)
-        summarize_siti(FrameSequence(frames=frames, fps=1.0))
-        assert threads.pop(0) == {threading.current_thread()}
-        assert [threading.current_thread() not in t for t in threads.values()] == [True, True]
-
-    def test_importing_the_cli_imports_no_thread_pool(self):
-        src = str(Path(avq360.__file__).parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); import avq360.cli; "
-                "print('concurrent.futures' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout == "False\n"
+def test_an_empty_frame_is_a_validation_error():
+    frames = np.zeros((2, 0, 4), np.uint8)
+    with pytest.raises(ValidationError, match="at least one pixel"):
+        temporal_information(seq_from_uint8(frames))
