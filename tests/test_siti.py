@@ -297,6 +297,11 @@ def test_uint8_ti_equals_the_exact_oracle():
     cases.append(rng.integers(0, 256, size=(3, 23, 40), dtype=np.uint8))   # odd height
     # inverted boards: a difference of +/-255 at every pixel
     cases.append(np.stack([board, 255 - board, board]))
+    # n² times the variance is above 2**53: rounding it to float first would
+    # round twice and miss the correctly rounded quotient for this seed
+    big = (255 * np.random.default_rng(0).integers(0, 2, size=(2, 1023, 1025))).astype(np.uint8)
+    r = summarize_siti(FrameSequence(frames=big, fps=1.0))
+    assert np.array_equal(r.ti_per_frame, exact_ti_per_pair(big))
     for frames in cases:
         r = summarize_siti(FrameSequence(frames=frames, fps=1.0))
         assert np.array_equal(r.ti_per_frame, exact_ti_per_pair(frames))
