@@ -326,7 +326,8 @@ def cmd_train(args) -> int:
     result = model.train_model(net, feats, targets)
     with ExitStack() as staged:  # neither output is replaced until both are written
         net.save(cfg.checkpoint, staged)
-        model.write_train_log(result.history, log_path, staged)
+        write_csv_table(log_path, ["step", "loss"],
+                        ([step, f"{loss:.10f}"] for step, loss in result.history), staged)
     print(f"trained on {len(feats)} sequences for {len(result.history)} steps")
     if result.history:
         print(f"final batch loss: {result.final_loss:.6f}")

@@ -47,17 +47,18 @@ _DEFAULT_PATHS = {"split_file": "split.csv", "mos_table": "mos.csv",
                   "checkpoint": "model.avqc"}
 
 
+def _uncommented(line: str) -> str:
+    return line.split("#", 1)[0].strip()
+
+
 def _parse_lines(lines) -> dict[str, str]:
-    """key -> value of ``(where, line)`` pairs of ``key = value`` text; a
-    ``#`` starts a comment and a key may be given once."""
+    """key -> value of ``(where, text)`` pairs of ``key = value`` text
+    without comments; a key may be given once."""
     raw: dict[str, str] = {}
-    for where, line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
+    for where, text in lines:
+        if "=" not in text:
             raise ValidationError(f"{where}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+        key, value = (part.strip() for part in text.split("=", 1))
         if key in raw:
             raise ValidationError(f"{where}: duplicate key {key!r}")
         raw[key] = value
@@ -113,8 +114,9 @@ def load_config(path, overrides: list[str] | None = None) -> tuple[RunConfig, li
         lines = read_text_utf8(path).splitlines()
     except DataError as e:
         raise ValidationError(str(e)) from None
-    raw = _parse_lines((f"config line {n}", line) for n, line in enumerate(lines, start=1))
-    sets = _parse_lines((f"--set {item!r}", item) for item in overrides or [])
+    raw = _parse_lines((f"config line {n}", text) for n, line in enumerate(lines, start=1)
+                       if (text := _uncommented(line)))
+    sets = _parse_lines((f"--set {item!r}", _uncommented(item)) for item in overrides or [])
     raw.update(sets)
     applied = [f"override: {key} = {value}" for key, value in sets.items()]
     return _run_config(raw, path.parent), applied

@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the toolkit, the UTF-8 check every
 text reader reports through, the check that an input path names a file,
-the replace-on-success write every table, checkpoint and feature writer
-goes through, and the check that a path could be written before any work
-is done for it."""
+the replace-on-success write every output goes through, and the check
+that a path could be written before any work is done for it."""
 
 import errno
+import io
 import os
 from contextlib import ExitStack, contextmanager, suppress
 from itertools import takewhile
@@ -65,33 +65,39 @@ def require_file(path, what: str, error=ValidationError) -> Path:
 
 @contextmanager
 def replaced_when_written(path, mode="wb", staged: ExitStack | None = None, **open_kwargs):
-    """Create the parent directories of ``path``, open ``<path>.tmp`` for
-    writing and yield the file; rename it over ``path`` once the block
-    completes. Given an ExitStack ``staged``, this is entered on that
-    stack instead: the file is closed when the block completes and renamed
-    only when the stack closes, so no output staged on one stack replaces
-    its path before every one of them is written. An exception before the
-    rename removes the temporary file and the directories made for it that
-    are left empty, and leaves an earlier file at ``path`` as it was. An
-    OSError of its mkdir, open, write, close or rename is ValidationError
-    "cannot write <path>"."""
+    """Create the parent directories of ``path``, open ``<path>.tmp`` and
+    yield it as a standard buffered file, a text one for mode "w" (with
+    ``open_kwargs`` such as ``newline`` and ``encoding``); rename it over
+    ``path`` once the block completes. Given an ExitStack ``staged``, this
+    is entered on that stack instead: the file is closed when the block
+    completes and renamed only when the stack closes, so no output staged
+    on one stack replaces its path before every one of them is written.
+    An exception before the rename removes the temporary file and the
+    directories made for it that are left empty, and leaves an earlier
+    file at ``path`` as it was. An OSError of the mkdir, open or rename,
+    or of a write or the close under the buffer, is ValidationError
+    "cannot write <path>"; one of other code in the block propagates."""
     if staged is not None:
         f = staged.enter_context(replaced_when_written(path, mode, **open_kwargs))
         yield f
         f.close()
         return
-    tmp, made, f = Path(f"{path}.tmp"), [], _Output(path)
+    tmp, made = Path(f"{path}.tmp"), []
     try:
-        made = f.do(list, takewhile(lambda d: not d.exists(), tmp.absolute().parents))
-        f.do(tmp.parent.mkdir, parents=True, exist_ok=True)
-        f.file = f.do(open, tmp, mode, **open_kwargs)
+        with _cannot_write(path):
+            made = list(takewhile(lambda d: not d.exists(), tmp.absolute().parents))
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+            f = io.BufferedWriter(_RawOutput(path, open(tmp, "wb", buffering=0)))
         try:
+            if mode == "w":
+                f = io.TextIOWrapper(f, **open_kwargs)
             yield f
             f.close()
-            f.do(tmp.replace, path)
+            with _cannot_write(path):
+                tmp.replace(path)
         except BaseException:
-            with suppress(OSError):  # the exception propagating says more
-                f.file.close()
+            with suppress(ValidationError):  # the exception propagating says more
+                f.close()
             tmp.unlink(missing_ok=True)
             raise
     except BaseException:
@@ -101,23 +107,32 @@ def replaced_when_written(path, mode="wb", staged: ExitStack | None = None, **op
         raise
 
 
-class _Output:
-    """The file ``replaced_when_written`` yields: an OSError is "cannot write"."""
+class _RawOutput(io.RawIOBase):
+    """The unbuffered file under the buffer ``replaced_when_written``
+    yields: an OSError of a write or of the close is "cannot write"."""
 
-    def __init__(self, path):
-        self.path, self.file = path, None
+    def __init__(self, path, file):
+        self.path, self.file = path, file
 
-    def do(self, call, *args, **kwargs):
-        try:
-            return call(*args, **kwargs)
-        except OSError as e:
-            raise _unwritable(self.path, e) from e
+    def writable(self) -> bool:
+        return True
 
     def write(self, data):
-        return self.do(self.file.write, data)
+        with _cannot_write(self.path):
+            return self.file.write(data)
 
     def close(self) -> None:
-        self.do(self.file.close)
+        super().close()
+        with _cannot_write(self.path):
+            self.file.close()
+
+
+@contextmanager
+def _cannot_write(path):
+    try:
+        yield
+    except OSError as e:
+        raise _unwritable(path, e) from e
 
 
 def require_writable_location(path) -> None:

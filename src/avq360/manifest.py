@@ -13,7 +13,6 @@ JSON types for the manifest).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import struct
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +173,8 @@ def write_manifest(entries, path) -> None:
     for e in entries:
         e.validate()
     payload = [asdict(e) for e in entries]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with replaced_when_written(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def write_y4m(seq: FrameSequence, path) -> None:
     else:
         frac = Fraction(seq.fps).limit_denominator(1_001_000)
         num, den = frac.numerator, frac.denominator
-    with open(path, "wb") as f:
+    with replaced_when_written(path) as f:
         f.write(
             f"YUV4MPEG2 W{seq.width} H{seq.height} F{num}:{den} Ip A1:1 Cmono\n".encode()
         )
@@ -509,14 +509,10 @@ def write_wav(clip: AudioClip, path) -> None:
     interleaved = np.ascontiguousarray(pcm.T).tobytes()
     channels = clip.channels
     byte_rate = clip.sample_rate * channels * 2
-    with open(path, "wb") as f:
-        f.write(b"RIFF")
-        f.write(struct.pack("<I", 36 + len(interleaved)))
-        f.write(b"WAVE")
-        f.write(b"fmt ")
-        f.write(struct.pack("<IHHIIHH", 16, 1, channels, clip.sample_rate, byte_rate, channels * 2, 16))
-        f.write(b"data")
-        f.write(struct.pack("<I", len(interleaved)))
+    with replaced_when_written(path) as f:
+        f.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(interleaved), b"WAVE",
+                            b"fmt ", 16, 1, channels, clip.sample_rate, byte_rate,
+                            channels * 2, 16, b"data", len(interleaved)))
         f.write(interleaved)
 
 
@@ -564,26 +560,17 @@ def read_csv_table(path, header):
             raise not_utf8(path) from None
 
 
-# Rows of a CSV table formatted in memory for each write to its file.
-_CSV_ROWS = 1024
-
-
 def write_csv_table(path, header, rows, staged=None) -> None:
-    """Write ``header``, then the rows of the iterable ``rows`` as UTF-8
-    CSV with CRLF line ends: each batch of _CSV_ROWS rows is formatted in
-    memory as it is produced and written to the file in one write.
+    """Write ``header``, then each row of the iterable ``rows`` as it is
+    produced, as UTF-8 CSV with CRLF line ends, to a buffered file.
 
     The table replaces ``path`` only once every row is written, or when
     the ExitStack ``staged`` closes (``replaced_when_written``), so a
     failure while producing the rows leaves an earlier table at ``path``
     as it was.
     """
-    rows = chain([header], rows)
     with replaced_when_written(path, "w", staged, newline="", encoding="utf-8") as f:
-        while batch := list(islice(rows, _CSV_ROWS)):
-            text = io.StringIO(newline="")
-            csv.writer(text).writerows(batch)
-            f.write(text.getvalue())
+        csv.writer(f).writerows(chain([header], rows))
 
 
 def _parse_bool(text: str) -> bool:

@@ -41,7 +41,7 @@ import numpy as np
 from . import audiofe, nn
 from .erp import cos_latitude_prior, partition_erp
 from .errors import DataError, ValidationError
-from .manifest import AudioClip, FrameSequence, downmix_mono, write_csv_table
+from .manifest import AudioClip, FrameSequence, downmix_mono
 
 FUSION_MODES = ("transformer", "cat", "add")
 
@@ -660,8 +660,3 @@ def train_model(
         nn.adam_step(model.store, state)
         result.history.append((step, loss))
     return result
-
-
-def write_train_log(history, path, staged) -> None:
-    write_csv_table(path, ["step", "loss"],
-                    ([step, f"{loss:.10f}"] for step, loss in history), staged)

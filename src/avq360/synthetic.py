@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, replaced_when_written
 from .manifest import (
     SCENES,
     AudioClip,
@@ -217,15 +217,17 @@ def _config_text(seed: int) -> str:
 def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[SequenceManifestEntry]:
     """Write the full synthetic corpus; returns the manifest entries.
 
-    Layout: manifest.json, media/<id>.y4m + .wav, hm/<id>.csv,
-    scores.csv, config.txt. Sequence i has distortion i/7 and designed
-    MOS MEDIA_TARGETS[i].
+    Written in this order: scores.csv, media/<id>.y4m + .wav and
+    hm/<id>.csv per sequence, manifest.json, config.txt. A seed whose
+    ratings fail ``_verify_screening`` is refused before any write.
+    Sequence i has distortion i/7 and designed MOS MEDIA_TARGETS[i].
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     outdir = Path(outdir)
-    (outdir / "media").mkdir(parents=True, exist_ok=True)
-    (outdir / "hm").mkdir(parents=True, exist_ok=True)
+    records = make_rating_table(fixture_sequence_targets(), seed=seed)
+    _verify_screening(records)
+    write_scores_csv(records, outdir / "scores.csv")
 
     entries = []
     for i in range(len(MEDIA_TARGETS)):
@@ -260,13 +262,8 @@ def generate_corpus(outdir, seed: int = DEFAULT_SEED) -> list[SequenceManifestEn
         entries.append(entry)
 
     write_manifest(entries, outdir / "manifest.json")
-
-    targets = fixture_sequence_targets()
-    records = make_rating_table(targets, seed=seed)
-    write_scores_csv(records, outdir / "scores.csv")
-    _verify_screening(records)
-
-    (outdir / "config.txt").write_text(_config_text(seed), encoding="utf-8")
+    with replaced_when_written(outdir / "config.txt", "w", encoding="utf-8") as f:
+        f.write(_config_text(seed))
     return entries
 
 

@@ -103,6 +103,12 @@ class TestSynthFixture:
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "fx").exists()
 
+    def test_a_refused_seed_writes_nothing(self, tmp_path, capsys):
+        # seed 4's rating table does not reject the planted subject
+        assert run(["synth-fixture", "--out", tmp_path / "fx", "--seed", "4"]) == 3
+        assert "data error: fixture seed produces rejection set" in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
 
 class TestImportCost:
     """No command needs scipy, and the package root imports nothing:
@@ -1145,6 +1151,13 @@ class TestConfigHandling:
     def test_bad_override_format(self, corpus_dir):
         assert run(["siti", "--config", corpus_dir / "config.txt",
                     "--set", "lr:0.1"]) == 2
+
+    def test_comment_only_override_exits_2(self, tmp_path, corpus_dir, capsys):
+        assert run(["split", "--config", corpus_dir / "config.txt",
+                    "--set", f"output_dir={tmp_path}", "--set", "#split_seed=3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --set '#split_seed=3': expected 'key = value'"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("override", [
         "heads=0", "d_model=0", "band_channels=8,0,16", "audio_channels=8,16,32,0",

@@ -105,6 +105,14 @@ def test_comment_in_override_is_stripped(tmp_path):
     assert applied == ["override: split_seed = 3"]
 
 
+@pytest.mark.parametrize("override", ["", "  ", "#split_seed=3", " # a note"])
+def test_blank_or_comment_only_override_rejected(tmp_path, override):
+    path = write_config(tmp_path)
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"--set {override!r}: expected 'key = value'") + "$"):
+        load_config(path, [override])
+
+
 def test_default_paths_follow_overridden_output_dir(tmp_path):
     path = write_config(tmp_path)
     cfg, _ = load_config(path, ["output_dir=elsewhere"])

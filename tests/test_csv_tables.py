@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avq360.cli import _load_split
-from avq360 import errors, manifest
+from avq360 import errors
 from avq360.errors import Avq360Error, DataError
 from avq360.hm import load_hm
 from avq360.manifest import load_scores_csv, write_csv_table
@@ -138,13 +138,28 @@ def test_a_long_table_is_written_in_chunks_with_the_bytes_of_one_writer(tmp_path
     text = io.StringIO(newline="")
     csv.writer(text).writerows([["subject", "sequence", "x", "note"], *rows])
     writes = []
-    write = errors._Output.write
-    monkeypatch.setattr(errors._Output, "write", lambda self, data: writes.append(len(data))
-                        or write(self, data))
+
+    class Counted:
+        """The temporary file, counting the writes that reach it."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            writes.append(len(data))
+            return self.f.write(data)
+
+        def close(self):
+            self.f.close()
+
+    monkeypatch.setattr(errors, "open", lambda *args, **kwargs: Counted(open(*args, **kwargs)),
+                        raising=False)
     path = tmp_path / "t.csv"
     write_csv_table(path, ["subject", "sequence", "x", "note"], iter(rows))
-    assert path.read_bytes() == text.getvalue().encode("utf-8")
-    assert len(writes) == -(-(len(rows) + 1) // manifest._CSV_ROWS) > 2
+    data = path.read_bytes()
+    assert data == text.getvalue().encode("utf-8")
+    assert sum(writes) == len(data)
+    assert 2 < len(writes) <= -(-len(data) // io.DEFAULT_BUFFER_SIZE) + 1
 
 
 def test_failed_write_leaves_earlier_table_and_no_temporary_file(tmp_path):

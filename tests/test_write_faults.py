@@ -4,17 +4,24 @@ Each case writes every output once with the commands that make them
 (``process-scores``, ``train``, ``evaluate --on all``, ``extract-features``),
 then runs the command that writes one output again while the disk is full
 for that output: ENOSPC from its first write, or from closing it (the flush
-of bytes still buffered). ``train`` writes two outputs, the checkpoint and
-``train_log.csv``; a fault in either leaves both as they were. The fault is injected where
-``errors.replaced_when_written`` opens the output. The rule, stated beside
-the exit codes in README: exit 2 with one ``error: cannot write <path>:``
-line, no temporary file left, and every output of the earlier run
-byte-identical.
+of bytes still buffered), or an I/O error from the rename over the earlier
+file. ``train`` writes two outputs, the checkpoint and ``train_log.csv``; a
+fault in either leaves both as they were. The fault is injected where
+``errors.replaced_when_written`` opens the output, or where it renames it.
+The rule, stated beside the exit codes in README: exit 2 with one
+``error: cannot write <path>:`` line, no temporary file left, and every
+output of the earlier run byte-identical. A KeyboardInterrupt at the first
+write propagates out of ``cli.main`` and leaves the same state.
+
+``synth-fixture`` writes its corpus through the same function: a full disk
+at one of its outputs exits 2 the same way, keeps the outputs written
+before it, and leaves no directory it made empty.
 """
 
 import errno
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -53,7 +60,8 @@ def _full() -> OSError:
 class FullDisk:
     """An output file on a disk that is full: its first write fails, or,
     with ``at="close"``, every write is kept in a buffer the close fails
-    to flush."""
+    to flush. With ``at="interrupt"``, its first write is interrupted
+    instead (Ctrl-C)."""
 
     def __init__(self, f, at):
         self.f, self.at = f, at
@@ -61,6 +69,9 @@ class FullDisk:
     def write(self, data):
         if self.at == "write":
             raise _full()
+        if self.at == "interrupt":
+            self.at = None
+            raise KeyboardInterrupt
         return self.f.write(data)
 
     def close(self):
@@ -79,10 +90,30 @@ def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("at", ["write", "close"])
-@pytest.mark.parametrize("output", OUTPUTS)
-def test_a_full_disk_exits_2_naming_the_output(tmp_path, corpus_dir, monkeypatch, capsys,
-                                               output, at):
+def _fail_at(monkeypatch, target, at):
+    """Inject the fault ``at`` into the writing of the output ``target``."""
+    if at == "rename":
+        replace = Path.replace
+
+        def replace_on_a_failing_disk(self, to):
+            if str(self) == f"{target}.tmp":
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return replace(self, to)
+
+        monkeypatch.setattr(Path, "replace", replace_on_a_failing_disk)
+        return
+
+    def open_on_a_full_disk(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)  # the temporary file: <target>.tmp
+        return FullDisk(f, at) if str(file).startswith(f"{target}.") else f
+
+    monkeypatch.setattr(errors, "open", open_on_a_full_disk, raising=False)
+
+
+def _earlier_run(tmp_path, corpus_dir, capsys, output):
+    """A case directory in which every output was written once, the
+    function that runs a command in it, and its files before ``output``
+    is written again."""
     case = tmp_path.resolve()
     for name in ("manifest.json", "scores.csv", "media", "hm"):
         copy = shutil.copytree if (corpus_dir / name).is_dir() else shutil.copy2
@@ -97,18 +128,66 @@ def test_a_full_disk_exits_2_naming_the_output(tmp_path, corpus_dir, monkeypatch
     if output == "feature file":
         video = case / "media" / "seq03.y4m"
         os.utime(video, ns=(video.stat().st_atime_ns, video.stat().st_mtime_ns + 10 ** 9))
-    before = _files(case)
     capsys.readouterr()
+    return case, run, _files(case)
 
+
+@pytest.mark.parametrize("at", ["write", "close"])
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_a_full_disk_exits_2_naming_the_output(tmp_path, corpus_dir, monkeypatch, capsys,
+                                               output, at):
+    case, run, before = _earlier_run(tmp_path, corpus_dir, capsys, output)
     command, extra, rel = OUTPUTS[output]
     target = case / rel
-
-    def open_on_a_full_disk(file, *args, **kwargs):
-        f = open(file, *args, **kwargs)  # the temporary file: <target>.tmp
-        return FullDisk(f, at) if str(file).startswith(f"{target}.") else f
-
-    monkeypatch.setattr(errors, "open", open_on_a_full_disk, raising=False)
+    _fail_at(monkeypatch, target, at)
     assert run(command, extra) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}"]
     assert _files(case) == before
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_a_failed_rename_exits_2_naming_the_output(tmp_path, corpus_dir, monkeypatch, capsys,
+                                                   output):
+    case, run, before = _earlier_run(tmp_path, corpus_dir, capsys, output)
+    command, extra, rel = OUTPUTS[output]
+    target = case / rel
+    _fail_at(monkeypatch, target, "rename")
+    assert run(command, extra) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {target}: {os.strerror(errno.EIO)}"]
+    assert _files(case) == before
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_an_interrupted_write_propagates_and_leaves_every_output(tmp_path, corpus_dir,
+                                                                  monkeypatch, capsys, output):
+    case, run, before = _earlier_run(tmp_path, corpus_dir, capsys, output)
+    command, extra, rel = OUTPUTS[output]
+    _fail_at(monkeypatch, case / rel, "interrupt")
+    with pytest.raises(KeyboardInterrupt):
+        run(command, extra)
+    assert _files(case) == before
+
+
+# synth-fixture's outputs, in the order it writes them
+CORPUS = ["scores.csv", *(f"{folder}/seq{i:02d}.{ext}" for i in range(8)
+                          for folder, ext in (("media", "y4m"), ("media", "wav"), ("hm", "csv"))),
+          "manifest.json", "config.txt"]
+
+
+@pytest.mark.parametrize("at", ["write", "close"])
+@pytest.mark.parametrize("rel", ["media/seq00.y4m", "media/seq03.wav", "hm/seq00.csv",
+                                 "manifest.json", "scores.csv", "config.txt"])
+def test_a_full_disk_stops_synth_fixture_with_exit_2(tmp_path, corpus_dir, monkeypatch, capsys,
+                                                     rel, at):
+    out = tmp_path.resolve() / "fx"
+    target = out / rel
+    _fail_at(monkeypatch, target, at)
+    assert main(["synth-fixture", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}"]
+    written = CORPUS[:CORPUS.index(rel)]
+    assert _files(out) == {Path(name): (corpus_dir / name).read_bytes() for name in written}
+    assert out.exists() == bool(written)
+    assert [d for d in out.rglob("*") if d.is_dir() and not any(d.iterdir())] == []
