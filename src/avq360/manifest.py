@@ -21,7 +21,6 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
